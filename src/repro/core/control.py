@@ -472,25 +472,26 @@ class ControlLoop:
         """
         moved = 0
         candidates: List[Tuple[float, int, List[str], float]] = []
-        for flow in sim.active_flows():
-            current_keys = sim.route_of(flow.flow_id)
-            current_price = self._directed_price(current_keys)
-            best = self.scheduler.cheapest_path(flow.src, flow.dst, exclude)
-            if best is None:
-                continue
-            best_path, best_price = best
-            new_keys = path_directed_keys(best_path)
-            if new_keys == current_keys:
-                continue
-            if not all(sim.has_link(key) for key in new_keys):
-                continue
-            if force_all or (
-                math.isinf(current_price)
-                or current_price > best_price * self.config.reroute_price_gain
-            ):
-                candidates.append(
-                    (current_price - best_price, flow.flow_id, best_path, best_price)
-                )
+        with self.scheduler.pricing_pass():
+            for flow in sim.active_flows():
+                current_keys = sim.route_of(flow.flow_id)
+                current_price = self._directed_price(current_keys)
+                best = self.scheduler.cheapest_path(flow.src, flow.dst, exclude)
+                if best is None:
+                    continue
+                best_path, best_price = best
+                new_keys = path_directed_keys(best_path)
+                if new_keys == current_keys:
+                    continue
+                if not all(sim.has_link(key) for key in new_keys):
+                    continue
+                if force_all or (
+                    math.isinf(current_price)
+                    or current_price > best_price * self.config.reroute_price_gain
+                ):
+                    candidates.append(
+                        (current_price - best_price, flow.flow_id, best_path, best_price)
+                    )
         candidates.sort(key=lambda item: (-item[0], item[1]))
         limit = len(candidates) if force_all else self.config.max_reroutes_per_tick
         for _gain, flow_id, best_path, _price in candidates[:limit]:
@@ -504,8 +505,7 @@ class ControlLoop:
         for a, b in keys:
             if not self.fabric.topology.has_link(str(a), str(b)):
                 return math.inf
-            path_price = self.scheduler.path_price([str(a), str(b)])
-            total += path_price
+            total += self.scheduler.link_price(str(a), str(b))
         return total
 
     # ------------------------------------------------------------------ #
@@ -571,12 +571,13 @@ class ControlLoop:
         # Flows whose route lost a link (or all capacity) must move now;
         # everyone else is re-priced on the next tick.
         exclude = frozenset(self._training_directed_keys())
-        for flow in sim.active_flows():
-            keys = sim.route_of(flow.flow_id)
-            if math.isinf(self._directed_price(keys)):
-                best = self.scheduler.cheapest_path(flow.src, flow.dst, exclude)
-                if best is not None:
-                    sim.reroute(flow.flow_id, path_directed_keys(best[0]))
+        with self.scheduler.pricing_pass():
+            for flow in sim.active_flows():
+                keys = sim.route_of(flow.flow_id)
+                if math.isinf(self._directed_price(keys)):
+                    best = self.scheduler.cheapest_path(flow.src, flow.dst, exclude)
+                    if best is not None:
+                        sim.reroute(flow.flow_id, path_directed_keys(best[0]))
 
         if self._engine is not None and completion > now:
             # Priority -1: a completion coinciding with a tick applies first,

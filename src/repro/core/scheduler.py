@@ -13,19 +13,24 @@ arrival into a concrete forwarding decision:
 The scheduler also keeps an estimate of the load it has admitted onto each
 link, which gives the price tagger a congestion signal even between
 telemetry updates.
+
+Candidate paths come from a hop-count k-shortest :class:`Router`, whose
+cache follows the topology's structural version.  Inside a
+:meth:`FlowScheduler.pricing_pass` each link is priced at most once.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
 
 import networkx as nx
 
 from repro.core.cost import LinkPriceTagger
 from repro.core.reconfiguration import break_even_flow_size
 from repro.fabric.fabric import Fabric
-from repro.fabric.routing import k_shortest_paths, path_links
+from repro.fabric.routing import Router, RoutingPolicy, hop_weight, path_links
 from repro.fabric.topology import merge_directed_values
 from repro.sim.flow import Flow
 
@@ -89,6 +94,15 @@ class FlowScheduler:
         #: Load the scheduler believes it has admitted onto each canonical link.
         self.admitted_load_bps: Dict[LinkKey, float] = {}
         self.decisions: List[SchedulingDecision] = []
+        #: Hop-count candidate paths, cached per topology version.
+        self.router = Router(
+            fabric.topology,
+            weight_fn=hop_weight,
+            policy=RoutingPolicy.K_SHORTEST,
+            k=candidate_paths,
+        )
+        #: Canonical link key -> price, alive only inside a pricing pass.
+        self._price_memo: Optional[Dict[LinkKey, float]] = None
 
     # ------------------------------------------------------------------ #
     # Load accounting
@@ -130,19 +144,46 @@ class FlowScheduler:
         self.admitted_load_bps = merge_directed_values(directed_load_bps)
 
     # ------------------------------------------------------------------ #
-    # Admission
+    # Pricing
     # ------------------------------------------------------------------ #
+    @contextmanager
+    def pricing_pass(self) -> Iterator[None]:
+        """Scope in which every link is priced at most once.
+
+        A link's price reads only the link's own state and the admitted-load
+        estimate, neither of which may change while the pass is open; the
+        memo is dropped when the pass ends, so a mutation made between
+        passes is never served stale.
+        """
+        outer = self._price_memo
+        self._price_memo = {}
+        try:
+            yield
+        finally:
+            self._price_memo = outer
+
+    def link_price(self, a: str, b: str) -> float:
+        """Price of the link joining *a* and *b* under the estimated utilisation."""
+        key = self._canonical(a, b)
+        memo = self._price_memo
+        if memo is not None and key in memo:
+            return memo[key]
+        link = self.fabric.topology.link_between(a, b)
+        price = self.tagger.price(link, utilisation=self._estimated_utilisation(a, b))
+        if memo is not None:
+            memo[key] = price
+        return price
+
     def path_price(self, path: List[str]) -> float:
         """Total price of a path under the current estimated utilisation."""
         total = 0.0
         for i in range(len(path) - 1):
-            a, b = path[i], path[i + 1]
-            link = self.fabric.topology.link_between(a, b)
-            total += self.tagger.price(
-                link, utilisation=self._estimated_utilisation(a, b)
-            )
+            total += self.link_price(path[i], path[i + 1])
         return total
 
+    # ------------------------------------------------------------------ #
+    # Admission
+    # ------------------------------------------------------------------ #
     def cheapest_path(
         self,
         src: str,
@@ -165,9 +206,7 @@ class FlowScheduler:
         (or the pair is disconnected).
         """
         try:
-            candidates = k_shortest_paths(
-                self.fabric.topology, src, dst, self.candidate_paths
-            )
+            candidates = self.router.all_paths(src, dst)
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             return None  # pair disconnected (e.g. mid-reconfiguration)
         viable = [
@@ -184,7 +223,7 @@ class FlowScheduler:
         best_price, _, best = min(
             (self.path_price(path), index, path) for index, path in enumerate(viable)
         )
-        return best, best_price
+        return list(best), best_price  # a copy: the router caches the original
 
     def admit(self, flow: Flow) -> SchedulingDecision:
         """Choose a forwarding decision for *flow*.
@@ -209,10 +248,10 @@ class FlowScheduler:
             self.decisions.append(decision)
             return decision
 
-        candidates = k_shortest_paths(
-            self.fabric.topology, flow.src, flow.dst, self.candidate_paths
-        )
-        best_path = min(candidates, key=self.path_price)
+        best = self.cheapest_path(flow.src, flow.dst)
+        if best is None:
+            raise nx.NetworkXNoPath(f"no path between {flow.src!r} and {flow.dst!r}")
+        best_path, best_price = best
         links = path_links(self.fabric.topology, best_path)
         bottleneck = min(link.capacity_bps for link in links)
         estimated_rate = bottleneck
@@ -234,7 +273,7 @@ class FlowScheduler:
             estimated_rate_bps=estimated_rate,
             estimated_fct=estimated_fct,
             reconfiguration_worthy=flow.size_bits >= threshold,
-            price=self.path_price(best_path),
+            price=best_price,
         )
         self.decisions.append(decision)
         return decision

@@ -4,8 +4,9 @@ The Closed Ring Control treats routing as one of the knobs it turns: every
 link carries a *price tag* (see :mod:`repro.core.cost`) and routes are
 shortest paths under that price.  This module provides the path computation
 primitives -- single shortest path, k-shortest paths, and ECMP path sets --
-plus a :class:`Router` that caches paths per topology version and is
-invalidated whenever the CRC reconfigures the fabric.
+plus a :class:`Router` that caches paths per :attr:`Topology.version
+<repro.fabric.topology.Topology.version>` and is also invalidated whenever
+the CRC changes the routing weights.
 """
 
 from __future__ import annotations
@@ -114,9 +115,13 @@ def path_directed_keys(path: Sequence[str]) -> List[Tuple[str, str]]:
 class Router:
     """Caching path oracle over a topology.
 
-    The router memoises computed paths until :meth:`invalidate` is called.
-    The CRC invalidates it after every reconfiguration; workload drivers
-    call :meth:`path` for every flow they admit.
+    The router memoises computed paths until :meth:`invalidate` is called
+    or the topology's :attr:`~repro.fabric.topology.Topology.version` moves
+    (a node or link was added or removed), whichever comes first, so a
+    structural change is never answered from the cache.  The CRC still
+    invalidates it after every reconfiguration, since a weight function may
+    read link state the version does not track; workload drivers call
+    :meth:`path` for every flow they admit.
 
     ECMP selection hashes the flow id so that a given flow is pinned to one
     path (per-flow ECMP, no packet reordering), matching what a real rack
@@ -137,6 +142,7 @@ class Router:
         self.policy = policy
         self.k = k
         self._cache: Dict[Tuple[str, str], List[PathType]] = {}
+        self._version = topology.version
         self.cache_hits = 0
         self.cache_misses = 0
         self.invalidations = 0
@@ -147,6 +153,7 @@ class Router:
     def invalidate(self) -> None:
         """Drop all cached paths (topology or prices changed)."""
         self._cache.clear()
+        self._version = self.topology.version
         self.invalidations += 1
 
     def set_weight_fn(self, weight_fn: WeightFn) -> None:
@@ -158,6 +165,8 @@ class Router:
     # Path queries
     # ------------------------------------------------------------------ #
     def _candidates(self, src: str, dst: str) -> List[PathType]:
+        if self.topology.version != self._version:
+            self.invalidate()
         key = (src, dst)
         if key in self._cache:
             self.cache_hits += 1

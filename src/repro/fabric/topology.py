@@ -71,6 +71,11 @@ class Topology:
         #: links is still the grid family's fabric).
         self.kind: Optional[str] = None
         self.dimensions: Dict[str, int] = {}
+        #: Structural version: bumped by every :meth:`add_node`,
+        #: :meth:`add_link` and :meth:`remove_link`.  Path caches key on it,
+        #: so a graph change can never be answered from a stale cache.  Lane,
+        #: capacity and FEC changes leave the graph -- and the version -- alone.
+        self.version = 0
 
     # ------------------------------------------------------------------ #
     # Nodes
@@ -79,6 +84,7 @@ class Topology:
         """Add a node; re-adding the same name replaces the stored object."""
         self._nodes[node.name] = node
         self._graph.add_node(node.name)
+        self.version += 1
         return node
 
     def node(self, name: str) -> Node:
@@ -118,6 +124,7 @@ class Topology:
             raise ValueError(f"a link between {key} already exists")
         self._links[key] = link
         self._graph.add_edge(*key)
+        self.version += 1
         return link
 
     def remove_link(self, a: str, b: str) -> Link:
@@ -127,6 +134,7 @@ class Topology:
             raise KeyError(f"no link between {a!r} and {b!r}")
         link = self._links.pop(key)
         self._graph.remove_edge(*key)
+        self.version += 1
         return link
 
     def has_link(self, a: str, b: str) -> bool:

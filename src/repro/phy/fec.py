@@ -16,6 +16,7 @@ overhead) is what the control loop exploits, and that ordering is faithful.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
@@ -90,6 +91,7 @@ def _symbol_error_rate(raw_ber: float, symbol_size_bits: int) -> float:
     return 1.0 - (1.0 - raw_ber) ** symbol_size_bits
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def post_fec_ber(raw_ber: float, scheme: FecScheme) -> float:
     """Residual BER after decoding with *scheme*.
 
@@ -104,6 +106,12 @@ def post_fec_ber(raw_ber: float, scheme: FecScheme) -> float:
 
     A scheme with zero correctable symbols (no FEC) returns the raw BER
     unchanged.
+
+    The function is pure and :class:`FecScheme` is frozen, so results are
+    memoised on the argument values (``typed``, so ``0`` and ``0.0`` keep
+    their own results); the control loop asks for the same few link states
+    every tick.  Out-of-range inputs raise every time: exceptions are
+    never cached.
     """
     if raw_ber < 0 or raw_ber > 1:
         raise ValueError(f"raw_ber must be in [0, 1], got {raw_ber!r}")
