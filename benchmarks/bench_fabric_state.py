@@ -3,12 +3,16 @@
 The all-pairs hop/latency statistics used to be computed with one
 ``router.path`` call per endpoint pair -- ``O(n^2)`` cached-Dijkstra
 queries that dominated every sweep row on larger racks.  The current
-implementation runs one breadth-first search per endpoint and never
-touches the router.  This benchmark guards both properties:
+implementation runs at most one breadth-first search per endpoint --
+an endpoint with a single live link shares its neighbour's search with
+its siblings -- and never touches the router.  This benchmark guards
+both properties:
 
 * correctness -- the BFS statistics match independent per-pair
-  shortest-path computations (and closed-form path latencies on a
-  unique-path fabric), and
+  shortest-path computations (and closed-form path latencies on
+  unique-path fabrics), on grids, where every endpoint searches on its
+  own, and on fat-tree, dragonfly and star fabrics, where hosts share
+  searches, and
 * the complexity claim -- the router cache sees zero traffic, and a
   64-endpoint rack completes within a generous wall-clock bound.
 """
@@ -19,6 +23,7 @@ import networkx as nx
 import pytest
 
 from repro.experiments.harness import (
+    build_fabric,
     build_grid_fabric,
     build_torus_fabric,
     fabric_state_row,
@@ -34,7 +39,11 @@ from repro.sim.units import bits_from_bytes
         lambda: build_grid_fabric(3, 3, lanes_per_link=2),
         lambda: build_grid_fabric(4, 4, lanes_per_link=2),
         lambda: build_torus_fabric(3, 3, lanes_per_link=1),
+        lambda: build_fabric("fat-tree", pods=4),
+        lambda: build_fabric("dragonfly", groups=2, routers_per_group=2, hosts_per_router=2),
+        lambda: Fabric(TopologyBuilder(lanes_per_link=2).star(6)),
     ],
+    ids=["grid-3x3", "grid-4x4", "torus-3x3", "fat-tree-4", "dragonfly-2x2x2", "star-6"],
 )
 def test_fabric_state_row_matches_pairwise_shortest_paths(fabric_factory):
     fabric = fabric_factory()
@@ -51,10 +60,19 @@ def test_fabric_state_row_matches_pairwise_shortest_paths(fabric_factory):
     assert 0 < row["mean_latency"] <= row["max_latency"]
 
 
-def test_fabric_state_row_latency_matches_closed_form_on_unique_paths():
-    # A line fabric has exactly one path per pair, so the BFS latency must
-    # equal Fabric.path_latency exactly -- no tie-break ambiguity.
-    fabric = Fabric(TopologyBuilder(lanes_per_link=2).line(5))
+@pytest.mark.parametrize(
+    "topology_factory",
+    [
+        lambda builder: builder.line(5),
+        lambda builder: builder.star(6),
+    ],
+    ids=["line-5", "star-6"],
+)
+def test_fabric_state_row_latency_matches_closed_form_on_unique_paths(topology_factory):
+    # Line and star fabrics have exactly one path per pair, so the BFS
+    # latency must equal Fabric.path_latency exactly -- no tie-break
+    # ambiguity.  On the star every host shares the hub's search.
+    fabric = Fabric(topology_factory(TopologyBuilder(lanes_per_link=2)))
     row = fabric_state_row(fabric)
     packet_bits = bits_from_bytes(1500.0)
     endpoints = fabric.topology.endpoints()

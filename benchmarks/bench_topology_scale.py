@@ -2,8 +2,9 @@
 
 The fat-tree and dragonfly scenario defaults put 1024 hosts on the
 fabric, two orders of magnitude past the paper's rack.  The sweep and
-scenario layers call ``fabric_state_row`` (one BFS per endpoint) and the
-router's cached shortest-path setup on every row, so those paths must
+scenario layers call ``fabric_state_row`` (one BFS per edge switch or
+router: the hosts on it share their neighbour's search) and the router's
+shortest-path queries on the live graph on every row, so those paths must
 stay cheap at that size -- this guard pins the declared shapes and holds
 build + state-row + first-route inside a deliberately loose CI budget
 (the measured cost is well under a second per family).

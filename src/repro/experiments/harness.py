@@ -204,11 +204,24 @@ def fabric_state_row(fabric: Fabric, packet_size_bytes: float = 1500.0) -> Dict[
     fabric (the quantity the paper's Figure 1/2 narrative is about: how many
     cut-through switching elements sit on the critical path).
 
-    All-pairs statistics come from one breadth-first search per endpoint
-    (hops and latency accumulate along the BFS tree), not from per-pair
-    router queries -- ``O(endpoints * links)`` instead of the ``O(n^2)``
-    shortest-path calls this used to make.  The router and its cache are
-    untouched, which ``benchmarks/bench_fabric_state.py`` guards.
+    All-pairs statistics come from breadth-first searches over the live
+    links (hops and latency accumulate along the BFS tree), not from
+    per-pair router queries -- ``O(endpoints * links)`` instead of the
+    ``O(n^2)`` shortest-path calls this used to make.  The router and its
+    cache are untouched, which ``benchmarks/bench_fabric_state.py`` guards.
+
+    An endpoint whose only live link goes to neighbour ``n`` shares ``n``'s
+    search: its BFS is the one started at ``n`` with ``hops = 1`` and
+    ``latency = 0.0 + increment + serialization`` of that link, which is
+    exactly the first step of its own BFS.  The tree below ``n`` is the same
+    (the endpoint itself is only reachable through ``n``, so finding it
+    again at depth 2 discovers nothing new), and every latency is the same
+    float additions in the same order.  The hosts of a fat-tree or dragonfly
+    edge switch come one after another in endpoint order, so each reuses the
+    previous endpoint's search when its ``(n, 1, latency)`` seed matches;
+    only that one search is kept.  On the 1,024-host fat-tree and dragonfly, 896
+    endpoints reuse one (128 searches in all); on grids and tori, where every
+    endpoint has several links, none do.
 
     The statistics are deliberately *topological*: paths are hop-minimal
     over the fabric's current link set, independent of whatever weight
@@ -247,35 +260,43 @@ def fabric_state_row(fabric: Fabric, packet_size_bytes: float = 1500.0) -> Dict[
         for name in topology.node_names()
     }
 
-    latencies: List[float] = []
-    hop_counts: List[int] = []
-    for index, src in enumerate(endpoints):
-        # BFS from src; hops/latency accumulate along the tree.  The
-        # breakdown mirrors Fabric.path_latency: serialization on the first
-        # link only (cut-through), propagation + PHY per link, forwarding
-        # at every intermediate node (src and dst do not forward).
-        hops: Dict[str, int] = {src: 0}
-        latency: Dict[str, float] = {src: 0.0}
-        frontier = [src]
+    def search(start: str, start_hops: int, start_latency: float):
+        # BFS; hops/latency accumulate along the tree as in Fabric.path_latency:
+        # serialization on the source's link only (cut-through), propagation +
+        # PHY per link, forwarding at every node past hop 0 (the source).
+        hops: Dict[str, int] = {start: start_hops}
+        latency: Dict[str, float] = {start: start_latency}
+        frontier = [start]
         while frontier:
             next_frontier: List[str] = []
             for node in frontier:
                 node_hops = hops[node]
-                node_latency = latency[node] + (forwarding[node] if node != src else 0.0)
+                node_latency = latency[node] + (forwarding[node] if node_hops else 0.0)
                 for neighbour, increment, serialization in adjacency[node]:
                     if neighbour in hops:
                         continue
                     hops[neighbour] = node_hops + 1
                     latency[neighbour] = node_latency + increment + (
-                        serialization if node == src else 0.0
+                        0.0 if node_hops else serialization
                     )
                     next_frontier.append(neighbour)
             frontier = next_frontier
+        return hops, latency
+
+    latencies: List[float] = []
+    hop_counts: List[int] = []
+    searched = None
+    for index, src in enumerate(endpoints):
+        seed = (src, 0, 0.0)
+        if len(adjacency[src]) == 1:
+            neighbour, increment, serialization = adjacency[src][0]
+            seed = (neighbour, 1, 0.0 + increment + serialization)
+        if seed != searched:
+            searched = seed
+            hops, latency = search(*seed)
         for dst in endpoints[index + 1:]:
             if dst not in hops:
-                raise ValueError(
-                    f"fabric is disconnected: no path from {src!r} to {dst!r}"
-                )
+                raise ValueError(f"fabric is disconnected: no path from {src!r} to {dst!r}")
             hop_counts.append(hops[dst])
             latencies.append(latency[dst])
 

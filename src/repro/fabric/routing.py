@@ -50,6 +50,16 @@ def inverse_capacity_weight(link: Link) -> float:
     return 1.0 / capacity
 
 
+def _edge_weight(topology: Topology, weight_fn: WeightFn):
+    """A networkx edge-weight callable: *weight_fn* of the live link.
+
+    Routing runs on :attr:`Topology.graph` itself, with no weighted copy, so
+    weights are read at query time.  The live graph's node and adjacency
+    order is the link insertion order, which fixes how equal-cost ties break.
+    """
+    return lambda u, v, _data: weight_fn(topology.link_between(u, v))
+
+
 def shortest_path(
     topology: Topology,
     src: str,
@@ -61,8 +71,7 @@ def shortest_path(
     Raises :class:`networkx.NetworkXNoPath` when the nodes are disconnected,
     which callers treat as "the CRC must repair the topology first".
     """
-    graph = topology.weighted_graph(weight_fn)
-    return nx.shortest_path(graph, src, dst, weight="weight")
+    return nx.shortest_path(topology.graph, src, dst, weight=_edge_weight(topology, weight_fn))
 
 
 def k_shortest_paths(
@@ -75,8 +84,8 @@ def k_shortest_paths(
     """Up to *k* loop-free shortest paths in non-decreasing cost order."""
     if k <= 0:
         raise ValueError(f"k must be positive, got {k!r}")
-    graph = topology.weighted_graph(weight_fn)
-    generator = nx.shortest_simple_paths(graph, src, dst, weight="weight")
+    weight = _edge_weight(topology, weight_fn)
+    generator = nx.shortest_simple_paths(topology.graph, src, dst, weight=weight)
     return list(itertools.islice(generator, k))
 
 
@@ -86,15 +95,18 @@ def ecmp_paths(
     dst: str,
     weight_fn: WeightFn = hop_weight,
 ) -> List[PathType]:
-    """All equal-minimum-cost paths between *src* and *dst*."""
-    graph = topology.weighted_graph(weight_fn)
-    best_cost = nx.shortest_path_length(graph, src, dst, weight="weight")
+    """All equal-minimum-cost paths between *src* and *dst*.
+
+    Costs within a relative ``1e-12`` of the minimum count as equal, so the
+    tolerance holds whatever the scale of the weights (``1 / capacity`` costs
+    are ~1e-11 per link, hop counts are exact integers).
+    """
+    weight = _edge_weight(topology, weight_fn)
+    best_cost = nx.shortest_path_length(topology.graph, src, dst, weight=weight)
     paths: List[PathType] = []
-    for path in nx.shortest_simple_paths(graph, src, dst, weight="weight"):
-        cost = sum(
-            graph.edges[path[i], path[i + 1]]["weight"] for i in range(len(path) - 1)
-        )
-        if cost > best_cost + 1e-12:
+    for path in nx.shortest_simple_paths(topology.graph, src, dst, weight=weight):
+        cost = sum(weight_fn(link) for link in path_links(topology, path))
+        if cost > best_cost + 1e-12 * abs(best_cost):
             break
         paths.append(path)
     return paths

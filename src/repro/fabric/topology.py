@@ -169,14 +169,6 @@ class Topology:
         """The underlying (live) networkx graph.  Mutate through Topology only."""
         return self._graph
 
-    def weighted_graph(self, weight_fn: Callable[[Link], float]) -> nx.Graph:
-        """A copy of the graph with ``weight`` edge attributes from *weight_fn*."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self._graph.nodes)
-        for key, link in self._links.items():
-            graph.add_edge(*key, weight=weight_fn(link))
-        return graph
-
     def is_connected(self) -> bool:
         """Whether every node can reach every other node."""
         if self._graph.number_of_nodes() == 0:
