@@ -27,7 +27,7 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         name="fluid-progressive-filling",
         primary="src/repro/sim/fluid.py::FluidFlowSimulator._solve_closure",
         oracle="src/repro/sim/fluid.py::FluidFlowSimulator._compute_rates_reference",
-        primary_fingerprint="3dd500415d588d6b",
+        primary_fingerprint="b3d6cb1a56ff8bc2",
         oracle_fingerprint="3f17196d73bd58ca",
         rationale=(
             "the incremental allocator's share-heap filling must stay "

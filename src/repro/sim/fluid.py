@@ -23,7 +23,11 @@ The simulator ships two interchangeable allocation engines selected by the
     progressive-filling pass that is bit-identical to the reference
     algorithm restricted to the same sub-problem, so the two allocators
     produce byte-for-byte equal results -- the parity tests pin this for
-    every registered scenario and controller.
+    every registered scenario and controller.  It runs on dense integer
+    link ids (``FluidLink.order``, kept when a key is re-added): routes,
+    per-link member sets, dirty/zero-capacity sets and the filling heap
+    are all id-indexed, so no hot-path operation hashes a ``LinkKey``;
+    keys appear only at the public boundary.
 
 ``"reference"``
     The original full recompute: a progressive-filling pass over *all*
@@ -85,8 +89,9 @@ class FluidLink:
     #: have been integrated (integration is lazy: it only runs when the
     #: link's load or capacity is about to change).
     integrated_until: float = 0.0
-    #: Registration index; progressive filling breaks share ties in favour
-    #: of the earliest-registered link, in both allocators.
+    #: Dense link id: the registration index, kept when the key is
+    #: re-added.  Progressive filling breaks share ties in favour of the
+    #: earliest-registered link, in both allocators.
     order: int = 0
 
     def __post_init__(self) -> None:
@@ -191,7 +196,9 @@ class FluidFlowSimulator:
         self.allocator = allocator
         self.default_max_events = max_events
         self._links: Dict[LinkKey, FluidLink] = {}
-        self._link_counter = 0
+        #: The same links indexed by their dense id (``FluidLink.order``);
+        #: the incremental allocator works on ids only.
+        self._link_by_id: List[FluidLink] = []
         self._pending: List[Tuple[float, Flow, List[LinkKey]]] = []
         #: Index of the first not-yet-admitted entry of ``_pending``; kept as
         #: instance state so :meth:`run` is resumable (run-to-a-time, mutate,
@@ -199,6 +206,8 @@ class FluidFlowSimulator:
         self._pending_cursor = 0
         self._active: Dict[int, Flow] = {}
         self._routes: Dict[int, List[LinkKey]] = {}
+        #: Each active flow's route as a tuple of link ids.
+        self._route_ids: Dict[int, Tuple[int, ...]] = {}
         self._rates: Dict[int, float] = {}
         self._all_flows = FlowSet()
         self._now = 0.0
@@ -209,17 +218,23 @@ class FluidFlowSimulator:
         #: ``_controllers``); instance state for the same resumability reason.
         self._controller_next: List[float] = []
         # --- shared allocation chassis ---------------------------------- #
-        #: Active flows crossing each link (maintained on admit, complete
-        #: and reroute); the graph the dirty-set closure walks.
-        self._flows_on_link: Dict[LinkKey, Set[int]] = {}
-        #: Links/flows mutated since the last allocation pass.
-        self._dirty_links: Set[LinkKey] = set()
+        #: Active flows crossing each link, indexed by link id (maintained
+        #: on admit, complete and reroute); the graph the dirty-set closure
+        #: walks.
+        self._flows_on_link: List[Set[int]] = []
+        #: Link ids/flows mutated since the last allocation pass.
+        self._dirty_links: Set[int] = set()
         self._dirty_flows: Set[int] = set()
-        #: Links with no effective capacity (disabled or zero), maintained
-        #: under the same predicate the reference's stall check applies --
-        #: lets the closure solver skip the per-flow stall scan entirely
-        #: when every link is up (the common case).
-        self._zero_capacity_links: Set[LinkKey] = set()
+        #: Ids of links with no effective capacity (disabled or zero),
+        #: maintained under the same predicate the reference's stall check
+        #: applies -- lets the closure solver skip the per-flow stall scan
+        #: entirely when every link is up (the common case).
+        self._zero_capacity_links: Set[int] = set()
+        #: Scratch of the filling pass, indexed by link id and reused across
+        #: passes (every entry a pass reads, that pass initialised): each
+        #: link's remaining capacity and the version of its live heap entry.
+        self._fill_remaining: List[float] = []
+        self._fill_version: List[int] = []
         #: Anchored progress: remaining volume at the instant the flow's
         #: rate last changed, and that instant.  ``remaining(t) =
         #: anchor_rem - rate * (t - anchor_time)`` -- no per-event flow
@@ -252,25 +267,29 @@ class FluidFlowSimulator:
         link = FluidLink(key=key, capacity_bps=capacity_bps)
         link.integrated_until = self._now
         if previous is not None:
-            # Replacement keeps the registration order (tie-breaks must not
-            # shift under a controller that re-adds a link) and the load of
-            # the flows still routed over the key.
+            # Replacement keeps the link id, i.e. the registration order
+            # (tie-breaks must not shift under a controller that re-adds a
+            # link), and the load and members of the flows still routed
+            # over the key.
             link.order = previous.order
             link.load_bps = previous.load_bps
+            self._link_by_id[link.order] = link
         else:
-            link.order = self._link_counter
-            self._link_counter += 1
+            link.order = len(self._link_by_id)
+            self._link_by_id.append(link)
+            self._flows_on_link.append(set())
+            self._fill_remaining.append(0.0)
+            self._fill_version.append(0)
         self._links[key] = link
-        self._flows_on_link.setdefault(key, set())
-        self._dirty_links.add(key)
+        self._dirty_links.add(link.order)
         self._sync_zero_capacity(link)
         return link
 
     def _sync_zero_capacity(self, link: FluidLink) -> None:
         if link.effective_capacity <= _EPSILON:
-            self._zero_capacity_links.add(link.key)
+            self._zero_capacity_links.add(link.order)
         else:
-            self._zero_capacity_links.discard(link.key)
+            self._zero_capacity_links.discard(link.order)
 
     def has_link(self, key: LinkKey) -> bool:
         """Whether a link with *key* is registered."""
@@ -293,7 +312,7 @@ class FluidFlowSimulator:
             return
         self._integrate_link(link)
         link.capacity_bps = capacity_bps
-        self._dirty_links.add(key)
+        self._dirty_links.add(link.order)
         self._sync_zero_capacity(link)
 
     def set_enabled(self, key: LinkKey, enabled: bool) -> None:
@@ -303,7 +322,7 @@ class FluidFlowSimulator:
             return
         self._integrate_link(link)
         link.enabled = bool(enabled)
-        self._dirty_links.add(key)
+        self._dirty_links.add(link.order)
         self._sync_zero_capacity(link)
 
     def add_flow(self, flow: Flow, path: Sequence[LinkKey]) -> None:
@@ -358,24 +377,17 @@ class FluidFlowSimulator:
         missing = [key for key in new_path if key not in self._links]
         if missing:
             raise KeyError(f"reroute of flow {flow_id} uses unknown links: {missing}")
-        old_path = self._routes[flow_id]
         rate = self._rates.get(flow_id, 0.0)
-        for key in old_path:
-            link = self._links[key]
-            self._integrate_link(link)
-            link.load_bps -= rate
-            members = self._flows_on_link[key]
-            members.discard(flow_id)
-            if not members:
-                link.load_bps = 0.0
-            self._dirty_links.add(key)
+        self._detach(flow_id, rate)
         self._routes[flow_id] = list(new_path)
-        for key in new_path:
-            link = self._links[key]
+        route_ids = tuple(self._links[key].order for key in new_path)
+        self._route_ids[flow_id] = route_ids
+        for lid in route_ids:
+            link = self._link_by_id[lid]
             self._integrate_link(link)
             link.load_bps += rate
-            self._flows_on_link[key].add(flow_id)
-            self._dirty_links.add(key)
+            self._flows_on_link[lid].add(flow_id)
+            self._dirty_links.add(lid)
         self._dirty_flows.add(flow_id)
         self._active[flow_id].path = [str(key) for key in new_path]
 
@@ -519,42 +531,41 @@ class FluidFlowSimulator:
         is a deterministic function of that component alone), which is the
         dirty-set invariant the docs state.
         """
-        routes = self._routes
+        route_ids = self._route_ids
         flows_on_link = self._flows_on_link
         flow_stack = [fid for fid in self._dirty_flows if fid in self._active]
         seen_flows: Set[int] = set(flow_stack)
-        link_stack = [key for key in self._dirty_links if key in self._links]
-        seen_links: Set[LinkKey] = set(link_stack)
+        link_stack = list(self._dirty_links)
+        seen_links: Set[int] = set(link_stack)
         while flow_stack or link_stack:
             while flow_stack:
-                fid = flow_stack.pop()
-                for key in routes[fid]:
-                    if key not in seen_links:
-                        seen_links.add(key)
-                        link_stack.append(key)
+                for lid in route_ids[flow_stack.pop()]:
+                    if lid not in seen_links:
+                        seen_links.add(lid)
+                        link_stack.append(lid)
             while link_stack:
-                key = link_stack.pop()
-                for fid in flows_on_link[key]:
-                    if fid not in seen_flows:
-                        seen_flows.add(fid)
-                        flow_stack.append(fid)
+                new_flows = flows_on_link[link_stack.pop()] - seen_flows
+                if new_flows:
+                    seen_flows |= new_flows
+                    flow_stack.extend(new_flows)
         return seen_flows
 
     def _solve_closure(self, flow_ids: Set[int]) -> Dict[int, float]:
         """Progressive filling over one closed sub-problem.
 
         Bit-identical to :meth:`_compute_rates_reference` restricted to
-        *flow_ids* and the links they cross: the bottleneck each round is the minimum
-        ``remaining / count`` share with ties broken by link registration
-        order (the reference's dict-iteration order), and every arithmetic
-        operation -- share division, ``max(0, remaining - share)``
-        subtraction, the NIC-limit short-circuit -- mirrors the reference's
-        operand-for-operand.  Implemented with a lazy-invalidation heap of
-        link shares so a full pass costs O(sum of path lengths x log links)
-        instead of O(rounds x links x set-intersections).
+        *flow_ids* and the links they cross: the bottleneck each round is
+        the minimum ``remaining / count`` share with ties broken by link id
+        -- the registration order, i.e. the reference's dict-iteration
+        order -- and every arithmetic operation -- share division,
+        ``max(0, remaining - share)`` subtraction, the NIC-limit
+        short-circuit -- mirrors the reference's operand-for-operand.
+        Implemented with a lazy-invalidation heap of ``(share, link id,
+        version)`` entries so a full pass costs O(sum of path lengths x log
+        links) instead of O(rounds x links x set-intersections).
         """
-        routes = self._routes
-        links = self._links
+        routes = self._route_ids
+        link_by_id = self._link_by_id
         rates: Dict[int, float] = {}
         zero_caps = self._zero_capacity_links
         if zero_caps:
@@ -567,38 +578,38 @@ class FluidFlowSimulator:
         else:
             unassigned = set(flow_ids)
 
-        members: Dict[LinkKey, Set[int]] = {}
+        members: Dict[int, Set[int]] = {}
         for fid in unassigned:
-            for key in routes[fid]:
-                live = members.get(key)
+            for lid in routes[fid]:
+                live = members.get(lid)
                 if live is None:
-                    members[key] = {fid}
+                    members[lid] = {fid}
                 else:
                     live.add(fid)
-        remaining: Dict[LinkKey, float] = {}
-        version: Dict[LinkKey, int] = {}
-        order: Dict[LinkKey, int] = {}
-        share_heap: List[Tuple[float, int, int, LinkKey]] = []
-        for key, live in members.items():
-            link = links[key]
-            remaining[key] = link.effective_capacity
-            version[key] = 0
-            order[key] = link.order
-            share_heap.append((remaining[key] / len(live), link.order, 0, key))
+        remaining = self._fill_remaining
+        version = self._fill_version
+        share_heap: List[Tuple[float, int, int]] = []
+        for lid, live in members.items():
+            link = link_by_id[lid]
+            # effective_capacity, inlined: this loop runs once per closure link.
+            capacity = link.capacity_bps if link.enabled else 0.0
+            remaining[lid] = capacity
+            version[lid] = 0
+            share_heap.append((capacity / len(live), lid, 0))
         heapq.heapify(share_heap)
 
         limit = self.flow_rate_limit_bps
         heappush, heappop = heapq.heappush, heapq.heappop
         while unassigned:
-            bottleneck_key = None
+            bottleneck = None
             bottleneck_share = math.inf
             while share_heap:
-                share, _order, ver, key = heappop(share_heap)
-                if version[key] != ver or not members[key]:
+                share, lid, ver = heappop(share_heap)
+                if version[lid] != ver or not members[lid]:
                     continue
-                bottleneck_key, bottleneck_share = key, share
+                bottleneck, bottleneck_share = lid, share
                 break
-            if bottleneck_key is None:
+            if bottleneck is None:
                 for fid in unassigned:
                     rates[fid] = limit if limit is not None else math.inf
                 break
@@ -610,32 +621,27 @@ class FluidFlowSimulator:
             # subtrahend per link => same floats under any order) without
             # inheriting set hash layout; sorted() also snapshots, so the
             # discard below cannot perturb the iteration.
-            saturated = sorted(members[bottleneck_key])
-            touched: Set[LinkKey] = set()
+            saturated = sorted(members[bottleneck])
+            touched: Set[int] = set()
             for fid in saturated:
                 rates[fid] = bottleneck_share
                 unassigned.discard(fid)
-                for key in routes[fid]:
+                for lid in routes[fid]:
                     # Same arithmetic as the reference's max(0.0, x - share):
                     # equal operands, equal rounding, minus the call.
-                    value = remaining[key] - bottleneck_share
-                    remaining[key] = value if value > 0.0 else 0.0
-                    members[key].discard(fid)
-                    touched.add(key)
-            remaining[bottleneck_key] = 0.0
-            # Registration order, not set order: link keys are strings, so
-            # iterating the set raw would vary with PYTHONHASHSEED.  Heap
-            # entries carry totally ordered keys, so push order never
-            # changes pop order -- this is hygiene, pinned by the parity
-            # suite.
-            for key in sorted(touched, key=order.__getitem__):
-                version[key] += 1
-                live = members[key]
+                    value = remaining[lid] - bottleneck_share
+                    remaining[lid] = value if value > 0.0 else 0.0
+                    members[lid].discard(fid)
+                    touched.add(lid)
+            remaining[bottleneck] = 0.0
+            # Id (= registration) order, not set order.  Heap entries are
+            # totally ordered, so push order never changes pop order --
+            # this is hygiene, pinned by the parity suite.
+            for lid in sorted(touched):
+                version[lid] += 1
+                live = members[lid]
                 if live:
-                    heappush(
-                        share_heap,
-                        (remaining[key] / len(live), order[key], version[key], key),
-                    )
+                    heappush(share_heap, (remaining[lid] / len(live), lid, version[lid]))
         return rates
 
     # ------------------------------------------------------------------ #
@@ -676,8 +682,9 @@ class FluidFlowSimulator:
         self._anchor_time[flow_id] = now
         self._active[flow_id].sync_remaining(rem)
         delta = new_rate - old_rate
-        for key in self._routes[flow_id]:
-            link = self._links[key]
+        link_by_id = self._link_by_id
+        for lid in self._route_ids[flow_id]:
+            link = link_by_id[lid]
             self._integrate_link(link)
             link.load_bps += delta
         self._rates[flow_id] = new_rate
@@ -872,6 +879,8 @@ class FluidFlowSimulator:
         flow_id = flow.flow_id
         self._active[flow_id] = flow
         self._routes[flow_id] = path
+        route_ids = tuple(self._links[key].order for key in path)
+        self._route_ids[flow_id] = route_ids
         flow.path = [str(key) for key in path]
         self._seq[flow_id] = self._admit_counter
         self._admit_counter += 1
@@ -879,8 +888,8 @@ class FluidFlowSimulator:
         self._anchor_time[flow_id] = self._now
         self._anchor_rem[flow_id] = flow.bits_remaining
         self._eta[flow_id] = math.inf
-        for key in path:
-            self._flows_on_link[key].add(flow_id)
+        for lid in route_ids:
+            self._flows_on_link[lid].add(flow_id)
         self._dirty_flows.add(flow_id)
         self.trace.record(
             self._now,
@@ -891,19 +900,25 @@ class FluidFlowSimulator:
             size_bits=flow.size_bits,
         )
 
-    def _complete_flow(self, flow_id: int) -> None:
-        flow = self._active.pop(flow_id)
-        rate = self._rates.pop(flow_id, 0.0)
-        route = self._routes.pop(flow_id, [])
-        for key in route:
-            link = self._links[key]
+    def _detach(self, flow_id: int, rate: float) -> None:
+        """Take a flow's rate and membership off every link of its route."""
+        link_by_id = self._link_by_id
+        for lid in self._route_ids[flow_id]:
+            link = link_by_id[lid]
             self._integrate_link(link)
             link.load_bps -= rate
-            members = self._flows_on_link[key]
+            members = self._flows_on_link[lid]
             members.discard(flow_id)
             if not members:
                 link.load_bps = 0.0
-            self._dirty_links.add(key)
+            self._dirty_links.add(lid)
+
+    def _complete_flow(self, flow_id: int) -> None:
+        flow = self._active.pop(flow_id)
+        rate = self._rates.pop(flow_id, 0.0)
+        self._detach(flow_id, rate)
+        del self._routes[flow_id]
+        del self._route_ids[flow_id]
         self._anchor_time.pop(flow_id, None)
         self._anchor_rem.pop(flow_id, None)
         self._eta.pop(flow_id, None)

@@ -389,3 +389,47 @@ def test_completion_on_one_component_does_not_resolve_the_other():
     # it has no flows left, so the closure is empty and the "bc" flows'
     # rates (and heap entries) are never touched.
     assert closures[admit_index + 1] == set()
+
+
+def _assert_link_mirrors_agree(sim):
+    """``_flows_on_link`` must be exactly the inverse of ``_route_ids``."""
+    assert set(sim._route_ids) == set(sim._active)
+    expected = [set() for _ in sim._flows_on_link]
+    for flow_id, route_ids in sim._route_ids.items():
+        assert route_ids == tuple(sim.link(key).order for key in sim.route_of(flow_id))
+        for lid in route_ids:
+            expected[lid].add(flow_id)
+    assert sim._flows_on_link == expected
+
+
+def test_link_membership_mirrors_stay_consistent_through_churn():
+    # Staggered arrivals, completions in between, and a controller that
+    # reroutes the oldest active flow every tick: after each mutation the
+    # per-link member sets must match the flows' id routes.
+    sim = FluidFlowSimulator()
+    for key in ("ab", "bc", "cd", "ad", "db"):
+        sim.add_link(key, 100.0)
+    paths = [["ab", "bc"], ["bc", "cd"], ["ad", "db"], ["ab"], ["cd"]]
+    flows = []
+    for index in range(12):
+        flow = Flow("a", "b", 150.0 + 40.0 * index, start_time=0.4 * index)
+        sim.add_flow(flow, paths[index % len(paths)])
+        flows.append(flow)
+    alternatives = [["ad", "db"], ["ab", "bc", "cd"], ["cd"]]
+    ticks = []
+
+    def controller(simulator, now):
+        active = sorted(flow.flow_id for flow in simulator.active_flows())
+        if active:
+            simulator.reroute(active[0], alternatives[len(ticks) % len(alternatives)])
+        _assert_link_mirrors_agree(simulator)
+        ticks.append(len(active))
+
+    sim.add_controller(0.7, controller, start_offset=0.3)
+    sim.run(until=3.0)
+    _assert_link_mirrors_agree(sim)
+    sim.run()
+    _assert_link_mirrors_agree(sim)
+    assert all(flow.completed for flow in flows)
+    assert all(not members for members in sim._flows_on_link)
+    assert len(ticks) > 5 and any(count > 1 for count in ticks)

@@ -200,3 +200,94 @@ def test_stall_and_recovery_parity_under_failures():
         snapshots.append(_snapshot(sim, [flow], result))
     assert snapshots[0] == snapshots[1]
     assert snapshots[0]["fcts"][0][1] == pytest.approx(10.0)
+
+
+def test_link_replacement_mid_run_keeps_id_members_and_tie_break():
+    # Re-adding a key that carries active flows must keep the link's id
+    # (its tie-break order), its member flows and its load: the replaced
+    # link here ties on share with "second", so a shifted order would move
+    # the bottleneck and the rates with it.
+    snapshots = []
+    for sim in _paired_sims():
+        reset_flow_ids()
+        sim.add_link("first", 100.0)
+        sim.add_link("second", 100.0)
+        flows = [Flow("a", "b", 1500.0), Flow("a", "b", 2100.0), Flow("a", "b", 900.0)]
+        sim.add_flow(flows[0], ["first"])
+        sim.add_flow(flows[1], ["second"])
+        sim.add_flow(flows[2], ["first", "second"])
+        sim.run(until=4.0)
+        stages = [_snapshot(sim, flows)]
+        lid = sim.link("first").order
+        replacement = sim.add_link("first", 60.0)
+        assert replacement.order == lid
+        assert sim._link_by_id[lid] is replacement
+        assert sim._flows_on_link[lid] == {flows[0].flow_id, flows[2].flow_id}
+        # A key registered after the replacement still gets a fresh id.
+        assert sim.add_link("third", 100.0).order == 2
+        sim.run(until=8.0)
+        stages.append(_snapshot(sim, flows))
+        sim.add_link("first", 100.0)
+        result = sim.run()
+        stages.append(_snapshot(sim, flows, result))
+        snapshots.append(stages)
+    assert snapshots[0] == snapshots[1]
+    assert all(fct is not None for _, fct in snapshots[0][-1]["fcts"])
+
+
+def test_reroute_onto_an_overlapping_path_is_identical():
+    # The new path shares two of its three links with the old one: the
+    # detach/attach pair must leave the shared links' members and loads
+    # exactly where the reference's rebuild puts them.
+    snapshots = []
+    for sim in _paired_sims():
+        reset_flow_ids()
+        for key, capacity in (("in1", 40.0), ("in2", 100.0), ("shared", 100.0), ("out", 80.0)):
+            sim.add_link(key, capacity)
+        mover = Flow("a", "b", 1200.0)
+        rival = Flow("a", "b", 1500.0)
+        bystander = Flow("a", "b", 700.0)
+        sim.add_flow(mover, ["in1", "shared", "out"])
+        sim.add_flow(rival, ["shared", "out"])
+        sim.add_flow(bystander, ["in2"])
+        sim.run(until=5.0)
+        sim.reroute(mover.flow_id, ["in2", "shared", "out"])
+        assert sim.route_of(mover.flow_id) == ["in2", "shared", "out"]
+        stages = [_snapshot(sim, [mover, rival, bystander])]
+        result = sim.run()
+        stages.append(_snapshot(sim, [mover, rival, bystander], result))
+        snapshots.append(stages)
+    assert snapshots[0] == snapshots[1]
+
+
+def test_toggling_a_link_shared_by_stalled_and_live_flows_is_identical():
+    # "x" carries a live flow and a flow already stalled on dead "y".
+    # Disabling "x" stalls both; re-enabling it must wake only the live
+    # one, and re-enabling "y" the other.  A flow on "z" keeps events
+    # flowing so every stage ends at its `until`.
+    snapshots = []
+    for sim in _paired_sims():
+        reset_flow_ids()
+        for key in ("x", "y", "z"):
+            sim.add_link(key, 100.0)
+        live = Flow("a", "b", 900.0)
+        stalled = Flow("a", "b", 600.0)
+        clock = Flow("a", "b", 5000.0)
+        flows = [live, stalled, clock]
+        sim.add_flow(live, ["x"])
+        sim.add_flow(stalled, ["x", "y"])
+        sim.add_flow(clock, ["z"])
+        sim.set_enabled("y", False)
+        stages = []
+        for until, key, enabled in ((2.0, "x", False), (4.0, "x", True), (6.0, "y", True)):
+            sim.run(until=until)
+            stages.append(_snapshot(sim, flows))
+            sim.set_enabled(key, enabled)
+        result = sim.run()
+        stages.append(_snapshot(sim, flows, result))
+        snapshots.append(stages)
+    assert snapshots[0] == snapshots[1]
+    rates = [stage["rates"] for stage in snapshots[0]]
+    assert rates[0][stalled.flow_id] == 0.0 and rates[0][live.flow_id] > 0.0
+    assert rates[1][live.flow_id] == 0.0
+    assert rates[2][live.flow_id] > 0.0 and rates[2][stalled.flow_id] == 0.0
