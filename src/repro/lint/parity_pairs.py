@@ -58,7 +58,7 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         name="packet-window-refill",
         primary="src/repro/sim/packet_batch.py::BatchedPacketCore._fill_window",
         oracle="src/repro/sim/transport.py::PacketTransport._fill_window",
-        primary_fingerprint="9f564a92c13fc055",
+        primary_fingerprint="6e7585213e2eda10",
         oracle_fingerprint="0bf1f8eca1106954",
         rationale=(
             "window refill decides injection instants; the batched train "
@@ -80,7 +80,7 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         name="packet-forward-path",
         primary="src/repro/sim/packet_batch.py::BatchedPacketCore._process_train",
         oracle="src/repro/fabric/packetsim.py::PacketLevelNetwork._forward",
-        primary_fingerprint="33bc9e9acfbc407a",
+        primary_fingerprint="5acc19fde6502f98",
         oracle_fingerprint="c4163d3ff48e8e85",
         rationale=(
             "the per-hop float pipeline (queueing, tail-drop, ECN, "
@@ -90,29 +90,16 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         ),
     ),
     ParityPair(
-        name="packet-vector-fifo-chain",
-        primary="src/repro/sim/packet_batch.py::fifo_departure_chain",
+        name="packet-lean-hop",
+        primary="src/repro/sim/packet_batch.py::BatchedPacketCore._hop",
         oracle="src/repro/fabric/packetsim.py::PacketLevelNetwork._forward",
-        primary_fingerprint="acb9255151632e98",
+        primary_fingerprint="0e990d295ff0a3f7",
         oracle_fingerprint="c4163d3ff48e8e85",
         rationale=(
-            "the vectorised FIFO departure chain replays the event "
-            "engine's accumulate/subtract/add order elementwise; its "
-            "prefix-commit caller assumes each committed element is "
-            "bitwise what the scalar loop would produce"
-        ),
-    ),
-    ParityPair(
-        name="packet-vector-advance",
-        primary="src/repro/sim/packet_batch.py::BatchedPacketCore._vector_advance",
-        oracle="src/repro/sim/packet_batch.py::BatchedPacketCore._process_train",
-        primary_fingerprint="c2d3f3820c598f40",
-        oracle_fingerprint="33bc9e9acfbc407a",
-        rationale=(
-            "the vector pass commits a prefix of exactly the states the "
-            "scalar train loop would reach (clock, busy_until, counters, "
-            "sample folds); an edit to either advance path must re-prove "
-            "the consistency-check truncation rules"
+            "the flat lone-segment loop replays the per-hop float pipeline "
+            "(queueing, tail-drop, ECN, serialization) and the delivery "
+            "reaction without the train lists; its inline continuations "
+            "and refills must run exactly when the calendar would pop them"
         ),
     ),
     ParityPair(

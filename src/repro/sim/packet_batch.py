@@ -17,14 +17,18 @@ comparisons), a callback dispatch with kwargs, and two reads of the
 ``Link.capacity_bps`` property (a sum over lane objects) plus fresh
 ``propagation_delay``/``phy_latency`` reads.  The batched engine instead:
 
-* carries a whole single-flow segment *train* (a window fill, a refill, a
+* carries a whole single-flow segment *train* (a window fill, a
   retransmission) as **one** tuple-keyed heap entry whose per-segment
-  arrival times advance hop by hop,
-* advances a maximal FIFO run at a port in one pass -- vectorised with
-  ``numpy`` when the run is fully backlogged and drop-free (the common
-  congested case; departure times are one ``np.add.accumulate`` over
-  serialization times, queueing/backlog/ECN one vector op each), falling
-  back to a tight scalar loop otherwise,
+  arrival times advance hop by hop, and advances a maximal FIFO run at a
+  port in one tight scalar pass,
+* moves a *lone* segment -- most calendar pops carry one, because the
+  global order interleaves concurrent flows -- as a flat heap entry with
+  no per-segment lists, and keeps advancing it hop after hop, through its
+  delivery, for as long as each continuation is still the calendar
+  minimum (eliding the heap round trips the event engine pays per hop),
+* injects the window refill a delivery triggers *inline* when that
+  refill is the next calendar entry anyway, so a steady-state flow chains
+  delivery -> refill -> hops without touching the heap,
 * coalesces same-port same-instant work by construction: a window fill
   injects all its segments as a single train at one instant rather than
   one calendar event per segment, and deliveries of consecutive segments
@@ -49,9 +53,8 @@ re-enqueued under its original times and seqs.  Every side effect
 (port counters, EWMA statistics observations, queueing samples, flow
 state transitions, retransmit timers) therefore happens in exactly the
 order the event engine produces, and every float is computed by the same
-sequence of IEEE-754 operations (``np.add.accumulate`` is a sequential
-left fold, identical to the scalar chain; the EWMA update is inlined
-operation for operation).  ``tests/test_packet_parity.py`` pins this
+sequence of IEEE-754 operations (the EWMA update is inlined operation
+for operation).  ``tests/test_packet_parity.py`` pins this
 across every small scenario x controller.
 
 Mutation epochs
@@ -67,20 +70,18 @@ indistinguishable.
 
 Differences from the event engine (documented, not observable in
 metrics): ``events_executed`` counts processed calendar *entries*
-(trains, deliveries, callbacks), not per-packet events, so ``max_events``
-budgets truncate at different points; per-packet ``inject`` of hand-built
+(trains, lone segments, deliveries, callbacks -- and each inline window
+refill, as the entry it stands in for), not per-packet events, so
+``max_events`` budgets truncate at different points; per-packet ``inject`` of hand-built
 packets is not supported (use the event engine for that).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import replace as _dataclass_replace
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.sim.engine import SimulationError
 from repro.sim.flow import Flow
@@ -103,12 +104,17 @@ _DELIVER = 2
 #: mutate the fabric, so they skip the mutation-epoch bump that external
 #: callbacks force.
 _ICALL = 3
+#: A lone lean-mode segment, flat: ``(time, seq, _HOP, state, path, hop,
+#: size, seg, q_acc)``.  ``time`` is the head-available instant at
+#: ``path[hop]``; ``hop == len(path) - 1`` means it is due for delivery.
+#: ``q_acc`` is the queueing accumulated over the hops already taken.
+_HOP = 4
 
 #: Train payload layout: a plain tuple (cheaper than any object) of the
-#: flow's transport state, its path snapshot, the current hop index, and
-#: parallel per-segment lists.  ``times`` holds head-available times for
-#: forward trains and delivery times for delivery trains; both are
-#: non-decreasing.  ``seqs`` are the virtual event sequence numbers --
+#: flow's transport state, its path snapshot, the current hop index
+#: (``len(path) - 1`` for a delivery train), and parallel per-segment
+#: lists.  ``times`` holds head-available times for forward trains and
+#: delivery times for delivery trains; both are non-decreasing.  ``seqs`` are the virtual event sequence numbers --
 #: strictly increasing within a train -- that stand in for the event
 #: engine's scheduling order.
 _T_STATE = 0
@@ -138,10 +144,6 @@ _C_ECN_BITS = 9
 _C_FINITE = 10
 _C_SWITCHING = 11
 
-#: Minimum train length for the vectorised fast path; below this the
-#: numpy array set-up costs more than the scalar loop it replaces.
-_VECTOR_MIN_SEGMENTS = 8
-
 
 class _Path(list):
     """A route with a per-hop slot for the resolved link context.
@@ -159,47 +161,6 @@ class _Path(list):
     def __init__(self, nodes) -> None:
         super().__init__(nodes)
         self.ctx: List[Optional[list]] = [None] * (len(self) - 1 or 1)
-
-
-def _suffix(train: tuple, i: int) -> tuple:
-    """The unprocessed tail of a train, keeping original times and seqs."""
-    packets = train[_T_PACKETS]
-    return (
-        train[_T_STATE], train[_T_PATH], train[_T_HOP],
-        train[_T_TIMES][i:], train[_T_SEQS][i:], train[_T_SIZES][i:],
-        train[_T_SEGS][i:], train[_T_CREATED][i:], train[_T_QUEUE][i:],
-        train[_T_PIDS][i:], packets[i:] if packets is not None else None,
-    )
-
-
-def fifo_departure_chain(ready, ser, busy0):
-    """Departure chain of a FIFO run, by the event engine's operation order.
-
-    ``ready[i]`` is segment *i*'s head-available instant at the port
-    (arrival plus switching latency beyond hop 0), ``ser[i]`` its
-    serialization time, and *busy0* the port's drain deadline before the
-    run.  Returns ``(acc, queueing, start_tx, dep)``: ``acc`` is the
-    running drain deadline -- ``np.add.accumulate`` is a sequential left
-    fold, identical to the scalar busy-until chain -- ``queueing`` each
-    segment's wait against it, ``start_tx`` its transmit start, and
-    ``dep`` its departure computed by the scalar operation order
-    ``(ready + (busy - ready)) + ser``.  Both ``dep`` and ``acc`` are
-    returned because the two operation orders are not bitwise-guaranteed
-    to agree: the caller commits only the prefix on which they do.  The
-    declared parity pair with ``PacketLevelNetwork._forward`` (D003,
-    ``src/repro/lint/parity_pairs.py``) pins this helper to the event
-    engine's per-hop float pipeline.
-    """
-    n = ser.shape[0]
-    r0 = ready[0]
-    acc = np.empty(n + 1)
-    acc[0] = busy0 if busy0 > r0 else r0
-    acc[1:] = ser
-    np.add.accumulate(acc, out=acc)
-    queueing = acc[:n] - ready
-    start_tx = ready + queueing
-    dep = start_tx + ser
-    return acc, queueing, start_tx, dep
 
 
 class BatchedPacketCore:
@@ -399,7 +360,10 @@ class BatchedPacketCore:
         entry = heappop(heap)
         self._events_executed += 1
         kind = entry[2]
-        if kind == _TRAIN:
+        if kind == _HOP:
+            # One entry per step: no inline refills.
+            self._hop(entry, until, 0)
+        elif kind == _TRAIN:
             self._process_train(entry[3], until)
         elif kind == _DELIVER:
             self._process_deliveries(entry[3], until)
@@ -415,7 +379,8 @@ class BatchedPacketCore:
     def drive(self, until: Optional[float], max_events: int) -> bool:
         """The backend's run loop, fused: pop and dispatch entries until
         the calendar drains, *until* passes, the transport finishes (only
-        when ``until is None``), or *max_events* entries have executed.
+        when ``until is None``), or *max_events* entries have executed
+        (an inline window refill counts as the entry it stands in for).
 
         Returns ``True`` if the event budget was exhausted (truncation).
         Check order mirrors ``PacketBackend.run``'s event-engine loop.
@@ -424,6 +389,7 @@ class BatchedPacketCore:
         """
         self._epoch += 1
         heap = self._heap
+        hop = self._hop
         process_train = self._process_train
         process_deliveries = self._process_deliveries
         executed = self._events_executed
@@ -440,7 +406,9 @@ class BatchedPacketCore:
                 entry = heappop(heap)
                 executed += 1
                 kind = entry[2]
-                if kind == _TRAIN:
+                if kind == _HOP:
+                    executed += hop(entry, until, max_events - executed)
+                elif kind == _TRAIN:
                     process_train(entry[3], until)
                 elif kind == _DELIVER:
                     process_deliveries(entry[3], until)
@@ -663,21 +631,18 @@ class BatchedPacketCore:
         if window - in_window == 1 or total - seg == 1:
             if not self._rich:
                 # Steady-state refill: each delivery frees exactly one
-                # window slot, so inject the one fresh segment without the
-                # builder lists.
+                # window slot, so inject the one fresh segment as a flat
+                # lone-segment entry.
                 state.next_segment = seg + 1
                 size = (state.last_segment_bits if seg == total - 1
                         else state.segment_bits)
-                pid = self._packet_counter
                 self._packet_counter += 1
                 state.outstanding += 1
                 self.packets_injected += 1
                 sq = self._seq
                 self._seq += 1
-                now = self._now
-                heappush(self._heap, (now, sq, _TRAIN, (
-                    state, state.path, 0, [now], [sq], [size], [seg],
-                    [now], [0.0], [pid], None)))
+                heappush(self._heap, (self._now, sq, _HOP, state, state.path,
+                                      0, size, seg, 0.0))
                 return
         segs: List[int] = []
         sizes: List[float] = []
@@ -721,6 +686,10 @@ class BatchedPacketCore:
         # ``state.path`` is shared, not copied: ``reroute`` rebinds the
         # attribute to a fresh list, so in-flight trains keep the path
         # they were injected with -- the event engine's semantics.
+        if n == 1 and packets is None:
+            heappush(self._heap, (now, seqs[0], _HOP, state, state.path,
+                                  0, sizes[0], segs[0], 0.0))
+            return
         train = (
             state, state.path, 0,
             [now] * n, seqs, sizes, segs, [now] * n, [0.0] * n, pids, packets,
@@ -777,16 +746,20 @@ class BatchedPacketCore:
         buffer_finite = ctx[_C_FINITE]
         switch_cache = ctx[_C_SWITCHING]
         dl = self.disabled_links
+        state = train[_T_STATE]
         times = train[_T_TIMES]
         seqs = train[_T_SEQS]
         sizes = train[_T_SIZES]
+        segs = train[_T_SEGS]
         queue = train[_T_QUEUE]
+        pids = train[_T_PIDS]
         packets = train[_T_PACKETS]
         n = len(times)
         heap = self._heap
         last_hop = hop + 2 == len(path)
-        forwardable = capacity > 0.0 and (
-            not dl or (path[hop], path[hop + 1]) not in dl)
+        here = path[hop]
+        nxt = path[hop + 1]
+        forwardable = capacity > 0.0 and (not dl or (here, nxt) not in dl)
 
         # The head segment is processed unconditionally in this pop (it was
         # the calendar minimum), so the event engine's lazy capacity-rescale
@@ -802,194 +775,17 @@ class BatchedPacketCore:
         if hop:
             fwd_latency = ctx[_C_FWD]
             if fwd_latency is None:
-                fwd_latency = self.fabric.switch(path[hop]).forwarding_latency
+                fwd_latency = self.fabric.switch(here).forwarding_latency
                 ctx[_C_FWD] = fwd_latency
         else:
             fwd_latency = None
 
-        if n == 1 and not self._rich:
-            # Single-segment fast path: trains fragment heavily under high
-            # flow concurrency (global order interleaves them), so most
-            # pops carry one segment.  Skip the builder lists and the
-            # per-segment ordering checks (a popped head IS the calendar
-            # minimum, so only the horizon can order before it), and keep
-            # advancing the segment hop over hop -- through its final
-            # delivery -- for as long as each continuation is still the
-            # calendar minimum, eliding the heap round trips the event
-            # engine pays per hop.  Chaining is order-exact: the inline
-            # continuation runs precisely when the calendar would have
-            # popped it next.
-            t = times[0]
-            sq = seqs[0]
-            if until is not None and t > until:
-                heappush(heap, (t, sq, _TRAIN, train))
-                return
-            state = train[_T_STATE]
-            size = sizes[0]
-            q_acc = queue[0]
-            while True:
-                self._now = t
-                if hop == 0:
-                    self.packets_entered += 1
-                    self.in_flight += 1
-                if not forwardable:
-                    here = path[hop]
-                    nxt = path[hop + 1]
-                    if capacity <= 0.0:
-                        reason = f"link {here}->{nxt} has no active capacity"
-                    else:
-                        reason = f"link {here}->{nxt} is disabled"
-                    self._drop_segment(train, 0, port, stats, here, nxt, reason)
-                    return
-                if hop:
-                    switching = switch_cache.get(size)
-                    if switching is None:
-                        switching = fwd_latency(size)
-                        switch_cache[size] = switching
-                    ready = t + switching
-                else:
-                    ready = t
-                queueing = port.busy_until - ready
-                if queueing <= 0.0:
-                    queueing = 0.0
-                backlog = queueing * capacity
-                if backlog > port.max_backlog_bits:
-                    port.max_backlog_bits = backlog
-                if backlog + size > buffer_bits:
-                    here = path[hop]
-                    nxt = path[hop + 1]
-                    self._drop_segment(train, 0, port, stats, here, nxt,
-                                       f"buffer overflow at {here}->{nxt}")
-                    return
-                if backlog > ecn_bits:
-                    port.ecn_marks += 1
-                serialization = size / capacity
-                start_tx = ready + queueing
-                port.busy_until = start_tx + serialization
-                port.packets_sent += 1
-                port.bits_sent += size
-                port.queueing_seconds_total += queueing
-                q_acc += queueing
-                occupancy = backlog / buffer_bits if buffer_finite else 0.0
-                est.samples += 1
-                est.last_sample = occupancy
-                emin = est.minimum
-                if emin is None or occupancy < emin:
-                    est.minimum = occupancy
-                emax = est.maximum
-                if emax is None or occupancy > emax:
-                    est.maximum = occupancy
-                alpha = est.alpha
-                value = est._value
-                est._value = (occupancy if value is None
-                              else alpha * occupancy + (1 - alpha) * value)
-                stats.packets += 1
-                sq = self._seq
-                self._seq += 1
-                if last_hop:
-                    t = start_tx + serialization + propagation + phy
-                else:
-                    t = start_tx + propagation + phy
-                if until is not None and t > until:
-                    chain = False
-                elif heap:
-                    head = heap[0]
-                    ht = head[0]
-                    chain = t < ht or (t == ht and sq < head[1])
-                else:
-                    chain = True
-                if last_hop:
-                    if not chain:
-                        # Re-push in place: the popped train's lists are
-                        # exclusively ours, so reuse them for the
-                        # continuation instead of allocating fresh ones.
-                        times[0] = t
-                        seqs[0] = sq
-                        queue[0] = q_acc
-                        heappush(heap, (t, sq, _DELIVER, (
-                            state, path, -1, times, seqs, sizes,
-                            train[_T_SEGS], train[_T_CREATED], queue,
-                            train[_T_PIDS], None)))
-                        return
-                    # Deliver inline: the delivery is the next event anyway.
-                    self._now = t
-                    self.delivered_count += 1
-                    self.in_flight -= 1
-                    self.bits_delivered += size
-                    self.queueing_samples.append(q_acc)
-                    if self.delivery_log is not None:
-                        self.delivery_log.append((t, size))
-                    flow = state.flow
-                    state.outstanding -= 1
-                    state.delivered_segments += 1
-                    state.delivered_bits += size
-                    flow.sync_remaining(flow.size_bits - state.delivered_bits)
-                    if state.delivered_segments >= state.total_segments:
-                        flow.complete(t)
-                    else:
-                        self._fill_window(state)
-                    self._settle(state)
-                    return
-                if not chain:
-                    times[0] = t
-                    seqs[0] = sq
-                    queue[0] = q_acc
-                    heappush(heap, (t, sq, _TRAIN, (
-                        state, path, hop + 1, times, seqs, sizes,
-                        train[_T_SEGS], train[_T_CREATED], queue,
-                        train[_T_PIDS], None)))
-                    return
-                # Advance to the next hop in place.
-                hop += 1
-                ctx = ctx_chain[hop]
-                if ctx is None or ctx[0] != self._epoch:
-                    ctx = self._link_ctx((path[hop], path[hop + 1]))
-                    ctx_chain[hop] = ctx
-                capacity = ctx[_C_CAPACITY]
-                propagation = ctx[_C_PROPAGATION]
-                phy = ctx[_C_PHY]
-                port = ctx[_C_PORT]
-                stats = ctx[_C_STATS]
-                est = ctx[_C_OCCUPANCY_EST]
-                buffer_bits = ctx[_C_BUFFER]
-                ecn_bits = ctx[_C_ECN_BITS]
-                buffer_finite = ctx[_C_FINITE]
-                switch_cache = ctx[_C_SWITCHING]
-                forwardable = capacity > 0.0 and (
-                    not dl or (path[hop], path[hop + 1]) not in dl)
-                last_hop = hop + 2 == len(path)
-                if forwardable and capacity != port.capacity_bps:
-                    remaining = port.busy_until - t
-                    if remaining > 0.0 and port.capacity_bps > 0.0:
-                        port.busy_until = (
-                            t + remaining * (port.capacity_bps / capacity)
-                        )
-                    port.capacity_bps = capacity
-                fwd_latency = ctx[_C_FWD]
-                if fwd_latency is None:
-                    fwd_latency = (
-                        self.fabric.switch(path[hop]).forwarding_latency)
-                    ctx[_C_FWD] = fwd_latency
-
         # Continuation builder: where the surviving segments go next.
-        here = path[hop]
-        nxt = path[hop + 1]
         c_times: List[float] = []
         c_seqs: List[int] = []
         c_queue: List[float] = []
         c_keep: List[int] = []
         c_packets: Optional[List[Packet]] = [] if packets is not None else None
-
-        start = 0
-        if n >= _VECTOR_MIN_SEGMENTS and forwardable and not self._rich:
-            start = self._vector_advance(
-                train, ctx, until, last_hop, fwd_latency,
-                c_times, c_seqs, c_queue, c_keep,
-            )
-            if start == n:
-                self._finish_train(train, last_hop, c_times, c_seqs,
-                                   c_queue, c_keep, c_packets, until)
-                return
 
         # Hot port fields in locals; flushed after the loop.
         busy = port.busy_until
@@ -1002,7 +798,7 @@ class BatchedPacketCore:
         alpha = est.alpha
         one_minus_alpha = 1 - alpha
 
-        i = start
+        i = 0
         while i < n:
             t = times[i]
             sq = seqs[i]
@@ -1019,18 +815,18 @@ class BatchedPacketCore:
             self._now = t
             if hop == 0:
                 entered += 1
+            size = sizes[i]
             if not forwardable:
-                # Flush busy-state around the drop so its side effects see
-                # consistent port counters (it touches the drop fields only,
-                # but retransmit scheduling reads the clock).
                 if capacity <= 0.0:
                     reason = f"link {here}->{nxt} has no active capacity"
                 else:
                     reason = f"link {here}->{nxt} is disabled"
-                self._drop_segment(train, i, port, stats, here, nxt, reason)
+                self._drop_segment(
+                    state, segs[i], size, port, stats, here, nxt, reason,
+                    packets[i] if packets is not None else None, pids[i],
+                )
                 i += 1
                 continue
-            size = sizes[i]
             if hop:
                 switching = switch_cache.get(size)
                 if switching is None:
@@ -1048,8 +844,9 @@ class BatchedPacketCore:
                 max_backlog = backlog
             if backlog + size > buffer_bits:
                 self._drop_segment(
-                    train, i, port, stats, here, nxt,
+                    state, segs[i], size, port, stats, here, nxt,
                     f"buffer overflow at {here}->{nxt}",
+                    packets[i] if packets is not None else None, pids[i],
                 )
                 i += 1
                 continue
@@ -1118,17 +915,38 @@ class BatchedPacketCore:
         if i < n:
             # Interleave or horizon: re-enqueue the tail under its original
             # keys, plus whatever continuation has accumulated so far.
-            tail = _suffix(train, i)
-            heappush(heap, (tail[_T_TIMES][0], tail[_T_SEQS][0], _TRAIN, tail))
+            self._requeue(train, i, _TRAIN)
         self._finish_train(train, last_hop, c_times, c_seqs, c_queue,
                            c_keep, c_packets, until)
+
+    def _requeue(self, train: tuple, i: int, kind: int) -> None:
+        """Re-enqueue a train's unprocessed tail from segment *i*, keeping
+        its original times and seqs; a lone lean-mode segment goes back as
+        a flat ``_HOP`` entry."""
+        times = train[_T_TIMES]
+        seqs = train[_T_SEQS]
+        packets = train[_T_PACKETS]
+        if packets is None and i == len(times) - 1:
+            heappush(self._heap, (
+                times[i], seqs[i], _HOP, train[_T_STATE], train[_T_PATH],
+                train[_T_HOP], train[_T_SIZES][i], train[_T_SEGS][i],
+                train[_T_QUEUE][i]))
+            return
+        tail = (
+            train[_T_STATE], train[_T_PATH], train[_T_HOP],
+            times[i:], seqs[i:], train[_T_SIZES][i:], train[_T_SEGS][i:],
+            train[_T_CREATED][i:], train[_T_QUEUE][i:], train[_T_PIDS][i:],
+            packets[i:] if packets is not None else None,
+        )
+        heappush(self._heap, (times[i], seqs[i], kind, tail))
 
     def _finish_train(self, train, last_hop, c_times, c_seqs, c_queue,
                       c_keep, c_packets, until) -> None:
         """Dispatch the continuation train built for the processed prefix.
 
         ``c_keep`` indexes the surviving segments (drops fall out), used to
-        gather their sizes/segment-ids/creation times from the parent.  If
+        gather their sizes/segment-ids/creation times from the parent; a
+        lone lean-mode survivor continues as a flat ``_HOP`` entry.  If
         the continuation would be the very next calendar pop anyway --
         nothing on the heap orders before it (the caller has already
         re-enqueued any unprocessed tail) and the horizon reaches it --
@@ -1137,213 +955,215 @@ class BatchedPacketCore:
         """
         if not c_times:
             return
+        state = train[_T_STATE]
+        path = train[_T_PATH]
+        hop = train[_T_HOP] + 1
         sizes = train[_T_SIZES]
         segs = train[_T_SEGS]
-        created = train[_T_CREATED]
-        pids = train[_T_PIDS]
-        if len(c_keep) == len(sizes):
-            c_sizes = sizes
-            c_segs = segs
-            c_created = created
-            c_pids = pids
-        else:
-            c_sizes = [sizes[j] for j in c_keep]
-            c_segs = [segs[j] for j in c_keep]
-            c_created = [created[j] for j in c_keep]
-            c_pids = [pids[j] for j in c_keep]
-        cont = (
-            train[_T_STATE], train[_T_PATH],
-            -1 if last_hop else train[_T_HOP] + 1,
-            c_times, c_seqs, c_sizes, c_segs, c_created, c_queue, c_pids,
-            c_packets,
-        )
         c0 = c_times[0]
         s0 = c_seqs[0]
+        if c_packets is None and len(c_keep) == 1:
+            j = c_keep[0]
+            entry = (c0, s0, _HOP, state, path, hop, sizes[j], segs[j],
+                     c_queue[0])
+        else:
+            created = train[_T_CREATED]
+            pids = train[_T_PIDS]
+            if len(c_keep) == len(sizes):
+                c_sizes = sizes
+                c_segs = segs
+                c_created = created
+                c_pids = pids
+            else:
+                c_sizes = [sizes[j] for j in c_keep]
+                c_segs = [segs[j] for j in c_keep]
+                c_created = [created[j] for j in c_keep]
+                c_pids = [pids[j] for j in c_keep]
+            entry = (c0, s0, _DELIVER if last_hop else _TRAIN, (
+                state, path, hop, c_times, c_seqs, c_sizes, c_segs,
+                c_created, c_queue, c_pids, c_packets,
+            ))
         if until is None or c0 <= until:
             heap = self._heap
             if not heap or c0 < heap[0][0] or (c0 == heap[0][0]
                                                and s0 < heap[0][1]):
                 # Recursion is bounded by the path length: each inline
                 # level advances the continuation one hop (or delivers).
-                if last_hop:
-                    self._process_deliveries(cont, until)
+                kind = entry[2]
+                if kind == _HOP:
+                    self._hop(entry, until, 0)
+                elif kind == _TRAIN:
+                    self._process_train(entry[3], until)
                 else:
-                    self._process_train(cont, until)
+                    self._process_deliveries(entry[3], until)
                 return
-        heappush(self._heap, (c0, s0, _DELIVER if last_hop else _TRAIN, cont))
+        heappush(self._heap, entry)
 
-    def _vector_advance(self, train, ctx, until, last_hop, fwd_latency,
-                        c_times, c_seqs, c_queue, c_keep) -> int:
-        """Vectorised FIFO advancement of a train's maximal drop-free prefix.
+    def _hop(self, entry: tuple, until: Optional[float], budget: int) -> int:
+        """Advance a lone lean-mode segment hop by hop, through delivery.
 
-        The departure chain of a backlogged FIFO run is one sequential
-        left fold (:func:`fifo_departure_chain`), so a whole run advances
-        in a handful of vector ops.  The committed prefix stops at the
-        first element where the scalar loop would do anything other than
-        chain: the *until* horizon, a heap entry or the train's own first
-        continuation ordering before a segment, an idle gap (the scalar
-        clamp re-seeds the chain there), a buffer overflow (the scalar
-        loop owns the drop), or a bitwise mismatch between the fold and
-        the scalar operation order ``(ready + (busy - ready)) + ser``
-        (not guaranteed to reproduce ``busy + ser``; rather than assume
-        it, both are computed and compared).  Effects for the committed
-        prefix are applied in event order; left folds stay valid under
-        truncation, so any prefix of the chain is exact.  Returns the
-        index the scalar loop resumes from (0 = nothing committed).
+        The popped *entry* is the calendar minimum.  Each hop replays
+        ``PacketLevelNetwork._forward`` operation for operation, and the
+        continuation is taken inline for as long as it is still the
+        calendar minimum: its fresh seq is the largest allocated, so that
+        is exactly when the horizon reaches it and nothing queued is due
+        at or before it.  Otherwise it is enqueued flat.
 
-        This generalises the original hop-0, same-instant, all-or-nothing
-        pass to any hop (``ready`` picks up the per-size switching
-        latency), monotone unequal arrival times, and partial prefixes.
+        A delivery that frees exactly one window slot (the steady state)
+        injects its refill inline under the same rule -- the refill's seq
+        is fresh too -- and keeps looping, so a flow chains delivery ->
+        refill -> hops without recursing.  Each inline refill counts as
+        the calendar entry it replaces, at most *budget* of them; any other
+        refill goes through :meth:`_fill_window`.  Returns the number of
+        inline refills.
         """
-        times = train[_T_TIMES]
-        n = len(times)
-        if until is not None:
-            if times[0] > until:
-                return 0
-            if times[n - 1] > until:
-                n = bisect_right(times, until)
-        seqs = train[_T_SEQS]
+        t, sq, _, state, path, hop, size, seg, q_acc = entry
         heap = self._heap
-        if heap:
-            head = heap[0]
-            ht = head[0]
-            if ht < times[n - 1] or (ht == times[n - 1]
-                                     and head[1] < seqs[n - 1]):
-                # Keep only the segments that order before the heap head
-                # (i == 0, the popped calendar minimum, is exempt).
-                hsq = head[1]
-                lo = bisect_left(times, ht, 1, n)
-                while lo < n and times[lo] == ht and seqs[lo] < hsq:
-                    lo += 1
-                n = lo
-        if n < _VECTOR_MIN_SEGMENTS:
+        if until is not None and t > until:
+            heappush(heap, entry)
             return 0
-        hop = train[_T_HOP]
-        capacity = ctx[_C_CAPACITY]
-        sizes = train[_T_SIZES]
-        szs = np.asarray(sizes[:n])
-        tarr = np.asarray(times[:n])
-        if hop:
-            switch_cache = ctx[_C_SWITCHING]
-            sw = []
-            for j in range(n):
-                size = sizes[j]
+        dl = self.disabled_links
+        epoch = self._epoch
+        window = self.config.window_packets
+        samples = self.queueing_samples
+        delivery_log = self.delivery_log
+        last = len(path) - 1
+        refills = 0
+        while True:
+            self._now = t
+            if hop == last:
+                # ``PacketLevelNetwork._deliver`` + the transport's reaction.
+                self.delivered_count += 1
+                self.in_flight -= 1
+                self.bits_delivered += size
+                samples.append(q_acc)
+                if delivery_log is not None:
+                    delivery_log.append((t, size))
+                flow = state.flow
+                state.outstanding -= 1
+                state.delivered_segments += 1
+                state.delivered_bits += size
+                flow.sync_remaining(flow.size_bits - state.delivered_bits)
+                total = state.total_segments
+                if state.delivered_segments >= total:
+                    flow.complete(t)
+                    self._settle(state)
+                    return refills
+                seg = state.next_segment
+                free = window - (state.outstanding + state.pending_retransmits)
+                if (refills < budget and not state.abandoned and seg < total
+                        and (free == 1 or (free > 1 and seg == total - 1))
+                        and (not heap or heap[0][0] > t)):
+                    # ``_fill_window``'s one-segment branch, inline.
+                    refills += 1
+                    state.next_segment = seg + 1
+                    size = (state.last_segment_bits if seg == total - 1
+                            else state.segment_bits)
+                    self._packet_counter += 1
+                    state.outstanding += 1
+                    self.packets_injected += 1
+                    # The refill's own seq: allocated to keep the counter in
+                    # step, never compared, since it runs at once.
+                    self._seq += 1
+                    path = state.path
+                    last = len(path) - 1
+                    hop = 0
+                    q_acc = 0.0
+                    continue
+                self._fill_window(state)
+                self._settle(state)
+                return refills
+
+            ctx = path.ctx[hop]
+            if ctx is None or ctx[0] != epoch:
+                ctx = self._link_ctx((path[hop], path[hop + 1]))
+                path.ctx[hop] = ctx
+            # One unpack of the whole record, in ``_C_*`` slot order.
+            (_, capacity, propagation, phy, port, stats, est, fwd_latency,
+             buffer_bits, ecn_bits, buffer_finite, switch_cache) = ctx
+            if hop == 0:
+                self.packets_entered += 1
+                self.in_flight += 1
+            if capacity <= 0.0 or (dl and (path[hop], path[hop + 1]) in dl):
+                self._drop_segment(state, seg, size, port, stats,
+                                   path[hop], path[hop + 1], None)
+                return refills
+            if capacity != port.capacity_bps:
+                remaining = port.busy_until - t
+                if remaining > 0.0 and port.capacity_bps > 0.0:
+                    port.busy_until = (
+                        t + remaining * (port.capacity_bps / capacity))
+                port.capacity_bps = capacity
+            if hop:
                 switching = switch_cache.get(size)
                 if switching is None:
+                    if fwd_latency is None:
+                        fwd_latency = (
+                            self.fabric.switch(path[hop]).forwarding_latency)
+                        ctx[_C_FWD] = fwd_latency
                     switching = fwd_latency(size)
                     switch_cache[size] = switching
-                sw.append(switching)
-            ready = tarr + np.asarray(sw)
-        else:
-            ready = tarr
-        port = ctx[_C_PORT]
-        ser = szs / capacity
-        acc, queueing, start_tx, dep = fifo_departure_chain(
-            ready, ser, port.busy_until)
-        m = n
-        # Idle gap: the scalar loop clamps negative queueing to zero and
-        # re-seeds the chain at ``ready``; the fold is invalid from there.
-        gaps = np.nonzero(queueing[1:] < 0.0)[0]
-        if gaps.size:
-            m = int(gaps[0]) + 1
-        # First overflow: the scalar loop handles the drop (and the chain
-        # changes shape past it).
-        buffer_bits = ctx[_C_BUFFER]
-        backlog = queueing * capacity
-        over = np.nonzero(backlog[:m] + szs[:m] > buffer_bits)[0]
-        if over.size:
-            m = int(over[0])
-            if m == 0:
-                return 0
-        # Bitwise self-consistency up to the commit point: the fold must
-        # reproduce the scalar chain exactly, element for element.
-        if m > 1:
-            bad = np.nonzero(dep[: m - 1] != acc[1:m])[0]
-            if bad.size:
-                m = int(bad[0]) + 1
-        if last_hop:
-            out_times = (dep + ctx[_C_PROPAGATION]) + ctx[_C_PHY]
-        else:
-            out_times = (start_tx + ctx[_C_PROPAGATION]) + ctx[_C_PHY]
-        # The first continuation's virtual seq exceeds every segment seq,
-        # so it orders first exactly when its time is strictly smaller --
-        # the scalar loop's ``c_times[0] < t`` break.
-        out0 = out_times[0]
-        if out0 < times[m - 1]:
-            m = bisect_right(times, out0, 1, m)
-
-        # Commit the prefix's effects in event order.
-        self._now = times[m - 1]
-        if hop == 0:
-            self.packets_entered += m
-            self.in_flight += m
-        port.busy_until = float(dep[m - 1])
-        port.packets_sent += m
-        bits_sent = port.bits_sent
-        for j in range(m):
-            bits_sent += sizes[j]
-        port.bits_sent = bits_sent
-        queueing_list = queueing[:m].tolist()
-        queueing_total = port.queueing_seconds_total
-        for q in queueing_list:
-            queueing_total += q
-        port.queueing_seconds_total = queueing_total
-        peak = float(backlog[:m].max())
-        if peak > port.max_backlog_bits:
-            port.max_backlog_bits = peak
-        ecn_marks = int(np.count_nonzero(backlog[:m] > ctx[_C_ECN_BITS]))
-        if ecn_marks:
-            port.ecn_marks += ecn_marks
-        if ctx[_C_FINITE]:
-            occupancies = (backlog[:m] / buffer_bits).tolist()
-        else:
-            occupancies = [0.0] * m
-        # Inlined sequential EWMA fold over the prefix's occupancy samples.
-        stats = ctx[_C_STATS]
-        est = ctx[_C_OCCUPANCY_EST]
-        alpha = est.alpha
-        one_minus_alpha = 1 - alpha
-        value = est._value
-        emin = est.minimum
-        emax = est.maximum
-        for occupancy in occupancies:
+                ready = t + switching
+            else:
+                ready = t
+            queueing = port.busy_until - ready
+            if queueing <= 0.0:
+                queueing = 0.0
+            backlog = queueing * capacity
+            if backlog > port.max_backlog_bits:
+                port.max_backlog_bits = backlog
+            if backlog + size > buffer_bits:
+                self._drop_segment(state, seg, size, port, stats,
+                                   path[hop], path[hop + 1], None)
+                return refills
+            if backlog > ecn_bits:
+                port.ecn_marks += 1
+            serialization = size / capacity
+            start_tx = ready + queueing
+            port.busy_until = start_tx + serialization
+            port.packets_sent += 1
+            port.bits_sent += size
+            port.queueing_seconds_total += queueing
+            q_acc += queueing
+            occupancy = backlog / buffer_bits if buffer_finite else 0.0
+            # Inlined ``stats.observe(packets=1, queue_occupancy=occupancy)``.
+            est.samples += 1
+            est.last_sample = occupancy
+            emin = est.minimum
             if emin is None or occupancy < emin:
-                emin = occupancy
+                est.minimum = occupancy
+            emax = est.maximum
             if emax is None or occupancy > emax:
-                emax = occupancy
-            value = (
-                occupancy if value is None
-                else alpha * occupancy + one_minus_alpha * value
-            )
-        est.samples += m
-        est.last_sample = occupancies[-1]
-        est.minimum = emin
-        est.maximum = emax
-        est._value = value
-        stats.packets += m
-        seq_base = self._seq
-        self._seq += m
-        queue = train[_T_QUEUE]
-        for j, q in enumerate(queueing_list):
-            queue[j] += q
-        c_times.extend(out_times[:m].tolist())
-        c_seqs.extend(range(seq_base, seq_base + m))
-        c_queue.extend(queue[:m])
-        c_keep.extend(range(m))
-        return m
+                est.maximum = occupancy
+            alpha = est.alpha
+            value = est._value
+            est._value = (occupancy if value is None
+                          else alpha * occupancy + (1 - alpha) * value)
+            stats.packets += 1
+            sq = self._seq
+            self._seq += 1
+            hop += 1
+            if hop == last:
+                t = start_tx + serialization + propagation + phy
+            else:
+                t = start_tx + propagation + phy
+            if (until is not None and t > until) or (heap and heap[0][0] <= t):
+                heappush(heap, (t, sq, _HOP, state, path, hop, size, seg,
+                                q_acc))
+                return refills
 
-    def _drop_segment(self, train, i, port, stats, here, nxt, reason) -> None:
-        """Mirror of ``PacketLevelNetwork._drop`` + ``_on_dropped`` fused."""
-        size = train[_T_SIZES][i]
-        state = train[_T_STATE]
+    def _drop_segment(self, state, seg, size, port, stats, here, nxt, reason,
+                      packet=None, pid=None) -> None:
+        """Mirror of ``PacketLevelNetwork._drop`` + ``_on_dropped`` fused.
+
+        *reason*, *packet* and *pid* only matter in rich mode: lean mode
+        materialises no packet and records no trace.
+        """
         port.packets_dropped += 1
         port.bits_dropped += size
         self.dropped_count += 1
         self.in_flight -= 1
-        packet = None
-        packets = train[_T_PACKETS]
-        if packets is not None:
-            packet = packets[i]
+        if packet is not None:
             packet.mark_dropped(reason)
             if self.retain_packets:
                 self.dropped.append(packet)
@@ -1352,7 +1172,7 @@ class BatchedPacketCore:
             self.trace.record(
                 self._now,
                 "packet_dropped",
-                packet_id=train[_T_PIDS][i],
+                packet_id=pid,
                 at=f"{here}->{nxt}",
             )
         if packet is not None and self.on_dropped is not None:
@@ -1362,7 +1182,6 @@ class BatchedPacketCore:
         if state.abandoned:
             self._settle(state)
             return
-        seg = train[_T_SEGS][i]
         attempts = state.attempts.get(seg, 0) + 1
         state.attempts[seg] = attempts
         if attempts >= self.config.max_attempts:
@@ -1380,7 +1199,7 @@ class BatchedPacketCore:
     def _process_deliveries(self, train: tuple, until: Optional[float]) -> None:
         """Deliver a train's segments, refilling the window per epoch.
 
-        Window refills enqueue new injection trains at the delivery
+        Window refills enqueue new injection entries at the delivery
         instant; the heap-head check then naturally splits this train so
         the refill forwards before the next delivery, exactly as the event
         engine interleaves them.
@@ -1396,31 +1215,6 @@ class BatchedPacketCore:
         heap = self._heap
         trace_on = not isinstance(self.trace, NullTrace)
         samples = self.queueing_samples
-        if n == 1 and packets is None and not trace_on:
-            # Single-delivery fast path (the popped head was the calendar
-            # minimum, so only the horizon can order before it).
-            t = times[0]
-            if until is not None and t > until:
-                heappush(heap, (t, seqs[0], _DELIVER, train))
-                return
-            self._now = t
-            size = sizes[0]
-            self.delivered_count += 1
-            self.in_flight -= 1
-            self.bits_delivered += size
-            samples.append(queue[0])
-            if self.delivery_log is not None:
-                self.delivery_log.append((t, size))
-            state.outstanding -= 1
-            state.delivered_segments += 1
-            state.delivered_bits += size
-            flow.sync_remaining(flow.size_bits - state.delivered_bits)
-            if state.delivered_segments >= state.total_segments:
-                flow.complete(t)
-            else:
-                self._fill_window(state)
-            self._settle(state)
-            return
         i = 0
         while i < n:
             t = times[i]
@@ -1471,5 +1265,4 @@ class BatchedPacketCore:
             self._settle(state)
             i += 1
         if i < n:
-            tail = _suffix(train, i)
-            heappush(heap, (tail[_T_TIMES][0], tail[_T_SEQS][0], _DELIVER, tail))
+            self._requeue(train, i, _DELIVER)

@@ -8,7 +8,9 @@ crossed with every built-in controller (including the closed control
 loop), and for the resumable-run edges the scenario layer cannot reach:
 ``run(until=...)`` cuts at arbitrary instants, facade mutations between
 and during runs (``set_capacity``/``add_link``/``set_enabled``/
-``reroute``), and a controller that keeps mutating the fabric mid-run.
+``reroute``), a controller that keeps mutating the fabric mid-run, and
+the batched engine's lone-segment chains (window-1 flows whose every
+delivery refills the window inline).
 
 The one sanctioned divergence is ``events_processed``: the batched engine
 counts calendar entries (a train of coalesced segments is one entry), so
@@ -31,9 +33,13 @@ from repro.experiments.scenarios import (
     materialize_run,
     resolve_params,
 )
+from repro.fabric.fabric import Fabric, FabricConfig
 from repro.fabric.packetsim import ENGINES, PacketBackend
+from repro.fabric.switch import SwitchModel
+from repro.fabric.topology import TopologyBuilder
 from repro.sim.flow import Flow, reset_flow_ids
 from repro.sim.transport import TransportConfig
+from repro.sim.units import bits_from_bytes
 
 CONTROLLERS = ("none", "static", "ecmp", "crc", "loop")
 
@@ -292,6 +298,126 @@ def test_controller_mutating_mid_run_is_bit_identical():
         snapshots[engine] = (mid, _backend_snapshot(backend, result), list(ticks))
     assert snapshots["event"] == snapshots["batched"]
     assert snapshots["event"][2], "controller never ticked"
+
+
+# --------------------------------------------------------------------------- #
+# Lone-segment chains: window-1 flows on a line
+# --------------------------------------------------------------------------- #
+WINDOW_ONE = TransportConfig(window_packets=1)
+MTU_BITS = WINDOW_ONE.mtu_bits
+
+
+def _line_fabric(buffer_bytes=None):
+    config = FabricConfig()
+    if buffer_bytes is not None:
+        config = FabricConfig(
+            switch_model=SwitchModel(buffer_bits=bits_from_bytes(buffer_bytes))
+        )
+    return Fabric(TopologyBuilder(lanes_per_link=4).line(4), config)
+
+
+def _window_one_run(engine, flows, buffer_bytes=None, stages=(None,), between=None):
+    """Run window-1 *flows* on a fresh line through ``run(until=cut)`` stages.
+
+    *flows* is a list of ``(src, dst, segments, start_time)``; *between*
+    is called with ``(fabric, stage_index)`` after every stage but the
+    last.  Returns one snapshot per stage and the flows.
+    """
+    reset_flow_ids()
+    fabric = _line_fabric(buffer_bytes)
+    built = [
+        Flow(src, dst, size_bits=segments * MTU_BITS, start_time=start)
+        for src, dst, segments, start in flows
+    ]
+    backend = PacketBackend(fabric, built, engine=engine, transport=WINDOW_ONE)
+    snapshots = []
+    for index, cut in enumerate(stages):
+        result = backend.run(until=cut)
+        snapshots.append(_backend_snapshot(backend, result))
+        if cut is not None:
+            assert not backend.transport.finished, f"cut {cut} is past the workload"
+            if between is not None:
+                between(fabric, index)
+    return snapshots, built
+
+
+def _assert_engines_agree(**kwargs):
+    runs = {engine: _window_one_run(engine, **kwargs) for engine in ENGINES}
+    reference = runs["event"][0]
+    for engine in ENGINES:
+        assert runs[engine][0] == reference, engine
+    return runs["batched"]
+
+
+def test_long_window_one_chain_is_bit_identical():
+    # Every delivery of a lone window-1 flow refills inline: the batched
+    # engine runs all 5,000 segments from one calendar pop, and must do
+    # so without recursing.
+    snapshots, flows = _assert_engines_agree(flows=[("n0", "n3", 5000, 0.0)])
+    assert flows[0].completed
+    assert snapshots[-1]["transport"]["packets_sent"] == 5000.0
+
+
+def test_refill_is_not_inlined_past_a_queued_tie():
+    # Flow b starts at the exact instant one of a's deliveries lands, on
+    # a's first port.  b's first segment is queued at that instant before
+    # a's refill is (its start event was scheduled first), so it must take
+    # the n0->n1 port ahead of the refill.
+    solo = PacketBackend(
+        _line_fabric(), [Flow("n0", "n3", size_bits=40 * MTU_BITS)],
+        engine="event", transport=WINDOW_ONE, retain_packets=True,
+    )
+    solo.run()
+    tie = sorted(packet.delivered_at for packet in solo.network.delivered)[10]
+    _, flows = _assert_engines_agree(
+        flows=[("n0", "n3", 40, 0.0), ("n0", "n1", 4, tie)],
+    )
+    assert all(flow.completed for flow in flows)
+
+
+def test_resume_cuts_inside_lone_segment_chains_are_bit_identical():
+    flows = [("n0", "n3", 300, 0.0), ("n3", "n1", 200, 1e-6), ("n1", "n2", 150, 2e-6)]
+    reference, _ = _window_one_run("event", flows)
+    end = reference[-1]["end_time"]
+    stages = (end * 0.137, end * 0.5, end * 0.771, None)
+    snapshots, built = _assert_engines_agree(flows=flows, stages=stages)
+    assert all(flow.completed for flow in built)
+    # Staged and uncut runs reach the same packet-visible state.
+    final = dict(snapshots[-1])
+    uncut = dict(reference[-1])
+    for key in ("end_time", "bits_carried", "capacity_seconds", "truncated", "now"):
+        final.pop(key)
+        uncut.pop(key)
+    assert final == uncut
+
+
+def test_lone_segment_drop_on_a_dead_link_retransmits_identically():
+    # The middle link loses every lane mid-run (zero active capacity),
+    # then comes back: segments die on it and retransmit.
+    def between(fabric, index):
+        link = fabric.topology.link_between("n1", "n2")
+        if index == 0:
+            link.disable()
+        else:
+            link.enable()
+
+    snapshots, flows = _assert_engines_agree(
+        flows=[("n0", "n3", 200, 0.0)], stages=(2e-5, 8e-5, None), between=between,
+    )
+    assert flows[0].completed
+    assert snapshots[-1]["transport"]["retransmissions"] > 0
+
+
+def test_lone_segment_buffer_overflow_retransmits_identically():
+    # Three packets of buffer at every port: segments converging on the
+    # shared n2->n3 port overflow it, some with the backlog alone still
+    # inside the buffer, and retransmit.
+    snapshots, flows = _assert_engines_agree(
+        flows=[("n0", "n3", 60, 0.0), ("n1", "n3", 60, 0.0), ("n2", "n3", 60, 0.0)],
+        buffer_bytes=4500,
+    )
+    assert all(flow.completed for flow in flows)
+    assert snapshots[-1]["transport"]["retransmissions"] > 0
 
 
 def test_unknown_engine_is_rejected():

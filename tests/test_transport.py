@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.validation import validate_against_analytical, validation_summary
 from repro.fabric.fabric import Fabric, FabricConfig
-from repro.fabric.packetsim import PacketBackend
+from repro.fabric.packetsim import ENGINES, PacketBackend
 from repro.fabric.switch import SwitchModel
 from repro.fabric.topology import TopologyBuilder
 from repro.sim.flow import Flow, FlowState
@@ -232,12 +232,20 @@ def test_run_until_is_resumable():
     assert final.allocator == "packet"
 
 
-def test_max_events_budget_marks_the_run_truncated():
+@pytest.mark.parametrize("window", [1, 64])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_max_events_budget_marks_the_run_truncated(engine, window):
+    # A window-1 flow is the batched engine's inline-refill chain: the
+    # budget must still bound it, one entry per refill.
     fabric = line_fabric()
     flow = Flow("n0", "n3", size_bits=100 * MTU_BITS)
-    backend = PacketBackend(fabric, [flow], max_events=10)
+    backend = PacketBackend(
+        fabric, [flow], transport=TransportConfig(window_packets=window),
+        max_events=10, engine=engine,
+    )
     result = backend.run()
     assert result.truncated
+    assert result.events_processed <= 10
     assert not flow.completed
 
 
