@@ -4,8 +4,8 @@ The fluid simulator's reference allocator recomputes the full progressive-
 filling max-min allocation over every link and flow at every event and
 finds the next completion by linear scan -- O(links x flows) per event,
 which is what kept thousand-flow scenarios out of reach.  The incremental
-allocator (dirty-set closure + share-heap filling + lazy completion heap)
-replaces it.  This benchmark guards both properties the rewrite claims:
+allocator (share-heap filling warm-started from a round log + lazy
+completion heap) replaces it.  This benchmark guards both properties the rewrite claims:
 
 * **parity** -- the two allocators produce bit-identical flow completion
   times, event counts and link utilisation on a uniform rack workload, and
@@ -24,11 +24,16 @@ variant (smaller fleet, looser floor, a few seconds):
 
     python benchmarks/bench_fluid_scale.py [--quick]
 
+The command-line run writes its measured row (flows, events, both
+allocators' seconds, the speedup and the floor it was held to) to
+``BENCH_fluid_scale.json`` so CI archives the record.
+
 The pytest entry points run the quick variant so ``pytest benchmarks``
 stays fast.
 """
 
 import argparse
+import json
 import sys
 import time
 
@@ -52,6 +57,8 @@ QUICK_SPEEDUP_FLOOR = 4.0
 
 PARITY_FLOWS = 400
 PARITY_GRID = (8, 8)
+
+REPORT_PATH = "BENCH_fluid_scale.json"
 
 
 def build_simulator(allocator, num_flows, rows=16, columns=16, seed=11):
@@ -141,6 +148,13 @@ def test_incremental_allocator_beats_reference_at_scale():
 # --------------------------------------------------------------------------- #
 # Command-line entry point
 # --------------------------------------------------------------------------- #
+def write_report(row, floor, report_path=REPORT_PATH):
+    """Write the measured row and the floor it was held to as JSON."""
+    with open(report_path, "w") as handle:
+        json.dump(dict(row, floor=floor), handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -164,6 +178,7 @@ def main(argv=None):
         f"reference {row['reference_seconds']:.2f}s "
         f"-> {row['speedup']:.1f}x (floor {floor}x)"
     )
+    write_report(row, floor)
     if row["speedup"] < floor:
         print("FAIL: speedup below floor", file=sys.stderr)
         return 1

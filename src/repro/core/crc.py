@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import networkx as nx
+
 from repro.core.cost import LinkPriceTagger, PriceWeights
 from repro.core.plp import PLPCommandType, PLPExecutor, PLPResult, ReconfigurationDelays
 from repro.core.policy import (
@@ -303,7 +305,7 @@ class ClosedRingControl:
         for flow in simulator.active_flows():
             try:
                 keys = self.fabric.route_keys(flow.src, flow.dst, flow_id=flow.flow_id)
-            except Exception:
+            except nx.NetworkXNoPath:
                 continue  # pair temporarily disconnected mid-reconfiguration
             if keys and all(simulator.has_link(key) for key in keys):
                 simulator.reroute(flow.flow_id, keys)

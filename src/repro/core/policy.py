@@ -14,6 +14,8 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import networkx as nx
+
 from repro.core.plp import PLPCommand, PLPCommandType
 from repro.core.reconfiguration import GridToTorusPlan, ReconfigurationPlanner
 from repro.fabric.fabric import Fabric
@@ -274,7 +276,7 @@ class BypassPolicy(ControlPolicy):
                 continue
             try:
                 path = fabric.router.path(src, dst)
-            except Exception:  # disconnected pair; nothing to bypass
+            except nx.NetworkXNoPath:  # disconnected pair; nothing to bypass
                 continue
             if len(path) < 3:
                 continue  # already adjacent, a bypass buys nothing

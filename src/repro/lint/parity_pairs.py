@@ -25,14 +25,14 @@ from repro.lint.parity import ParityPair
 PARITY_PAIRS: Tuple[ParityPair, ...] = (
     ParityPair(
         name="fluid-progressive-filling",
-        primary="src/repro/sim/fluid.py::FluidFlowSimulator._solve_closure",
+        primary="src/repro/sim/fluid.py::FluidFlowSimulator._warm_fill",
         oracle="src/repro/sim/fluid.py::FluidFlowSimulator._compute_rates_reference",
-        primary_fingerprint="b3d6cb1a56ff8bc2",
+        primary_fingerprint="eb7f3a86227333c0",
         oracle_fingerprint="3f17196d73bd58ca",
         rationale=(
-            "the incremental allocator's share-heap filling must stay "
-            "operand-for-operand identical to the reference's progressive "
-            "filling restricted to the dirty closure"
+            "the incremental allocator's warm-started share-heap filling "
+            "must stay operand-for-operand identical to the reference's "
+            "progressive filling over every active flow"
         ),
     ),
     ParityPair(

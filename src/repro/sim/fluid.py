@@ -15,19 +15,19 @@ The simulator ships two interchangeable allocation engines selected by the
 ``allocator`` constructor argument:
 
 ``"incremental"`` (the default)
-    Tracks a *dirty set* of mutated links and flows.  At each event only
-    the flows reachable from the dirty set through shared links (their
-    *bottleneck component closure*) are re-solved; every other flow keeps
-    its rate, its predicted completion time, and its position in the
-    completion heap.  The closure is re-solved with a share-heap
-    progressive-filling pass that is bit-identical to the reference
-    algorithm restricted to the same sub-problem, so the two allocators
-    produce byte-for-byte equal results -- the parity tests pin this for
-    every registered scenario and controller.  It runs on dense integer
-    link ids (``FluidLink.order``, kept when a key is re-added): routes,
-    per-link member sets, dirty/zero-capacity sets and the filling heap
-    are all id-indexed, so no hot-path operation hashes a ``LinkKey``;
-    keys appear only at the public boundary.
+    Keeps the last progressive filling as a *round log* -- per round its
+    ``(share, bottleneck id)``, the flows it froze and the ``(remaining,
+    count)`` of every link it touched -- and resumes it at the first round
+    ``k*`` an event can change: the first round whose bottleneck is dirty,
+    the terminal round, or the first round a dirty link's new share would
+    have outranked.  Rounds from ``k*`` on are undone and re-solved, and
+    the kept rounds' undo entries for dirty links are rewritten.  The fill
+    starts cold only with no log or a changed zero-capacity set.  A global
+    fill is the reference algorithm on a share heap, so the results are
+    byte-for-byte equal; flows whose rate is unchanged keep their anchor
+    and completion-heap entry.  Everything inside runs on dense integer
+    link ids (``FluidLink.order``, kept when a key is re-added).  See
+    ``docs/architecture.md`` for the full ``k*`` rule.
 
 ``"reference"``
     The original full recompute: a progressive-filling pass over *all*
@@ -166,9 +166,9 @@ class FluidFlowSimulator:
     flow_rate_limit_bps:
         Optional per-flow cap modelling the sender NIC line rate.
     allocator:
-        ``"incremental"`` (dirty-set max-min with a completion heap, the
-        default) or ``"reference"`` (full recompute every event; the
-        oracle the incremental engine is pinned against).  Both produce
+        ``"incremental"`` (warm-started max-min filling with a completion
+        heap, the default) or ``"reference"`` (full recompute every event;
+        the oracle the incremental engine is pinned against).  Both produce
         bit-identical results; see the module docstring.
     max_events:
         Default lifetime event budget, counted cumulatively across
@@ -219,22 +219,34 @@ class FluidFlowSimulator:
         self._controller_next: List[float] = []
         # --- shared allocation chassis ---------------------------------- #
         #: Active flows crossing each link, indexed by link id (maintained
-        #: on admit, complete and reroute); the graph the dirty-set closure
-        #: walks.
+        #: on admit, complete and reroute).
         self._flows_on_link: List[Set[int]] = []
         #: Link ids/flows mutated since the last allocation pass.
         self._dirty_links: Set[int] = set()
         self._dirty_flows: Set[int] = set()
         #: Ids of links with no effective capacity (disabled or zero),
         #: maintained under the same predicate the reference's stall check
-        #: applies -- lets the closure solver skip the per-flow stall scan
-        #: entirely when every link is up (the common case).
+        #: applies.
         self._zero_capacity_links: Set[int] = set()
-        #: Scratch of the filling pass, indexed by link id and reused across
-        #: passes (every entry a pass reads, that pass initialised): each
-        #: link's remaining capacity and the version of its live heap entry.
+        #: Per flow, ``(link id, extra crossings)`` for each link its route
+        #: crosses more than once (filling subtracts per crossing, counts once).
+        self._route_repeats: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        #: Round log.  Per link id: remaining capacity, unfrozen flow count
+        #: and heap-entry version.  Per round: ``(share, bottleneck id,
+        #: sorted frozen flows, {link id: (remaining, count) before})``.
+        #: Per flow: the round that froze it (-1 if stalled).  A terminal
+        #: NIC-limit round is logged last, under bottleneck id -1.
         self._fill_remaining: List[float] = []
+        self._fill_count: List[int] = []
         self._fill_version: List[int] = []
+        self._fill_log: List[Tuple[float, int, List[int], Dict[int, Tuple[float, int]]]] = []
+        self._fill_round_of: Dict[int, int] = {}
+        #: Zero-capacity set the log was filled under (None: no log yet).
+        self._fill_zero: Optional[Set[int]] = None
+        #: Warm-start hit counters; never part of a result or a row.
+        self.fill_stats: Dict[str, int] = dict.fromkeys(
+            ("solves", "cold_solves", "rounds_reused", "rounds_resolved"), 0
+        )
         #: Anchored progress: remaining volume at the instant the flow's
         #: rate last changed, and that instant.  ``remaining(t) =
         #: anchor_rem - rate * (t - anchor_time)`` -- no per-event flow
@@ -279,6 +291,7 @@ class FluidFlowSimulator:
             self._link_by_id.append(link)
             self._flows_on_link.append(set())
             self._fill_remaining.append(0.0)
+            self._fill_count.append(0)
             self._fill_version.append(0)
         self._links[key] = link
         self._dirty_links.add(link.order)
@@ -367,8 +380,8 @@ class FluidFlowSimulator:
         """Move an active flow onto a new path.
 
         The flow's current rate moves with it immediately (link load
-        accounting stays exact); the next allocation pass re-solves every
-        flow sharing a link with either the old or the new path.
+        accounting stays exact); both paths' links are dirty for the next
+        allocation pass.
         """
         if flow_id not in self._active:
             raise KeyError(f"flow {flow_id} is not active")
@@ -380,8 +393,7 @@ class FluidFlowSimulator:
         rate = self._rates.get(flow_id, 0.0)
         self._detach(flow_id, rate)
         self._routes[flow_id] = list(new_path)
-        route_ids = tuple(self._links[key].order for key in new_path)
-        self._route_ids[flow_id] = route_ids
+        route_ids = self._set_route_ids(flow_id, new_path)
         for lid in route_ids:
             link = self._link_by_id[lid]
             self._integrate_link(link)
@@ -517,131 +529,161 @@ class FluidFlowSimulator:
         return rates
 
     # ------------------------------------------------------------------ #
-    # Incremental allocator (dirty-set closure + share-heap filling)
+    # Incremental allocator (share-heap filling, warm-started from a log)
     # ------------------------------------------------------------------ #
-    def _dirty_closure(self) -> Set[int]:
-        """Flows reachable from the dirty set through shared links.
+    def _warm_fill(self) -> Dict[int, float]:
+        """Progressive filling over every active flow, resumed at round ``k*``.
 
-        The closure is closed in both directions -- every flow on a dirty
-        or closure link and every flow sharing a link with such a flow is
-        included -- so the restricted filling sub-problem is
-        self-contained: no capacity on a closure flow's link is consumed
-        by a flow outside the closure.  Rates of flows outside the closure
-        are provably unchanged (the allocation of a bottleneck component
-        is a deterministic function of that component alone), which is the
-        dirty-set invariant the docs state.
-        """
-        route_ids = self._route_ids
-        flows_on_link = self._flows_on_link
-        flow_stack = [fid for fid in self._dirty_flows if fid in self._active]
-        seen_flows: Set[int] = set(flow_stack)
-        link_stack = list(self._dirty_links)
-        seen_links: Set[int] = set(link_stack)
-        while flow_stack or link_stack:
-            while flow_stack:
-                for lid in route_ids[flow_stack.pop()]:
-                    if lid not in seen_links:
-                        seen_links.add(lid)
-                        link_stack.append(lid)
-            while link_stack:
-                new_flows = flows_on_link[link_stack.pop()] - seen_flows
-                if new_flows:
-                    seen_flows |= new_flows
-                    flow_stack.extend(new_flows)
-        return seen_flows
-
-    def _solve_closure(self, flow_ids: Set[int]) -> Dict[int, float]:
-        """Progressive filling over one closed sub-problem.
-
-        Bit-identical to :meth:`_compute_rates_reference` restricted to
-        *flow_ids* and the links they cross: the bottleneck each round is
-        the minimum ``remaining / count`` share with ties broken by link id
-        -- the registration order, i.e. the reference's dict-iteration
-        order -- and every arithmetic operation -- share division,
-        ``max(0, remaining - share)`` subtraction, the NIC-limit
-        short-circuit -- mirrors the reference's operand-for-operand.
-        Implemented with a lazy-invalidation heap of ``(share, link id,
-        version)`` entries so a full pass costs O(sum of path lengths x log
-        links) instead of O(rounds x links x set-intersections).
+        Bit-identical to :meth:`_compute_rates_reference`: each round's
+        bottleneck is the minimum ``(remaining / count, link id)`` -- the id
+        being the reference's dict-iteration order -- and every operation
+        (share division, ``max(0, remaining - share)``, the NIC-limit
+        short-circuit) mirrors the reference's operand-for-operand.  See the
+        module docstring for the ``k*`` rule.  Returns the rate of every
+        flow the re-solved suffix froze and of every newly stalled flow.
         """
         routes = self._route_ids
+        flows_on_link = self._flows_on_link
         link_by_id = self._link_by_id
-        rates: Dict[int, float] = {}
+        remaining, count, version = self._fill_remaining, self._fill_count, self._fill_version
+        log, round_of = self._fill_log, self._fill_round_of
         zero_caps = self._zero_capacity_links
-        if zero_caps:
-            unassigned: Set[int] = set()
-            for fid in flow_ids:
-                if zero_caps.isdisjoint(routes[fid]):
-                    unassigned.add(fid)
-                else:
-                    rates[fid] = 0.0
+        stats = self.fill_stats
+        stats["solves"] += 1
+        if self._fill_zero != zero_caps:
+            stats["cold_solves"] += 1
+            log.clear()
+            round_of.clear()
+            self._fill_zero = set(zero_caps)
+            dirty = set(range(len(link_by_id)))
+            dirty_flows = list(self._active)
         else:
-            unassigned = set(flow_ids)
+            dirty = set(self._dirty_links)
+            dirty_flows = [fid for fid in self._dirty_flows if fid in self._active]
+        rates: Dict[int, float] = {}
+        unassigned: Set[int] = set()
+        for fid in dirty_flows:
+            round_of.pop(fid, None)
+            route = routes[fid]
+            dirty.update(route)
+            if zero_caps and not zero_caps.isdisjoint(route):
+                round_of[fid] = -1
+                rates[fid] = 0.0
+            else:
+                unassigned.add(fid)
 
-        members: Dict[int, Set[int]] = {}
-        for fid in unassigned:
-            for lid in routes[fid]:
-                live = members.get(lid)
-                if live is None:
-                    members[lid] = {fid}
-                else:
-                    live.add(fid)
-        remaining = self._fill_remaining
-        version = self._fill_version
-        share_heap: List[Tuple[float, int, int]] = []
-        for lid, live in members.items():
-            link = link_by_id[lid]
-            # effective_capacity, inlined: this loop runs once per closure link.
-            capacity = link.capacity_bps if link.enabled else 0.0
-            remaining[lid] = capacity
-            version[lid] = 0
-            share_heap.append((capacity / len(live), lid, 0))
+        # k*: the terminal round or the first with a dirty bottleneck, or
+        # earlier where a dirty link's new (share, id) would have outranked
+        # the logged round.  Each state of a dirty link d is checked against
+        # the rounds up to the next one that freezes a flow of d; the plan
+        # keeps d's (remaining, count) before each such round.
+        k_star = next(
+            (j for j, entry in enumerate(log) if entry[1] < 0 or entry[1] in dirty), len(log)
+        )
+        plans = []
+        for d in sorted(dirty):
+            rem = link_by_id[d].effective_capacity
+            rounds = [(round_of.get(fid, k_star), fid) for fid in flows_on_link[d]]
+            cnt = sum(1 for r, _ in rounds if r >= 0)
+            events = sorted(event for event in rounds if 0 <= event[0] < k_star)
+            timeline = []
+            j = 0
+            for r, fid in events:
+                if j <= r:
+                    # Log entries compare on (share, bottleneck id) first;
+                    # d is the bottleneck of no round before k*.
+                    key = (rem / cnt, d)
+                    while j <= r and key > log[j]:
+                        j += 1
+                    if j <= r:
+                        break
+                    timeline.append((r, (rem, cnt)))
+                share = log[r][0]
+                for _ in range(routes[fid].count(d)):
+                    value = rem - share
+                    rem = value if value > 0.0 else 0.0
+                cnt -= 1
+            if cnt:
+                key = (rem / cnt, d)
+                while j < k_star and key > log[j]:
+                    j += 1
+                k_star = j
+            plans.append((d, timeline, (rem, cnt)))
+
+        # Roll back rounds k*.., latest first.
+        for k in range(len(log) - 1, k_star - 1, -1):
+            for lid, before in log[k][3].items():
+                remaining[lid], count[lid] = before
+            for fid in log[k][2]:
+                if round_of.get(fid) == k:
+                    del round_of[fid]
+                    unassigned.add(fid)
+        del log[k_star:]
+        # Dirty links take their state at k*; kept rounds' undo entries for
+        # them are rewritten, or a later rollback restores stale values.
+        for d, timeline, state in plans:
+            for r, before in timeline:
+                if r >= k_star:
+                    state = before
+                    break
+                log[r][3][d] = before
+            remaining[d], count[d] = state
+
+        share_heap = [
+            (remaining[lid] / count[lid], lid, version[lid])
+            for lid in {lid for fid in unassigned for lid in routes[fid]}
+        ]
         heapq.heapify(share_heap)
-
+        repeats = self._route_repeats
         limit = self.flow_rate_limit_bps
         heappush, heappop = heapq.heappush, heapq.heappop
         while unassigned:
-            bottleneck = None
-            bottleneck_share = math.inf
             while share_heap:
-                share, lid, ver = heappop(share_heap)
-                if version[lid] != ver or not members[lid]:
-                    continue
-                bottleneck, bottleneck_share = lid, share
-                break
-            if bottleneck is None:
+                bottleneck_share, bottleneck, ver = heappop(share_heap)
+                if version[bottleneck] == ver:
+                    break
+            else:
+                bottleneck = None
+            k = len(log)
+            if bottleneck is None or (limit is not None and limit < bottleneck_share):
+                # Terminal round: every unfrozen flow gets the NIC limit (or
+                # no bound at all); logged under bottleneck id -1.
+                value = limit if limit is not None else math.inf
                 for fid in unassigned:
-                    rates[fid] = limit if limit is not None else math.inf
-                break
-            if limit is not None and limit < bottleneck_share:
-                for fid in unassigned:
-                    rates[fid] = limit
+                    rates[fid] = value
+                    round_of[fid] = k
+                log.append((value, -1, list(unassigned), {}))
                 break
             # Sorted mirrors the reference's saturated pass (same constant
             # subtrahend per link => same floats under any order) without
-            # inheriting set hash layout; sorted() also snapshots, so the
-            # discard below cannot perturb the iteration.
-            saturated = sorted(members[bottleneck])
-            touched: Set[int] = set()
+            # inheriting set hash layout.
+            saturated = sorted(flows_on_link[bottleneck] & unassigned)
+            undo: Dict[int, Tuple[float, int]] = {}
             for fid in saturated:
                 rates[fid] = bottleneck_share
+                round_of[fid] = k
                 unassigned.discard(fid)
                 for lid in routes[fid]:
+                    if lid not in undo:
+                        undo[lid] = (remaining[lid], count[lid])
                     # Same arithmetic as the reference's max(0.0, x - share):
                     # equal operands, equal rounding, minus the call.
                     value = remaining[lid] - bottleneck_share
                     remaining[lid] = value if value > 0.0 else 0.0
-                    members[lid].discard(fid)
-                    touched.add(lid)
+                    count[lid] -= 1
+                for lid, extra in repeats[fid]:
+                    count[lid] += extra
             remaining[bottleneck] = 0.0
+            log.append((bottleneck_share, bottleneck, saturated, undo))
             # Id (= registration) order, not set order.  Heap entries are
             # totally ordered, so push order never changes pop order --
             # this is hygiene, pinned by the parity suite.
-            for lid in sorted(touched):
+            for lid in sorted(undo):
                 version[lid] += 1
-                live = members[lid]
-                if live:
-                    heappush(share_heap, (remaining[lid] / len(live), lid, version[lid]))
+                if count[lid]:
+                    heappush(share_heap, (remaining[lid] / count[lid], lid, version[lid]))
+        stats["rounds_reused"] += k_star
+        stats["rounds_resolved"] += len(log) - k_star
         return rates
 
     # ------------------------------------------------------------------ #
@@ -650,18 +692,19 @@ class FluidFlowSimulator:
     def _reallocate(self) -> None:
         """Bring ``_rates`` up to date after this event's mutations.
 
-        Reference mode recomputes everything; incremental mode solves only
-        the dirty closure.  Either way, updates are applied through
-        :meth:`_set_rate` in admission-sequence order for flows whose rate
-        *value* actually changed -- so anchors, completion predictions and
-        link-load floats evolve identically under both allocators.
+        Reference mode recomputes everything; incremental mode resumes the
+        logged fill at the first round this event can change.  Either way,
+        updates are applied through :meth:`_set_rate` in admission-sequence
+        order for flows whose rate *value* actually changed -- so anchors,
+        completion predictions and link-load floats evolve identically
+        under both allocators.
         """
         if self.allocator == "reference":
             solved = self._compute_rates_reference()
         else:
             if not self._dirty_links and not self._dirty_flows:
                 return
-            solved = self._solve_closure(self._dirty_closure())
+            solved = self._warm_fill()
         self._dirty_links.clear()
         self._dirty_flows.clear()
         changed = [
@@ -879,8 +922,7 @@ class FluidFlowSimulator:
         flow_id = flow.flow_id
         self._active[flow_id] = flow
         self._routes[flow_id] = path
-        route_ids = tuple(self._links[key].order for key in path)
-        self._route_ids[flow_id] = route_ids
+        route_ids = self._set_route_ids(flow_id, path)
         flow.path = [str(key) for key in path]
         self._seq[flow_id] = self._admit_counter
         self._admit_counter += 1
@@ -899,6 +941,15 @@ class FluidFlowSimulator:
             dst=flow.dst,
             size_bits=flow.size_bits,
         )
+
+    def _set_route_ids(self, flow_id: int, path: Sequence[LinkKey]) -> Tuple[int, ...]:
+        route_ids = self._route_ids[flow_id] = tuple(self._links[key].order for key in path)
+        self._route_repeats[flow_id] = tuple(
+            (lid, route_ids.count(lid) - 1)
+            for lid in sorted(set(route_ids))
+            if route_ids.count(lid) > 1
+        )
+        return route_ids
 
     def _detach(self, flow_id: int, rate: float) -> None:
         """Take a flow's rate and membership off every link of its route."""
@@ -919,6 +970,8 @@ class FluidFlowSimulator:
         self._detach(flow_id, rate)
         del self._routes[flow_id]
         del self._route_ids[flow_id]
+        self._route_repeats.pop(flow_id, None)
+        self._fill_round_of.pop(flow_id, None)
         self._anchor_time.pop(flow_id, None)
         self._anchor_rem.pop(flow_id, None)
         self._eta.pop(flow_id, None)

@@ -321,3 +321,70 @@ def test_crc_power_cap_policy_enforced_via_config():
         crc.control_step(float(step), utilisation)
     assert fabric.power_report().total_watts < cap * 1.05
     assert fabric.power_budget.peak_watts() > 0
+
+
+def _isolate_corner(fabric):
+    """Cut n0x0 off a 3x3 grid, so every pair with it has no path."""
+    fabric.topology.remove_link("n0x0", "n0x1")
+    fabric.topology.remove_link("n0x0", "n1x0")
+    fabric.invalidate_routes()
+
+
+def test_bypass_policy_skips_a_disconnected_pair_only():
+    fabric = make_fabric()
+    _isolate_corner(fabric)
+    policy = BypassPolicy(min_demand_bits=1e6)
+    commands = policy.decide(
+        observation_for(fabric, hot_pairs=[("n0x0", "n2x2", 2e9), ("n0x1", "n2x2", 1e9)])
+    )
+    assert [cmd.endpoints for cmd in commands] == [("n0x1", "n2x2")]
+
+
+def test_bypass_policy_propagates_unrelated_routing_errors(monkeypatch):
+    fabric = make_fabric()
+
+    def broken(src, dst, flow_id=None):
+        raise RuntimeError("router bug")
+
+    monkeypatch.setattr(fabric.router, "path", broken)
+    policy = BypassPolicy(min_demand_bits=1e6)
+    with pytest.raises(RuntimeError, match="router bug"):
+        policy.decide(observation_for(fabric, hot_pairs=[("n0x0", "n2x2", 1e9)]))
+
+
+def _crc_with_active_flows():
+    fabric = make_fabric(3, 3)
+    crc = ClosedRingControl(fabric, CRCConfig(enable_bypass=False))
+    simulator = FluidFlowSimulator()
+    for key, capacity in fabric.directed_capacities().items():
+        simulator.add_link(key, capacity)
+    flows = [Flow("n0x0", "n2x2", megabytes(4)), Flow("n0x1", "n2x2", megabytes(4))]
+    for flow in flows:
+        simulator.add_flow(flow, fabric.route_keys(flow.src, flow.dst, flow.flow_id))
+    simulator.run(until=microseconds(1))
+    return fabric, crc, simulator, flows
+
+
+def test_crc_reroute_skips_a_disconnected_pair_only():
+    fabric, crc, simulator, flows = _crc_with_active_flows()
+    stranded, movable = flows
+    old_route = simulator.route_of(stranded.flow_id)
+    _isolate_corner(fabric)
+    fabric.topology.remove_link(*simulator.route_of(movable.flow_id)[-1])
+    fabric.invalidate_routes()
+    expected = fabric.route_keys(movable.src, movable.dst, movable.flow_id)
+    assert expected != simulator.route_of(movable.flow_id)
+    crc.reroute_active_flows(simulator)
+    assert simulator.route_of(stranded.flow_id) == old_route
+    assert simulator.route_of(movable.flow_id) == expected
+
+
+def test_crc_reroute_propagates_unrelated_routing_errors(monkeypatch):
+    fabric, crc, simulator, _flows = _crc_with_active_flows()
+
+    def broken(src, dst, flow_id=None):
+        raise RuntimeError("router bug")
+
+    monkeypatch.setattr(fabric, "route_keys", broken)
+    with pytest.raises(RuntimeError, match="router bug"):
+        crc.reroute_active_flows(simulator)

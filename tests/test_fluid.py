@@ -360,35 +360,46 @@ def test_noop_mutations_do_not_dirty_the_incremental_allocator():
 
 
 def test_completion_on_one_component_does_not_resolve_the_other():
-    # Two disjoint bottlenecks: finishing a flow on "ab" must re-solve only
-    # the "ab" component; the "bc" flows keep their rates untouched.
+    # Two disjoint bottlenecks: finishing the flow on "ab" must leave the
+    # "bc" flows alone -- their filling round is reused from the log, and
+    # they are never re-anchored, so their completion-heap entries stay.
     sim = make_sim()
     short = Flow("a", "b", 100.0)
     sim.add_flow(short, ["ab"])
     others = [Flow("b", "c", 1000.0), Flow("b", "c", 1000.0)]
     for flow in others:
         sim.add_flow(flow, ["bc"])
+    sim.run(until=0.5)
+    other_ids = {flow.flow_id for flow in others}
 
-    closures = []
-    original = sim._solve_closure
+    def others_state():
+        return (
+            sorted(entry for entry in sim._completion_heap if entry[2] in other_ids),
+            {fid: (sim._anchor_time[fid], sim._anchor_rem[fid]) for fid in other_ids},
+        )
 
-    def recording(flow_ids):
-        closures.append(set(flow_ids))
-        return original(flow_ids)
+    before = others_state()
+    stats_before = dict(sim.fill_stats)
+    reanchored = []
+    original = sim._set_rate
 
-    sim._solve_closure = recording
-    sim.run()
+    def recording(flow_id, new_rate):
+        reanchored.append(flow_id)
+        return original(flow_id, new_rate)
+
+    sim._set_rate = recording
+    sim.run(until=2.0)
     assert short.fct == pytest.approx(1.0)
+    assert reanchored == []
+    assert others_state() == before
+    # One warm solve at the completion: the "bc" round is kept, and the
+    # "ab" round goes with the flow it froze.
+    assert sim.fill_stats["solves"] == stats_before["solves"] + 1
+    assert sim.fill_stats["cold_solves"] == stats_before["cold_solves"]
+    assert sim.fill_stats["rounds_reused"] == stats_before["rounds_reused"] + 1
+    assert sim.fill_stats["rounds_resolved"] == stats_before["rounds_resolved"]
+    sim.run()
     assert all(flow.fct == pytest.approx(20.0) for flow in others)
-    # The admission batch solves all three flows in one pass.
-    admit_index = next(index for index, ids in enumerate(closures) if ids)
-    assert closures[admit_index] == {
-        short.flow_id, others[0].flow_id, others[1].flow_id
-    }
-    # When "short" completes at t=1 only the "ab" component is re-solved --
-    # it has no flows left, so the closure is empty and the "bc" flows'
-    # rates (and heap entries) are never touched.
-    assert closures[admit_index + 1] == set()
 
 
 def _assert_link_mirrors_agree(sim):

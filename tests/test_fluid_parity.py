@@ -1,13 +1,15 @@
 """Allocator parity: incremental vs reference, pinned bit-identical.
 
-The incremental allocator (dirty-set closure + share-heap filling + lazy
-completion heap) must be indistinguishable from the reference full
-recompute -- not approximately, *bit for bit*.  These tests pin that for
-every registered scenario crossed with every built-in controller, and for
+The incremental allocator (share-heap filling warm-started from a round
+log + lazy completion heap) must be indistinguishable from the reference
+full recompute -- not approximately, *bit for bit*.  These tests pin that
+for every registered scenario crossed with every built-in controller, for
 the resumable-run edge cases a co-simulating controller exercises
 (mid-run controller registration with a stale offset, reroutes between
 ``run(until=...)`` calls, and completion/arrival/controller timestamp
-ties).
+ties), for the warm start's own traps (a rollback through a rewritten
+undo entry, routes that repeat a link), and for generated mutation
+sequences on small grids.
 
 The rack-scale scenarios run here with downsized overrides -- the
 reference allocator is O(links x flows) per event, which is exactly why it
@@ -18,6 +20,8 @@ for the speedup guard at scale).
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.scenarios import ScenarioError, run_scenario, scenario_names
 from repro.sim.flow import Flow, reset_flow_ids
@@ -291,3 +295,195 @@ def test_toggling_a_link_shared_by_stalled_and_live_flows_is_identical():
     assert rates[0][stalled.flow_id] == 0.0 and rates[0][live.flow_id] > 0.0
     assert rates[1][live.flow_id] == 0.0
     assert rates[2][live.flow_id] > 0.0 and rates[2][stalled.flow_id] == 0.0
+
+
+def test_repeated_link_in_a_route_is_identical():
+    # A route that crosses "loop" twice subtracts the share twice there
+    # but counts the flow once; the warm start must keep both.
+    snapshots = []
+    for sim in _paired_sims():
+        reset_flow_ids()
+        for key, capacity in (("in", 100.0), ("loop", 90.0), ("out", 70.0)):
+            sim.add_link(key, capacity)
+        twice = Flow("a", "b", 800.0)
+        once = Flow("a", "b", 900.0)
+        late = Flow("a", "b", 300.0, start_time=2.0)
+        flows = [twice, once, late]
+        sim.add_flow(twice, ["in", "loop", "out", "loop"])
+        sim.add_flow(once, ["loop"])
+        sim.add_flow(late, ["out"])
+        stages = []
+        for until in (1.0, 3.0):
+            sim.run(until=until)
+            stages.append(_snapshot(sim, flows))
+        sim.set_capacity("in", 20.0)
+        result = sim.run()
+        stages.append(_snapshot(sim, flows, result))
+        snapshots.append(stages)
+    assert snapshots[0] == snapshots[1]
+
+
+def test_rollback_through_a_rewritten_undo_entry_is_identical():
+    # Round 0 freezes "first" on bottleneck "x" and touches "l"; round 1
+    # freezes "second" on "l".  Cutting "l" to 60 keeps round 0 (k* = 1)
+    # and must rewrite round 0's undo entry for "l" to the new capacity:
+    # raising "x" next rolls round 0 back (k* = 0), and a stale entry
+    # would restore "l" at 100 and hand both flows 50 instead of 30.
+    snapshots = []
+    stats = []
+    for sim in _paired_sims():
+        reset_flow_ids()
+        sim.add_link("x", 10.0)
+        sim.add_link("l", 100.0)
+        first = Flow("a", "b", 5000.0)
+        second = Flow("a", "b", 5000.0)
+        flows = [first, second]
+        sim.add_flow(first, ["x", "l"])
+        sim.add_flow(second, ["l"])
+        stages = []
+        for until, key, capacity in ((1.0, "l", 60.0), (2.0, "x", 200.0), (3.0, None, None)):
+            sim.run(until=until)
+            stages.append(_snapshot(sim, flows))
+            stats.append(dict(sim.fill_stats))
+            if key is not None:
+                sim.set_capacity(key, capacity)
+        result = sim.run()
+        stages.append(_snapshot(sim, flows, result))
+        snapshots.append(stages)
+    assert snapshots[0] == snapshots[1]
+    rates = [stage["rates"] for stage in snapshots[0]]
+    assert rates[1] == {first.flow_id: 10.0, second.flow_id: 50.0}
+    assert rates[2] == {first.flow_id: 30.0, second.flow_id: 30.0}
+    incremental = stats[3:]
+    # The capacity cut reused round 0; the raise re-solved from round 0.
+    assert incremental[1]["rounds_reused"] - incremental[0]["rounds_reused"] == 1
+    assert incremental[2]["rounds_reused"] == incremental[1]["rounds_reused"]
+    assert incremental[2]["cold_solves"] == 1
+
+
+# --------------------------------------------------------------------------- #
+# Generated mutation sequences: reference == incremental after every step
+# --------------------------------------------------------------------------- #
+def _grid_links(rows, columns):
+    """Directed links of a rows x columns grid (a line when rows == 1)."""
+    links = []
+    for r in range(rows):
+        for c in range(columns):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < rows and c + dc < columns:
+                    links.append(((r, c), (r + dr, c + dc)))
+                    links.append(((r + dr, c + dc), (r, c)))
+    return links
+
+
+def _grid_route(src, dst, order):
+    """Dimension-order route: columns first for "xy", rows first for "yx"."""
+    (r, c), route = src, []
+    for axis in order:
+        target = dst[1] if axis == "x" else dst[0]
+        while (c if axis == "x" else r) != target:
+            step = 1 if target > (c if axis == "x" else r) else -1
+            nxt = (r, c + step) if axis == "x" else (r + step, c)
+            route.append(((r, c), nxt))
+            r, c = nxt
+    return route
+
+
+#: 1e-10 lies under the stall threshold without being zero.
+_CAPACITIES = st.sampled_from([0.0, 1e-10, 10.0, 25.0, 40.0, 100.0])
+_SIZES = st.sampled_from([50.0, 200.0, 600.0])
+_ORDERS = st.sampled_from(["xy", "yx"])
+
+
+@st.composite
+def _mutation_scripts(draw):
+    rows = draw(st.integers(1, 2))
+    columns = draw(st.integers(2, 4))
+    links = _grid_links(rows, columns)
+    node = st.tuples(st.integers(0, rows - 1), st.integers(0, columns - 1))
+    pair = st.tuples(node, node).filter(lambda p: p[0] != p[1])
+    link_index = st.integers(0, len(links) - 1)
+    capacities = draw(st.lists(_CAPACITIES, min_size=len(links), max_size=len(links)))
+    flows = draw(st.lists(
+        st.tuples(pair, _SIZES, st.sampled_from([0.0, 0.0, 1.0, 2.5]), _ORDERS),
+        min_size=1, max_size=8,
+    ))
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("run"), st.sampled_from([0.5, 1.0, 3.0])),
+        st.tuples(st.just("arrive"), pair, _SIZES, _ORDERS),
+        st.tuples(st.just("reroute"), st.integers(0, 7), _ORDERS),
+        st.tuples(st.just("capacity"), link_index, _CAPACITIES),
+        st.tuples(st.just("enabled"), link_index, st.booleans()),
+        st.tuples(st.just("replace"), link_index, _CAPACITIES),
+    ), max_size=12))
+    limit = draw(st.sampled_from([None, None, 15.0, 30.0]))
+    return links, capacities, flows, ops, limit
+
+
+def _drive(sim, script):
+    """Apply one generated script; snapshot after every step."""
+    links, capacities, flow_specs, ops, _limit = script
+    reset_flow_ids()
+    for key, capacity in zip(links, capacities):
+        sim.add_link(key, capacity)
+    flows, ends = [], {}
+
+    def admit(pair, size, start, order):
+        flow = Flow(str(pair[0]), str(pair[1]), size, start_time=start)
+        sim.add_flow(flow, _grid_route(pair[0], pair[1], order))
+        flows.append(flow)
+        ends[flow.flow_id] = pair
+
+    for pair, size, start, order in flow_specs:
+        admit(pair, size, start, order)
+    horizon = 0.0
+    stages = []
+    for op in ops:
+        kind = op[0]
+        if kind == "run":
+            horizon += op[1]
+            sim.run(until=horizon)
+        elif kind == "arrive":
+            admit(op[1], op[2], max(horizon, sim.now), op[3])
+        elif kind == "reroute":
+            active = sorted(sim.active_flow_rates())
+            if active:
+                flow_id = active[op[1] % len(active)]
+                src, dst = ends[flow_id]
+                sim.reroute(flow_id, _grid_route(src, dst, op[2]))
+        elif kind == "capacity":
+            sim.set_capacity(links[op[1]], op[2])
+        elif kind == "enabled":
+            sim.set_enabled(links[op[1]], op[2])
+        else:
+            sim.add_link(links[op[1]], op[2])
+        stages.append(_snapshot(sim, flows))
+    result = sim.run()
+    stages.append(_snapshot(sim, flows, result))
+    return stages
+
+
+@settings(max_examples=120, deadline=None)
+@given(script=_mutation_scripts())
+def test_generated_mutation_sequences_are_bit_identical(script):
+    reference, incremental = _paired_sims(flow_rate_limit_bps=script[-1])
+    assert _drive(reference, script) == _drive(incremental, script)
+
+
+def test_warm_start_counters_report_reuse_without_changing_a_bit():
+    # Staggered arrivals on a 1x4 line: most events keep a prefix of the
+    # previous fill.  The counters say so, and the run stays bit-identical
+    # to the reference (which never touches them).
+    links = _grid_links(1, 4)
+    pairs = [((0, 0), (0, 3)), ((0, 1), (0, 2)), ((0, 3), (0, 0)), ((0, 2), (0, 3))]
+    flows = [
+        (pairs[index % len(pairs)], 200.0 + 50.0 * index, 0.3 * index, "xy")
+        for index in range(12)
+    ]
+    script = (links, [40.0, 100.0] * (len(links) // 2), flows, [], None)
+    reference, incremental = _paired_sims()
+    assert _drive(reference, script) == _drive(incremental, script)
+    stats = incremental.fill_stats
+    assert stats["solves"] > stats["cold_solves"] == 1
+    assert stats["rounds_reused"] > 0 and stats["rounds_resolved"] > 0
+    assert set(reference.fill_stats.values()) == {0}
