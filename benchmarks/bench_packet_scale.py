@@ -30,22 +30,14 @@ batched engine is at least ``SPEEDUP_FLOOR`` times faster *and* that both
 engines report bit-identical metrics (the parity contract, enforced at
 benchmark scale, not just on the small parity-suite scenarios).
 
-Since the sharded engine landed (``engine="sharded"``), both modes also
-run the **sharded speedup gate**: four traffic islands (one per quadrant
-of the grid, so the traffic-closure partitioner actually gets four
-independent shards) at full scale -- ~648k packets, the regime the
-ROADMAP's ">= 5x at 648k packets" open item names.  The gate asserts the
-sharded engine clears ``SHARD_SPEEDUP_FLOOR`` over the event engine on
-CPU time, that the two report bit-identical metrics, and reports
-packets/sec.  The batched engine runs the same workload interleaved with
-them, so the record also states what sharding buys over the next-simplest
-engine with the same bits (``sharded_over_batched``), not only over the
-event oracle.  The measured row is written to ``BENCH_packet_shard.json``
-so CI archives the throughput record.
-Dispatch is pinned to ``inline`` for the measurement: ``process_time``
-only meters the parent process, so letting the coordinator fan out to
-worker processes would under-count the sharded engine's own work and
-flatter the ratio.
+Both modes also run the **island speedup gate** at full scale: four
+traffic islands (all traffic stays inside one quadrant of the grid) of fat
+flows at a paced arrival rate -- ~648k packets, the regime the ">= 5x at
+648k packets" target names.  The gate asserts the batched engine clears
+``ISLAND_SPEEDUP_FLOOR`` over the event engine on CPU time, that the two
+report bit-identical metrics, and reports packets/sec.  The measured row
+is written to ``BENCH_packet_scale.json`` so CI archives the throughput
+record.
 
 Run directly for the full guard, or with ``--quick`` for the CI smoke
 variant::
@@ -58,7 +50,6 @@ stays fast.
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -106,33 +97,27 @@ SPEEDUP_SEED = 13
 QUICK_SPEEDUP_REPS = 2
 FULL_SPEEDUP_REPS = 3
 #: The acceptance floor.  Measured headroom is ~5.7-6.7x on a loaded CI
-#: box; the ROADMAP target for the *next* step (spatial sharding across
-#: processes) is >= 10x.
+#: box.
 SPEEDUP_FLOOR = 5.0
 
-#: Sharded-engine gate: the ROADMAP's "648k-packet" full workload.  Four
-#: islands of all-within-quadrant traffic on the 8x8 grid give the
-#: traffic-closure partitioner four link-disjoint shards; fat flows at a
-#: paced arrival rate keep per-port FIFO trains long.  ~647k packets
-#: injected end to end.
-SHARD_FLOWS_PER_ISLAND = 64
-SHARD_MEAN_MB = 3.45
-SHARD_ARRIVAL_RATE = 51200.0
-SHARD_SEED = 13
-SHARD_COUNT = 4
+#: Island gate: the "648k-packet" full workload.  Four islands of
+#: all-within-quadrant traffic on the 8x8 grid; fat flows at a paced
+#: arrival rate keep per-port FIFO trains long.  ~647k packets injected
+#: end to end.
+FLOWS_PER_ISLAND = 64
+ISLAND_MEAN_MB = 3.45
+ISLAND_ARRIVAL_RATE = 51200.0
+ISLAND_SEED = 13
 #: Minimum injected packets for the gate to count as the full workload --
-#: a workload edit that quietly shrinks the run below the ROADMAP scale
-#: fails here instead of gating a toy.
-SHARD_MIN_PACKETS = 600_000
-#: The acceptance floor over the event engine.  Measured ~5.2-5.3x on a
-#: loaded box; best-of-N CPU time keeps the ratio stable near the floor.
-SHARD_SPEEDUP_FLOOR = 5.0
-QUICK_SHARD_REPS = 1
-FULL_SHARD_REPS = 2
-SHARD_REPORT_PATH = "BENCH_packet_shard.json"
-#: The sharded coordinator reads this to pick worker dispatch; the gate
-#: pins it to "inline" because process_time cannot meter child processes.
-SHARD_DISPATCH_ENV = "REPRO_SHARD_DISPATCH"
+#: a workload edit that quietly shrinks the run below that scale fails
+#: here instead of gating a toy.
+ISLAND_MIN_PACKETS = 600_000
+#: The acceptance floor over the event engine; best-of-N CPU time keeps
+#: the ratio stable.
+ISLAND_SPEEDUP_FLOOR = 5.0
+QUICK_ISLAND_REPS = 1
+FULL_ISLAND_REPS = 2
+REPORT_PATH = "BENCH_packet_scale.json"
 
 
 def run_packetised(num_flows, mean_mb, rows=GRID[0], columns=GRID[1], seed=13):
@@ -248,92 +233,68 @@ def _island_workload():
     for index, (_, nodes) in enumerate(sorted(quadrants.items())):
         spec = WorkloadSpec(
             nodes=nodes,
-            mean_flow_size_bits=megabytes(SHARD_MEAN_MB),
-            seed=SHARD_SEED + index,
+            mean_flow_size_bits=megabytes(ISLAND_MEAN_MB),
+            seed=ISLAND_SEED + index,
         )
         flows.extend(
             UniformRandomWorkload(
                 spec,
-                SHARD_FLOWS_PER_ISLAND,
-                arrival_rate_per_second=SHARD_ARRIVAL_RATE,
+                FLOWS_PER_ISLAND,
+                arrival_rate_per_second=ISLAND_ARRIVAL_RATE,
             ).generate()
         )
     return fabric, flows
 
 
-def _timed_shard_run(engine, shards=1):
-    """One sharded-gate run; returns (cpu seconds, metrics, shard count)."""
+def _timed_island_run(engine):
+    """One island-gate run; returns (cpu seconds of backend.run, metrics)."""
     fabric, flows = _island_workload()
-    kwargs = {"shards": shards} if engine == "sharded" else {}
-    backend = PacketBackend(fabric, flows, engine=engine, **kwargs)
-    shard_count = getattr(backend.network, "shard_count", 1)
+    backend = PacketBackend(fabric, flows, engine=engine)
     start = time.process_time()
     backend.run()
     elapsed = time.process_time() - start
-    return elapsed, backend.packet_metrics(), shard_count
+    return elapsed, backend.packet_metrics()
 
 
-def measure_shard_speedup(reps):
-    """Interleaved best-of-*reps* CPU times of the event, batched and
-    sharded engines; the gated ratio is event over sharded."""
-    saved = os.environ.get(SHARD_DISPATCH_ENV)
-    os.environ[SHARD_DISPATCH_ENV] = "inline"
-    try:
-        event_times = []
-        batched_times = []
-        sharded_times = []
-        metrics = {}
-        shard_count = 0
-        for _ in range(reps):
-            elapsed, metrics["event"], _ = _timed_shard_run("event")
-            event_times.append(elapsed)
-            elapsed, metrics["batched"], _ = _timed_shard_run("batched")
-            batched_times.append(elapsed)
-            elapsed, metrics["sharded"], shard_count = _timed_shard_run(
-                "sharded", shards=SHARD_COUNT
-            )
-            sharded_times.append(elapsed)
-    finally:
-        if saved is None:
-            del os.environ[SHARD_DISPATCH_ENV]
-        else:
-            os.environ[SHARD_DISPATCH_ENV] = saved
-    assert metrics["event"] == metrics["batched"] == metrics["sharded"], (
-        "engines diverged on the sharded-gate workload -- the sharded "
-        "engine is only a valid speedup while it is bit-identical"
+def measure_island_speedup(reps):
+    """Interleaved best-of-*reps* CPU times of the event and batched
+    engines on the island workload; the gated ratio is event over batched."""
+    event_times = []
+    batched_times = []
+    metrics = {}
+    for _ in range(reps):
+        elapsed, metrics["event"] = _timed_island_run("event")
+        event_times.append(elapsed)
+        elapsed, metrics["batched"] = _timed_island_run("batched")
+        batched_times.append(elapsed)
+    assert metrics["event"] == metrics["batched"], (
+        "engines diverged on the island workload -- the batched engine is "
+        "only a valid speedup while it is bit-identical"
     )
     event_best = min(event_times)
     batched_best = min(batched_times)
-    sharded_best = min(sharded_times)
-    packets = metrics["sharded"]["packets_injected"]
+    packets = metrics["batched"]["packets_injected"]
     return {
-        "num_flows": 4 * SHARD_FLOWS_PER_ISLAND,
+        "num_flows": 4 * FLOWS_PER_ISLAND,
         "packets": packets,
-        "shards": shard_count,
         "event_seconds": event_best,
         "batched_seconds": batched_best,
-        "sharded_seconds": sharded_best,
-        "speedup": event_best / sharded_best,
-        # Above 1.0 when sharding beats one batched core on the same bits.
-        "sharded_over_batched": batched_best / sharded_best,
-        "packets_per_second": packets / sharded_best,
+        "speedup": event_best / batched_best,
+        "floor": ISLAND_SPEEDUP_FLOOR,
+        "packets_per_second": packets / batched_best,
     }
 
 
-def check_shard_speedup(reps, report_path=SHARD_REPORT_PATH):
-    """Run the sharded gate, write the throughput record, return the row."""
-    row = measure_shard_speedup(reps)
-    assert row["packets"] >= SHARD_MIN_PACKETS, (
-        f"sharded gate injected only {row['packets']} packets -- the gate "
-        f"must run the full >= {SHARD_MIN_PACKETS}-packet workload"
+def check_island_speedup(reps, report_path=REPORT_PATH):
+    """Run the island gate, write the throughput record, return the row."""
+    row = measure_island_speedup(reps)
+    assert row["packets"] >= ISLAND_MIN_PACKETS, (
+        f"island gate injected only {row['packets']} packets -- the gate "
+        f"must run the full >= {ISLAND_MIN_PACKETS}-packet workload"
     )
-    assert row["shards"] == SHARD_COUNT, (
-        f"island workload partitioned into {row['shards']} shards, "
-        f"expected {SHARD_COUNT} -- the gate is not exercising sharding"
-    )
-    assert row["speedup"] >= SHARD_SPEEDUP_FLOOR, (
-        f"sharded engine only {row['speedup']:.1f}x faster than the event "
-        f"engine at {row['packets']} packets (floor {SHARD_SPEEDUP_FLOOR}x)"
+    assert row["speedup"] >= ISLAND_SPEEDUP_FLOOR, (
+        f"batched engine only {row['speedup']:.1f}x faster than the event "
+        f"engine at {row['packets']} packets (floor {ISLAND_SPEEDUP_FLOOR}x)"
     )
     if report_path:
         with open(report_path, "w") as handle:
@@ -387,12 +348,12 @@ def test_batched_engine_is_5x_faster_and_bit_identical():
     assert row["speedup"] >= SPEEDUP_FLOOR
 
 
-def test_sharded_engine_is_5x_faster_at_full_scale():
-    # Always the full ~648k-packet workload -- the sharded gate has no
-    # quick variant because the floor is only meaningful at ROADMAP scale.
+def test_batched_engine_is_5x_faster_on_the_island_workload():
+    # Always the full ~648k-packet workload -- the island gate has no
+    # quick variant because the floor is only meaningful at that scale.
     # No report file from pytest runs; only the CLI writes the record.
-    row = check_shard_speedup(QUICK_SHARD_REPS, report_path=None)
-    assert row["speedup"] >= SHARD_SPEEDUP_FLOOR
+    row = check_island_speedup(QUICK_ISLAND_REPS, report_path=None)
+    assert row["speedup"] >= ISLAND_SPEEDUP_FLOOR
 
 
 # --------------------------------------------------------------------------- #
@@ -410,17 +371,17 @@ def main(argv=None):
         num_flows, mean_mb, budget = QUICK_FLOWS, QUICK_MEAN_MB, QUICK_BUDGET_SECONDS
         loop_overrides, loop_budget = LOOP_QUICK_OVERRIDES, LOOP_QUICK_BUDGET_SECONDS
         speedup_reps = QUICK_SPEEDUP_REPS
-        shard_reps = QUICK_SHARD_REPS
+        island_reps = QUICK_ISLAND_REPS
     else:
         num_flows, mean_mb, budget = FULL_FLOWS, FULL_MEAN_MB, FULL_BUDGET_SECONDS
         loop_overrides, loop_budget = LOOP_FULL_OVERRIDES, LOOP_FULL_BUDGET_SECONDS
         speedup_reps = FULL_SPEEDUP_REPS
-        shard_reps = FULL_SHARD_REPS
+        island_reps = FULL_ISLAND_REPS
     try:
         row = check_scale(num_flows, mean_mb, budget)
         loop_row = check_loop_on_packet(loop_overrides, loop_budget)
         speedup_row = check_engine_speedup(speedup_reps)
-        shard_row = check_shard_speedup(shard_reps)
+        island_row = check_island_speedup(island_reps)
     except AssertionError as error:
         print(f"FAIL: {error}", file=sys.stderr)
         return 1
@@ -443,15 +404,12 @@ def main(argv=None):
         f"-> {speedup_row['speedup']:.1f}x (floor {SPEEDUP_FLOOR}x)"
     )
     print(
-        f"sharded speedup at {shard_row['packets']} packets "
-        f"({shard_row['shards']} island shards): "
-        f"event {shard_row['event_seconds']:.2f}s cpu, "
-        f"batched {shard_row['batched_seconds']:.2f}s cpu, "
-        f"sharded {shard_row['sharded_seconds']:.2f}s cpu "
-        f"-> {shard_row['speedup']:.1f}x over event, "
-        f"{shard_row['sharded_over_batched']:.2f}x over batched "
-        f"({shard_row['packets_per_second']:.0f} packets/s, "
-        f"floor {SHARD_SPEEDUP_FLOOR}x; record in {SHARD_REPORT_PATH})"
+        f"island speedup at {island_row['packets']:.0f} packets: "
+        f"event {island_row['event_seconds']:.2f}s cpu, "
+        f"batched {island_row['batched_seconds']:.2f}s cpu "
+        f"-> {island_row['speedup']:.1f}x "
+        f"({island_row['packets_per_second']:.0f} packets/s, "
+        f"floor {ISLAND_SPEEDUP_FLOOR}x; record in {REPORT_PATH})"
     )
     print("bench_packet_scale OK")
     return 0

@@ -1,10 +1,11 @@
 """Baseline systems the adaptive fabric is compared against.
 
-* :mod:`repro.baselines.static_fabric` -- the same topology and lane budget
-  but no Closed Ring Control: whatever the initial configuration is, it
-  stays.
-* :mod:`repro.baselines.ecmp` -- static fabric with ECMP multi-pathing, the
-  standard packet-switched answer to congestion.
+The static and ECMP baselines are registered controllers (``"static"`` and
+``"ecmp"``, see :mod:`repro.core.controllers`), run through
+:func:`repro.experiments.api.run_experiment` like every other scheme.  This
+package holds the one baseline that is not a controller on the simulated
+fabric:
+
 * :mod:`repro.baselines.circuit` -- an idealised circuit-switched fabric
   (every flow gets a dedicated end-to-end circuit at NIC rate, paying only a
   setup delay), the optimistic bound the reconfigurable-optics literature
@@ -12,11 +13,7 @@
 """
 
 from repro.baselines.circuit import OracleCircuitBaseline
-from repro.baselines.ecmp import run_ecmp_baseline
-from repro.baselines.static_fabric import run_static_baseline
 
 __all__ = [
     "OracleCircuitBaseline",
-    "run_ecmp_baseline",
-    "run_static_baseline",
 ]

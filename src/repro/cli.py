@@ -18,8 +18,6 @@ Examples
     repro-fabric run hotspot_migration --set controller=ecmp
     repro-fabric run uniform-burst --set backend=packet
     repro-fabric run uniform-burst --set backend=packet --set engine=batched
-    repro-fabric run uniform-burst --set backend=packet --set engine=sharded \\
-        --set shards=4
     repro-fabric run hotspot_migration --set backend=packet
     repro-fabric compare hotspot_migration
     repro-fabric compare uniform-burst --set backend=packet
@@ -28,7 +26,7 @@ Examples
     repro-fabric sweep --scenario uniform-burst --grid backend=fluid,packet \\
         --output backends.jsonl
     repro-fabric sweep --scenario uniform-burst --grid backend=packet \\
-        --grid engine=sharded --grid shards=1,2,4 --output shards.jsonl
+        --grid engine=event,batched --output engines.jsonl
     repro-fabric lint --strict
     repro-fabric lint --list-rules
 
@@ -41,9 +39,8 @@ packetised transport over per-port FIFO buffers -- packet rows carry the
 extra drop/retransmission/queueing metrics).  Every controller runs on
 both backends, including the closed control loop (``controller=loop``,
 the default for the dynamic scenarios).  On the packet backend,
-``engine=batched`` selects the train-batched execution engine and
-``engine=sharded`` (with ``shards=N``) the spatially-sharded one --
-metrics are bit-identical to the default ``engine=event``, only faster.
+``engine=batched`` selects the train-batched execution engine -- metrics
+are bit-identical to the default ``engine=event``, only faster.
 """
 
 from __future__ import annotations

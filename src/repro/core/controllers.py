@@ -1,11 +1,9 @@
 """The Controller protocol and its registry.
 
 The paper's core claim is comparative: one fabric, several interchangeable
-control strategies.  Historically each strategy had its own hand-wired
-runner (``run_fluid_experiment``, ``run_control_loop_experiment``, the
-baselines package, ...).  This module makes the strategy itself the
-pluggable unit instead: a :class:`Controller` walks through a fixed
-four-step lifecycle driven by :func:`repro.experiments.api.run_experiment`,
+control strategies.  This module makes the strategy the pluggable unit: a
+:class:`Controller` walks through a fixed four-step lifecycle driven by
+:func:`repro.experiments.api.run_experiment`,
 
 1. :meth:`Controller.prepare` -- see the fabric *before* any flow is
    routed (swap the router, construct the inner control object, ...),
@@ -53,10 +51,9 @@ class ControllerError(ValueError):
 class ControllerSummary:
     """Typed headline counters of one controller run.
 
-    ``data`` carries the controller's raw counter dictionary (the same
-    numbers the legacy ``crc_summary`` dict held); the named properties
-    expose the counters every controller shares, defaulting to zero for
-    controllers that do not track them.
+    ``data`` carries the controller's raw counter dictionary; the named
+    properties expose the counters every controller shares, defaulting to
+    zero for controllers that do not track them.
     """
 
     name: str
@@ -236,19 +233,13 @@ class CrcController(Controller):
     def __init__(
         self,
         config: Optional[CRCConfig] = None,
-        instance: Optional[ClosedRingControl] = None,
         control_period: Optional[float] = None,
         **kwargs: object,
     ) -> None:
-        """Configure via a :class:`CRCConfig` (``config=``), loose
-        :class:`CRCConfig` keyword arguments, or a pre-built
-        :class:`ClosedRingControl` (``instance=``, the legacy-shim path).
+        """Configure via a :class:`CRCConfig` (``config=``) or loose
+        :class:`CRCConfig` keyword arguments.
         """
         super().__init__()
-        if instance is not None and (config is not None or kwargs):
-            raise ControllerError(
-                "controller 'crc': pass either instance= or a configuration, not both"
-            )
         if config is not None and kwargs:
             raise ControllerError(
                 "controller 'crc': pass either config= or CRCConfig kwargs, not both"
@@ -259,21 +250,13 @@ class CrcController(Controller):
             except TypeError as error:
                 raise ControllerError(f"controller 'crc': {error}") from None
         self._config = config
-        self._instance = instance
         self.control_period = control_period
         self.crc: Optional[ClosedRingControl] = None
 
     def prepare(self, fabric: Fabric) -> None:
-        """Construct (or adopt) the CRC before the flows are routed."""
+        """Construct the CRC before the flows are routed."""
         super().prepare(fabric)
-        if self._instance is not None:
-            if self._instance.fabric is not fabric:
-                raise ControllerError(
-                    "controller 'crc': instance= was built for a different fabric"
-                )
-            self.crc = self._instance
-        else:
-            self.crc = ClosedRingControl(fabric, self._config)
+        self.crc = ClosedRingControl(fabric, self._config)
 
     def attach(self, simulator: FluidFlowSimulator) -> None:
         """Register the CRC as a periodic controller of the fluid model."""
@@ -343,9 +326,8 @@ class LoopController(Controller):
         :class:`~repro.fabric.packetsim.PacketBackend`; the loop binds to
         both through the same backend surface
         (:data:`~repro.core.control.SimulationBackend`).  Construction is
-        deferred to attach time so the lifecycle matches the original
-        ``run_control_loop_experiment`` ordering exactly (flows route
-        first, then the loop binds) -- the parity tests pin this.
+        deferred to attach time so flows route first and the loop binds
+        after -- the pinned loop-row digests depend on this order.
         """
         super().attach(simulator)
         assert self._fabric is not None, "prepare() must run before attach()"

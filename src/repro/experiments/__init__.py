@@ -2,8 +2,8 @@
 
 The layers, bottom up:
 
-* :mod:`repro.experiments.harness` -- fabric builders, fabric-state
-  statistics, and the deprecated legacy runner shims,
+* :mod:`repro.experiments.harness` -- fabric builders and fabric-state
+  statistics,
 * :mod:`repro.experiments.api` -- the single experiment entrypoint:
   :func:`~repro.experiments.api.run_experiment` over a declarative
   :class:`~repro.experiments.api.ExperimentSpec`, returning a typed
@@ -26,10 +26,6 @@ from repro.experiments.api import (
 )
 from repro.experiments.comparison import COMPARISON_LABELS, adaptive_vs_static
 from repro.experiments.harness import (
-    ExperimentResult,
-    run_adaptive_experiment,
-    run_control_loop_experiment,
-    run_fluid_experiment,
     build_fabric,
     build_grid_fabric,
     build_torus_fabric,
@@ -69,10 +65,6 @@ __all__ = [
     "run_experiment",
     "COMPARISON_LABELS",
     "adaptive_vs_static",
-    "ExperimentResult",
-    "run_adaptive_experiment",
-    "run_control_loop_experiment",
-    "run_fluid_experiment",
     "build_fabric",
     "build_grid_fabric",
     "build_torus_fabric",

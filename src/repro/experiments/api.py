@@ -1,8 +1,8 @@
 """The one way to run an experiment: ``run_experiment(ExperimentSpec)``.
 
 Every layer of the repo -- the scenario registry, the parallel sweep
-engine, the static/ECMP/adaptive comparison, the baselines package, the
-CLI, the benchmarks and the examples -- funnels through this module.  An
+engine, the static/ECMP/adaptive comparison, the CLI, the benchmarks and
+the examples -- funnels through this module.  An
 :class:`ExperimentSpec` declares *what* to run (fabric, flows, controller
 name + configuration, failure plan, stop time); :func:`run_experiment`
 walks the fixed controller lifecycle
@@ -31,7 +31,7 @@ from repro.core.controllers import (
 from repro.experiments.harness import build_fabric
 from repro.fabric.fabric import Fabric, FabricConfig
 from repro.fabric.failures import FailureEvent, FailureInjector
-from repro.fabric.packetsim import PacketBackend
+from repro.fabric.packetsim import ENGINES, PacketBackend
 from repro.sim.flow import Flow, FlowSet
 from repro.sim.fluid import FluidFlowSimulator, FluidResult
 from repro.sim.transport import TransportConfig
@@ -169,16 +169,13 @@ class ExperimentSpec:
         (segment trains advanced port-at-a-time, same-instant injections
         coalesced; see :mod:`repro.sim.packet_batch`).  Both are
         bit-identical -- ``tests/test_packet_parity.py`` pins every
-        metric -- so ``"batched"`` is a pure speedup.  ``"sharded"``
-        partitions the flows by traffic closure across up to ``shards``
-        batched cores (:mod:`repro.sim.packet_shard`), also
-        bit-identical for every shard count.  Packet backend only (the
-        fluid backend selects its engine via ``allocator``).
+        metric -- so ``"batched"`` is a pure speedup.  Packet backend
+        only (the fluid backend selects its engine via ``allocator``).
     shards:
-        Spatial shard count for ``engine="sharded"`` -- an upper bound;
-        the coordinator never splits a traffic-closure component.  A
-        performance knob only: results are bit-identical for every
-        value.  Must be 1 (the default) for the other engines.
+        Fixed at 1; any other value is rejected.  The sharded packet
+        engine this once sized is gone (use ``engine="batched"``); the
+        field stays so existing callers that pass ``shards=1`` keep
+        working.
     max_events:
         Cumulative event budget for the whole run (fluid events, or packet
         backend engine events); an exhausted budget surfaces as
@@ -223,7 +220,6 @@ class ExperimentSpec:
             "transport": _jsonable(self.transport) if self.transport is not None else None,
             "allocator": self.allocator,
             "engine": self.engine,
-            "shards": self.shards,
             "max_events": self.max_events,
         }
 
@@ -347,12 +343,10 @@ def _build_packet(
     failure_period: float,
     max_events: int = 10_000_000,
     engine: str = "event",
-    shards: int = 1,
 ) -> Tuple[PacketBackend, Optional[FailureInjector]]:
     """Packet backend preloaded with routed flows and the failure plan."""
     backend = PacketBackend(
-        fabric, flows, transport=transport, max_events=max_events,
-        engine=engine, shards=shards,
+        fabric, flows, transport=transport, max_events=max_events, engine=engine
     )
     injector: Optional[FailureInjector] = None
     if failure_events:
@@ -387,6 +381,16 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
         raise ValueError(
             f"backend must be one of {BACKENDS}, got {spec.backend!r}"
         )
+    # Checked for both backends: the fluid backend ignores the packet
+    # engine, but a spec naming an engine that does not exist is wrong
+    # whichever backend runs it.
+    if spec.engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {spec.engine!r}")
+    if spec.shards != 1:
+        raise ValueError(
+            f"shards is fixed at 1, got {spec.shards!r}: the sharded packet "
+            "engine was removed; use engine='batched'"
+        )
     fabric = spec.fabric.build() if isinstance(spec.fabric, FabricSpec) else spec.fabric
     controller = create_controller(spec.controller, spec.controller_config)
     controller.prepare(fabric)
@@ -400,7 +404,6 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
             spec.failure_period,
             max_events=spec.max_events,
             engine=spec.engine,
-            shards=spec.shards,
         )
     else:
         simulator, _ = _build_fluid(

@@ -1,135 +1,20 @@
-"""Fabric builders, fabric-state statistics and the legacy runner shims.
+"""Fabric builders and fabric-state statistics.
 
 The experiment entrypoint itself lives in :mod:`repro.experiments.api`
 (:func:`~repro.experiments.api.run_experiment` over an
-:class:`~repro.experiments.api.ExperimentSpec`).  This module keeps:
-
-* the fabric construction helpers the specs and scenarios build on,
-* :func:`fabric_state_row`, the closed-form hop/latency/power statistics
-  column set shared by every sweep row,
-* :class:`ExperimentResult`, the legacy result container, and
-* deprecation shims for the five historical entrypoints
-  (``run_fluid_experiment``, ``run_adaptive_experiment``,
-  ``run_control_loop_experiment`` here; the two baselines in
-  :mod:`repro.baselines`).  Each shim delegates to ``run_experiment`` --
-  the parity tests assert bit-identical metrics -- and will be removed
-  one release after 1.x; see ``docs/api.md`` for the migration table.
+:class:`~repro.experiments.api.ExperimentSpec`).  This module keeps the
+fabric construction helpers the specs and scenarios build on, and
+:func:`fabric_state_row`, the closed-form hop/latency/power statistics
+column set shared by every sweep row.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.control import ControlLoop, ControlLoopConfig, PlanCandidate
-from repro.core.crc import ClosedRingControl, CRCConfig
 from repro.fabric.fabric import Fabric, FabricConfig
-from repro.fabric.failures import FailureEvent
 from repro.fabric.topology import TopologyBuilder
-from repro.sim.flow import Flow, FlowSet
-from repro.sim.fluid import FluidResult
 from repro.sim.units import GBPS
-from repro.telemetry.collector import TelemetryCollector
-from repro.telemetry.metrics import straggler_ratio
-
-
-def _warn_legacy(old: str, replacement: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated and will be removed in the next release; "
-        f"use {replacement} (see docs/api.md for the migration table)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class ExperimentResult:
-    """Legacy result container returned by the deprecated entrypoints.
-
-    New code receives a :class:`~repro.experiments.api.RunRecord` from
-    :func:`~repro.experiments.api.run_experiment` instead.  The
-    ``crc_summary`` field was renamed ``controller_summary``; the old
-    spelling keeps working (constructor keyword, read and write) for one
-    release, with a :class:`DeprecationWarning`.
-    """
-
-    def __init__(
-        self,
-        label: str,
-        fluid: FluidResult,
-        flows: FlowSet,
-        controller_summary: Optional[Dict[str, float]] = None,
-        power_watts: float = 0.0,
-        crc_summary: Optional[Dict[str, float]] = None,
-    ) -> None:
-        if crc_summary is not None:
-            self._warn_crc_summary()
-            if controller_summary is None:
-                controller_summary = crc_summary
-        self.label = label
-        self.fluid = fluid
-        self.flows = flows
-        self.controller_summary: Dict[str, float] = (
-            controller_summary if controller_summary is not None else {}
-        )
-        self.power_watts = power_watts
-
-    @staticmethod
-    def _warn_crc_summary() -> None:
-        warnings.warn(
-            "ExperimentResult.crc_summary is deprecated; use "
-            "ExperimentResult.controller_summary",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    @property
-    def crc_summary(self) -> Dict[str, float]:
-        """Deprecated alias of :attr:`controller_summary` (one release)."""
-        self._warn_crc_summary()
-        return self.controller_summary
-
-    @crc_summary.setter
-    def crc_summary(self, value: Dict[str, float]) -> None:
-        self._warn_crc_summary()
-        self.controller_summary = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ExperimentResult(label={self.label!r}, "
-            f"controller_summary={self.controller_summary!r}, "
-            f"power_watts={self.power_watts!r})"
-        )
-
-    @property
-    def makespan(self) -> Optional[float]:
-        """Time to complete the whole workload."""
-        return self.flows.makespan()
-
-    @property
-    def mean_fct(self) -> Optional[float]:
-        """Mean flow completion time."""
-        return self.flows.mean_fct()
-
-    @property
-    def p99_fct(self) -> Optional[float]:
-        """99th-percentile flow completion time."""
-        return self.flows.fct_percentile(99.0)
-
-    @property
-    def straggler(self) -> Optional[float]:
-        """Straggler ratio (max FCT / median FCT)."""
-        return straggler_ratio(self.flows)
-
-    def summary_row(self) -> List[object]:
-        """A standard table row: label, makespan, mean, p99, straggler, power."""
-        return [
-            self.label,
-            self.makespan,
-            self.mean_fct,
-            self.p99_fct,
-            self.straggler,
-            self.power_watts,
-        ]
 
 
 # --------------------------------------------------------------------------- #
@@ -310,148 +195,3 @@ def fabric_state_row(fabric: Fabric, packet_size_bytes: float = 1500.0) -> Dict[
         "max_latency": max(latencies),
         "fabric_power_watts": report.links_watts + report.switches_watts,
     }
-
-
-# --------------------------------------------------------------------------- #
-# Deprecated entrypoints (thin shims over run_experiment)
-# --------------------------------------------------------------------------- #
-def _legacy_result(record) -> ExperimentResult:
-    """An :class:`ExperimentResult` view over a RunRecord (for the shims)."""
-    return ExperimentResult(
-        label=record.label,
-        fluid=record.fluid,
-        flows=record.flows,
-        controller_summary=dict(record.controller_summary.data),
-        power_watts=record.power_watts,
-    )
-
-
-def run_fluid_experiment(
-    fabric: Fabric,
-    flows: Sequence[Flow],
-    label: str = "run",
-    crc: Optional[ClosedRingControl] = None,
-    control_period: Optional[float] = None,
-    flow_rate_limit_bps: Optional[float] = None,
-    until: Optional[float] = None,
-    failure_events: Optional[Sequence[FailureEvent]] = None,
-    failure_period: float = 1e-4,
-) -> ExperimentResult:
-    """Deprecated: build an :class:`~repro.experiments.api.ExperimentSpec`
-    (controller ``"none"``, or ``"crc"`` with an ``instance``) and call
-    :func:`~repro.experiments.api.run_experiment` instead.
-    """
-    _warn_legacy("run_fluid_experiment", "run_experiment(ExperimentSpec(...))")
-    from repro.experiments.api import ExperimentSpec, run_experiment
-
-    if crc is not None:
-        controller = "crc"
-        controller_config: Dict[str, object] = {
-            "instance": crc, "control_period": control_period,
-        }
-    else:
-        controller, controller_config = "none", {}
-    record = run_experiment(
-        ExperimentSpec(
-            fabric=fabric,
-            flows=flows,
-            label=label,
-            controller=controller,
-            controller_config=controller_config,
-            failures=tuple(failure_events or ()),
-            failure_period=failure_period,
-            until=until,
-            flow_rate_limit_bps=flow_rate_limit_bps,
-        )
-    )
-    return _legacy_result(record)
-
-
-def run_adaptive_experiment(
-    rows: int,
-    columns: int,
-    flows: Sequence[Flow],
-    lanes_per_link: int = 2,
-    crc_config: Optional[CRCConfig] = None,
-    label: str = "adaptive",
-    fabric_config: Optional[FabricConfig] = None,
-) -> Tuple[ExperimentResult, ClosedRingControl]:
-    """Deprecated: use :func:`~repro.experiments.api.run_experiment` with
-    ``controller="crc"`` over a grid :class:`~repro.experiments.api.FabricSpec`.
-    """
-    _warn_legacy(
-        "run_adaptive_experiment",
-        "run_experiment(ExperimentSpec(..., controller='crc'))",
-    )
-    from repro.experiments.api import ExperimentSpec, run_experiment
-
-    fabric = build_grid_fabric(
-        rows, columns, lanes_per_link=lanes_per_link, config=fabric_config
-    )
-    if crc_config is None:
-        crc_config = CRCConfig(
-            enable_topology_reconfiguration=True,
-            grid_rows=rows,
-            grid_columns=columns,
-        )
-    crc = ClosedRingControl(fabric, crc_config)
-    record = run_experiment(
-        ExperimentSpec(
-            fabric=fabric,
-            flows=flows,
-            label=label,
-            controller="crc",
-            controller_config={
-                "instance": crc, "control_period": crc_config.control_period,
-            },
-        )
-    )
-    return _legacy_result(record), crc
-
-
-def run_control_loop_experiment(
-    fabric: Fabric,
-    flows: Sequence[Flow],
-    label: str = "adaptive",
-    loop_config: Optional[ControlLoopConfig] = None,
-    candidates: Optional[Sequence[PlanCandidate]] = None,
-    grid_rows: Optional[int] = None,
-    grid_columns: Optional[int] = None,
-    telemetry: Optional[TelemetryCollector] = None,
-    flow_rate_limit_bps: Optional[float] = None,
-    until: Optional[float] = None,
-    failure_events: Optional[Sequence[FailureEvent]] = None,
-    failure_period: float = 1e-4,
-) -> Tuple[ExperimentResult, ControlLoop]:
-    """Deprecated: use :func:`~repro.experiments.api.run_experiment` with
-    ``controller="loop"``; the bound :class:`~repro.core.control.ControlLoop`
-    is reachable as ``record.controller_instance.loop``.
-    """
-    _warn_legacy(
-        "run_control_loop_experiment",
-        "run_experiment(ExperimentSpec(..., controller='loop'))",
-    )
-    from repro.experiments.api import ExperimentSpec, run_experiment
-
-    record = run_experiment(
-        ExperimentSpec(
-            fabric=fabric,
-            flows=flows,
-            label=label,
-            controller="loop",
-            controller_config={
-                "config": loop_config,
-                "candidates": candidates,
-                "grid_rows": grid_rows,
-                "grid_columns": grid_columns,
-                "telemetry": telemetry,
-            },
-            failures=tuple(failure_events or ()),
-            failure_period=failure_period,
-            until=until,
-            flow_rate_limit_bps=flow_rate_limit_bps,
-        )
-    )
-    assert record.controller_instance is not None
-    loop = record.controller_instance.loop  # type: ignore[attr-defined]
-    return _legacy_result(record), loop

@@ -4,7 +4,7 @@ Every benchmark and example used to hand-roll the same loop: build a
 fabric, generate a workload, run it through the fluid simulator, summarise
 the flow metrics.  A :class:`Scenario` captures that loop as *data*: a
 named workload factory plus a bag of default parameters (topology shape,
-rack dimensions, lanes per link, CRC on/off, flow sizes, ...).  Scenarios
+rack dimensions, lanes per link, controller, flow sizes, ...).  Scenarios
 are registered with the :func:`register_scenario` decorator and looked up
 by name, which is what lets the sweep engine (:mod:`repro.experiments.sweep`)
 cross any scenario with any parameter grid, and lets the CLI enumerate the
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional
 
@@ -75,7 +74,8 @@ class ScenarioError(ValueError):
     """Raised for unknown scenarios, duplicate names or bad parameters."""
 
 
-#: Parameters shared by every scenario.  All of them are sweepable.
+#: Parameters shared by every scenario.  All of them are sweepable except
+#: ``crc`` and ``shards``, which accept only their defaults.
 COMMON_DEFAULTS: Dict[str, object] = {
     "topology": "grid",          # any registered topology family name
     "rows": 3,                   # grid/torus dimensions
@@ -85,12 +85,12 @@ COMMON_DEFAULTS: Dict[str, object] = {
     "routers_per_group": 4,
     "hosts_per_router": 2,
     "lanes_per_link": 2,
-    "crc": False,                # DEPRECATED spelling of controller="crc"
+    "crc": False,                # fixed; kept so row digests are stable
     "controller": "none",        # any registered controller name
     "backend": "fluid",          # simulation backend ("fluid"|"packet")
     "allocator": "incremental",  # fluid rate allocator ("incremental"|"reference")
-    "engine": "event",           # packet engine ("event"|"batched"|"sharded")
-    "shards": 1,                 # spatial shard count (engine="sharded" only)
+    "engine": "event",           # packet engine ("event"|"batched")
+    "shards": 1,                 # fixed; kept so row digests are stable
     "utilisation_threshold": 0.5,
     "control_period_us": 500.0,
     "mean_flow_mb": 2.0,
@@ -284,18 +284,15 @@ def resolve_params(
                 params[key] = float(value)
             except (TypeError, ValueError):
                 raise ScenarioError(f"{key} must be a number, got {value!r}") from None
+    # ``crc`` and ``shards`` accept only their defaults: every result row
+    # carries the resolved parameters, and pinned row digests hash them.
     if params["crc"]:
-        # One-release deprecation shim for the legacy spelling; it folds
-        # into controller="crc" before any controller validation runs.
-        warnings.warn(
-            "scenario parameter crc=True is deprecated; use controller='crc'",
-            DeprecationWarning,
-            stacklevel=2,
+        raise ScenarioError("crc=True is no longer accepted; use controller='crc'")
+    if params["shards"] != 1:
+        raise ScenarioError(
+            f"shards is fixed at 1, got {params['shards']!r}: the sharded "
+            "packet engine was removed; use engine='batched'"
         )
-        if params["controller"] not in ("none", "crc"):
-            raise ScenarioError("crc=True conflicts with controller="
-                                f"{params['controller']!r}; pick one")
-        params["controller"] = "crc"
     if params["backend"] not in BACKENDS:
         raise ScenarioError(
             f"backend must be one of {sorted(BACKENDS)}, got {params['backend']!r}"
@@ -309,13 +306,6 @@ def resolve_params(
         raise ScenarioError(
             f"engine must be one of {sorted(PACKET_ENGINES)}, "
             f"got {params['engine']!r}"
-        )
-    if int(params["shards"]) < 1:
-        raise ScenarioError(f"shards must be >= 1, got {params['shards']!r}")
-    if int(params["shards"]) > 1 and params["engine"] != "sharded":
-        raise ScenarioError(
-            f"shards={params['shards']!r} requires engine='sharded', "
-            f"got engine={params['engine']!r}"
         )
     if params["controller"] not in controller_names():
         raise ScenarioError(
@@ -474,7 +464,6 @@ def run_scenario(
             backend=str(params["backend"]),
             allocator=str(params["allocator"]),
             engine=str(params["engine"]),
-            shards=int(params["shards"]),
         )
     )
 

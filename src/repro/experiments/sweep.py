@@ -81,10 +81,11 @@ def build_runs(
     """Expand ``scenarios x grid`` into the ordered run list.
 
     Grid points that a scenario rejects (unknown parameter, or an
-    incompatible combination such as ``crc=True`` on a torus) are dropped
-    when *skip_invalid* is true -- a grid is a cross product, and not every
-    corner of it need make sense for every scenario.  Validity depends only
-    on the configuration, so the surviving run list is still deterministic.
+    incompatible combination such as ``controller="crc"`` on a torus) are
+    dropped when *skip_invalid* is true -- a grid is a cross product, and
+    not every corner of it need make sense for every scenario.  Validity
+    depends only on the configuration, so the surviving run list is still
+    deterministic.
     """
     names = list(scenarios) if scenarios else scenario_names()
     combos = expand_grid(grid)

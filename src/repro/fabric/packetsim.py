@@ -51,7 +51,6 @@ from repro.sim.flow import Flow, FlowSet
 from repro.sim.fluid import FluidResult
 from repro.sim.packet import HopRecord, Packet
 from repro.sim.packet_batch import BatchedPacketCore
-from repro.sim.packet_shard import ShardedPacketCore
 from repro.sim.trace import NullTrace, TraceRecorder
 from repro.sim.transport import PacketTransport, TransportConfig
 
@@ -61,13 +60,11 @@ DirectedKey = Tuple[str, str]
 #: (an ECN-style signal surfaced through ``PortState.ecn_marks``).
 DEFAULT_ECN_THRESHOLD = 0.65
 
-#: Selectable packet engines: the event-driven oracle, the batched train
-#: calendar (:mod:`repro.sim.packet_batch`) and the spatially-sharded
-#: coordinator over batched cores (:mod:`repro.sim.packet_shard`), pinned
-#: bit-identical by ``tests/test_packet_parity.py`` and
-#: ``tests/test_packet_shard.py`` -- the packet analogue of the fluid
+#: Selectable packet engines: the event-driven oracle and the batched train
+#: calendar (:mod:`repro.sim.packet_batch`), pinned bit-identical by
+#: ``tests/test_packet_parity.py`` -- the packet analogue of the fluid
 #: core's ``ALLOCATORS``.
-ENGINES = ("event", "batched", "sharded")
+ENGINES = ("event", "batched")
 
 
 @dataclass
@@ -438,14 +435,6 @@ class PacketBackend:
     difference is ``events_processed``: the batched engine counts
     calendar entries, and one entry can carry a whole train, so
     ``max_events`` budgets coalesced entries rather than packet-hops.
-
-    ``"sharded"`` layers :class:`~repro.sim.packet_shard.ShardedPacketCore`
-    over up to ``shards`` batched cores, partitioning the flows by
-    traffic closure so disjoint fabric regions advance independently
-    (optionally across ``multiprocessing`` workers).  It holds the same
-    bit-identical contract for every shard count; ``shards`` is a
-    performance knob only.  With the sharded engine, ``max_events``
-    budgets each shard's calendar independently.
     """
 
     def __init__(
@@ -458,7 +447,6 @@ class PacketBackend:
         retain_packets: bool = False,
         max_events: int = 10_000_000,
         engine: str = "event",
-        shards: int = 1,
     ) -> None:
         if max_events <= 0:
             raise ValueError(f"max_events must be positive, got {max_events!r}")
@@ -466,21 +454,16 @@ class PacketBackend:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards!r}")
-        if shards > 1 and engine != "sharded":
-            raise ValueError(
-                f"shards={shards!r} requires engine='sharded', got {engine!r}"
-            )
         self.fabric = fabric
         self.engine = engine
-        self.shards = shards
         self.trace = trace if trace is not None else NullTrace()
         self._flows = list(flows)
-        if engine in ("batched", "sharded"):
+        if engine == "batched":
             # One fused core plays all three roles; the facade methods
             # below address it through whichever surface they need.
-            kwargs = dict(
+            core = BatchedPacketCore(
+                fabric,
+                self._flows,
                 route_fn=self._route,
                 config=transport,
                 trace=self.trace,
@@ -489,11 +472,6 @@ class PacketBackend:
                 retain_packets=retain_packets,
                 port_factory=PortState,
             )
-            if engine == "batched":
-                core = BatchedPacketCore(fabric, self._flows, **kwargs)
-            else:
-                core = ShardedPacketCore(
-                    fabric, self._flows, shards=shards, **kwargs)
             self.simulator = core
             self.network = core
             self.transport = core
@@ -748,7 +726,7 @@ class PacketBackend:
         if max_events is None:
             max_events = self.default_max_events
         simulator = self.simulator
-        if self.engine in ("batched", "sharded"):
+        if self.engine == "batched":
             # The core fuses this loop (identical stop conditions) and
             # drops its link-property caches on entry; a train whose
             # later segments fall past ``until`` is split there.

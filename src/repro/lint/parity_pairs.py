@@ -69,7 +69,7 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         name="packet-retransmit",
         primary="src/repro/sim/packet_batch.py::BatchedPacketCore._retransmit",
         oracle="src/repro/sim/transport.py::PacketTransport._retransmit",
-        primary_fingerprint="37a6ebcdb5d9b8bd",
+        primary_fingerprint="78e8c06b18d76d57",
         oracle_fingerprint="fd26283ae06177a7",
         rationale=(
             "retransmission bookkeeping (counters, abandoned-flow "
@@ -93,7 +93,7 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         name="packet-lean-hop",
         primary="src/repro/sim/packet_batch.py::BatchedPacketCore._hop",
         oracle="src/repro/fabric/packetsim.py::PacketLevelNetwork._forward",
-        primary_fingerprint="0e990d295ff0a3f7",
+        primary_fingerprint="74f62f68b59385de",
         oracle_fingerprint="c4163d3ff48e8e85",
         rationale=(
             "the flat lone-segment loop replays the per-hop float pipeline "
@@ -106,7 +106,7 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         name="packet-segment-layout",
         primary="src/repro/sim/packet_batch.py::BatchedPacketCore.__init__",
         oracle="src/repro/sim/transport.py::segment_layout",
-        primary_fingerprint="0d5a4c6dbf97cdb0",
+        primary_fingerprint="fd32616b26410867",
         oracle_fingerprint="3b50aa2f884b6368",
         rationale=(
             "both engines segment flows through the shared "

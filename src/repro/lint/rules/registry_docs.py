@@ -1,8 +1,7 @@
 """Rule R201: registry completeness and docs integrity, one checker.
 
-Absorbs ``scripts/check_docs.py`` (markdown link integrity, scenario
-catalogue rows) and promotes the fidelity suite's runtime registry-drift
-guard to a static check: a scenario or topology family can only register
+Checks markdown link integrity and scenario catalogue rows, and promotes
+the fidelity suite's runtime registry-drift guard to a static check: a scenario or topology family can only register
 if its documentation row, candidate moves (or an explicit exemption) and
 declared fluid-vs-packet tolerances land with it.
 
@@ -201,9 +200,8 @@ def check_tolerance_tables(
 class RegistryDocsRule(Rule):
     """R201: registries, docs and tolerance tables move together.
 
-    Promotes ``scripts/check_docs.py`` and the fidelity suite's
-    runtime drift guards to one static pass with one suppression
-    mechanism: markdown links resolve, every registered scenario has a
+    The docs checks and the fidelity suite's runtime drift guards in
+    one static pass with one suppression mechanism: markdown links resolve, every registered scenario has a
     catalogue row, every topology family offers the planner a move (or
     carries a reviewed exemption), and every scenario the fidelity gate
     should sweep declares its divergence budget before it lands.

@@ -25,16 +25,6 @@ units used throughout the code base and the paper (nanoseconds, gigabits).
 """
 
 from repro.sim.engine import Event, EventHandle, Simulator, SimulationError
-from repro.sim.events import (
-    ControlTick,
-    FlowCompleted,
-    FlowStarted,
-    PacketDropped,
-    PacketReceived,
-    PacketSent,
-    ReconfigurationCompleted,
-    ReconfigurationStarted,
-)
 from repro.sim.flow import Flow, FlowSet, FlowState
 from repro.sim.fluid import FluidFlowSimulator, FluidLink, FluidResult
 from repro.sim.packet import HopRecord, Packet
@@ -65,14 +55,6 @@ __all__ = [
     "EventHandle",
     "Simulator",
     "SimulationError",
-    "ControlTick",
-    "FlowCompleted",
-    "FlowStarted",
-    "PacketDropped",
-    "PacketReceived",
-    "PacketSent",
-    "ReconfigurationCompleted",
-    "ReconfigurationStarted",
     "Flow",
     "FlowSet",
     "FlowState",

@@ -225,13 +225,6 @@ class BatchedPacketCore:
         self.delivered: List[Packet] = []
         self.dropped: List[Packet] = []
         self.queueing_samples: List[float] = []
-        #: Optional ``(time, size_bits)`` append-logs, parallel to the
-        #: ``queueing_samples`` / ``retransmitted_bits`` accumulation
-        #: order.  ``None`` (the default) disables them; the sharded
-        #: coordinator enables them on its member cores so the global
-        #: left folds can be replayed in merged event order.
-        self.delivery_log: Optional[List[Tuple[float, float]]] = None
-        self.retransmit_log: Optional[List[Tuple[float, float]]] = None
         self.packets_injected = 0
         self.packets_entered = 0
         self.in_flight = 0
@@ -704,8 +697,6 @@ class BatchedPacketCore:
         self.retransmissions += 1
         size = state.size_of(seg)
         self.retransmitted_bits += size
-        if self.retransmit_log is not None:
-            self.retransmit_log.append((self._now, size))
         segs: List[int] = []
         sizes: List[float] = []
         pids: List[int] = []
@@ -1026,7 +1017,6 @@ class BatchedPacketCore:
         epoch = self._epoch
         window = self.config.window_packets
         samples = self.queueing_samples
-        delivery_log = self.delivery_log
         last = len(path) - 1
         refills = 0
         while True:
@@ -1037,8 +1027,6 @@ class BatchedPacketCore:
                 self.in_flight -= 1
                 self.bits_delivered += size
                 samples.append(q_acc)
-                if delivery_log is not None:
-                    delivery_log.append((t, size))
                 flow = state.flow
                 state.outstanding -= 1
                 state.delivered_segments += 1
@@ -1237,8 +1225,6 @@ class BatchedPacketCore:
             self.in_flight -= 1
             self.bits_delivered += size
             samples.append(queue[i])
-            if self.delivery_log is not None:
-                self.delivery_log.append((t, size))
             if packet is not None and self.retain_packets:
                 self.delivered.append(packet)
             if trace_on:

@@ -428,20 +428,19 @@ def test_packet_sweep_rows_are_identical_for_any_worker_count():
     )
 
 
-def test_sharded_sweep_rows_are_identical_for_any_worker_count():
-    """Worker fan-out determinism for the sharded engine: sweep workers
-    multiply with shard dispatch, and neither level may leak into a row.
-    Rows must also be byte-identical to the event engine's rows modulo
-    the engine-specific params/event counts -- the sweep-level spelling
-    of the shard-count-invariance gate, failure_recovery included (its
-    rows are computed against a dark link)."""
+def test_batched_sweep_rows_are_identical_for_any_worker_count():
+    """Worker fan-out determinism for the batched engine: serial and
+    parallel sweeps produce identical rows, and those rows are
+    byte-identical to the event engine's rows apart from the ``engine``
+    parameter (rows carry no event count) -- the sweep-level spelling of
+    the parity gate, failure_recovery included (its rows are computed
+    against a dark link)."""
     kwargs = dict(
         scenarios=["uniform-burst", "failure_recovery"],
         grid={
             "backend": ["packet"],
             "controller": ["none", "ecmp"],
-            "engine": ["sharded"],
-            "shards": [2],
+            "engine": ["batched"],
             "mean_flow_mb": [0.05],
         },
         base_seed=7,
@@ -453,19 +452,13 @@ def test_sharded_sweep_rows_are_identical_for_any_worker_count():
     ]
 
     event_kwargs = dict(kwargs)
-    event_kwargs["grid"] = dict(
-        kwargs["grid"], engine=["event"], shards=[1]
-    )
+    event_kwargs["grid"] = dict(kwargs["grid"], engine=["event"])
     event_rows = run_sweep(workers=1, **event_kwargs)
 
     def comparable(row):
         row = strip_timing(row)
         row["params"] = {
-            k: v for k, v in row["params"].items()
-            if k not in ("engine", "shards")
-        }
-        row["metrics"] = {
-            k: v for k, v in row["metrics"].items() if k != "events_processed"
+            k: v for k, v in row["params"].items() if k != "engine"
         }
         return row
 

@@ -109,6 +109,13 @@ def test_cli_run_unknown_scenario_fails(capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_fixed_keys_with_their_replacement(capsys):
+    assert main(["run", "uniform-burst", "--set", "shards=2"]) == 2
+    assert "engine='batched'" in capsys.readouterr().err
+    assert main(["run", "uniform-burst", "--set", "crc=true"]) == 2
+    assert "controller='crc'" in capsys.readouterr().err
+
+
 def test_cli_sweep_parallel_output_matches_serial(tmp_path, capsys):
     from repro.experiments.sweep import load_rows, strip_timing
 

@@ -49,13 +49,12 @@ def test_controller_parameter_is_validated():
     # Any registered controller name resolves, not just the adaptive ones.
     for name in ("none", "static", "ecmp", "crc", "loop"):
         assert resolve_params(scenario, {"controller": name})["controller"] == name
-    # crc=True is the deprecated legacy spelling of controller="crc".
-    with pytest.warns(DeprecationWarning, match="crc=True is deprecated"):
-        params = resolve_params(scenario, {"crc": True})
-    assert params["controller"] == "crc"
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ScenarioError, match="conflicts"):
-            resolve_params(scenario, {"crc": True, "controller": "loop"})
+    # crc=True was the legacy spelling of controller="crc"; it is rejected
+    # with a pointer to the replacement, alone or next to a controller.
+    with pytest.raises(ScenarioError, match="controller='crc'"):
+        resolve_params(scenario, {"crc": True})
+    with pytest.raises(ScenarioError, match="controller='crc'"):
+        resolve_params(scenario, {"crc": True, "controller": "loop"})
     with pytest.raises(ScenarioError, match="grid"):
         resolve_params(scenario, {"controller": "crc", "topology": "torus"})
 

@@ -1,10 +1,8 @@
-"""Controller registry, the single experiment entrypoint, and the legacy
-entrypoint parity contracts.
+"""Controller registry and the single experiment entrypoint.
 
-Covers the acceptance criteria of the API redesign: every registered
-controller round-trips through ``run_experiment`` (and through a 2-worker
-sweep with bit-identical rows), and each deprecated legacy entrypoint
-returns bit-identical metrics to its ``ExperimentSpec`` equivalent.
+Every registered controller round-trips through ``run_experiment`` (and
+through a 2-worker sweep with bit-identical rows), and the spec and
+scenario layers reject values they cannot honour instead of ignoring them.
 """
 
 import json
@@ -21,24 +19,20 @@ from repro.core.controllers import (
     register_controller,
 )
 from repro.core.control import ControlLoopConfig
-from repro.core.crc import ClosedRingControl, CRCConfig
+from repro.core.crc import CRCConfig
 from repro.experiments.api import ExperimentSpec, FabricSpec, run_experiment
-from repro.experiments.harness import (
-    ExperimentResult,
-    build_grid_fabric,
-    run_adaptive_experiment,
-    run_control_loop_experiment,
-    run_fluid_experiment,
-)
-from repro.experiments.scenarios import resolve_params, get_scenario
+from repro.experiments.harness import build_grid_fabric
+from repro.experiments.scenarios import ScenarioError, get_scenario, resolve_params
 from repro.experiments.sweep import run_sweep, strip_timing
 from repro.fabric.fabric import Fabric
 from repro.sim.flow import Flow, FlowSet, reset_flow_ids
-from repro.sim.units import megabytes, microseconds
+from repro.sim.units import megabytes
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.hotspot import HotspotWorkload
 
 BUILTIN_CONTROLLERS = ("none", "static", "ecmp", "crc", "loop")
+#: A packet engine that no longer exists; specs and scenarios naming it fail.
+REMOVED_ENGINE = 'sharded'
 
 
 def _hotspot_flows(seed=7, num_flows=12):
@@ -57,11 +51,6 @@ def _hotspot_flows(seed=7, num_flows=12):
         hot_pairs=[("n0x0", "n2x2"), ("n0x2", "n2x0")],
     ).generate()
     return fabric, flows
-
-
-def _metric_fingerprint(metrics):
-    """Byte-stable form of a metrics dict for bit-identity assertions."""
-    return json.dumps(metrics, sort_keys=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -211,183 +200,41 @@ def test_controllers_round_trip_through_two_worker_sweep_bit_identically():
 
 
 # --------------------------------------------------------------------------- #
-# Legacy entrypoint parity (deprecated shims, one release)
+# Fixed-value keys and engine validation
 # --------------------------------------------------------------------------- #
-def _experiment_metrics(record):
-    return dict(record.metrics), dict(record.controller_summary.data)
-
-
-def _legacy_metrics(result: ExperimentResult):
-    return (
-        {
-            "makespan": result.makespan,
-            "mean_fct": result.mean_fct,
-            "p99_fct": result.p99_fct,
-            "straggler": result.straggler,
-            "completion_fraction": result.flows.completion_fraction(),
-            "power_watts": result.power_watts,
-        },
-        dict(result.controller_summary),
-    )
-
-
-def _assert_parity(legacy: ExperimentResult, record):
-    legacy_metrics, legacy_summary = _legacy_metrics(legacy)
-    assert legacy_metrics == {
-        "makespan": record.makespan,
-        "mean_fct": record.mean_fct,
-        "p99_fct": record.p99_fct,
-        "straggler": record.straggler,
-        "completion_fraction": record.metrics["completion_fraction"],
-        "power_watts": record.power_watts,
-    }
-    assert _metric_fingerprint(legacy_summary) == _metric_fingerprint(
-        dict(record.controller_summary.data)
-    )
-
-
-def test_run_fluid_experiment_parity_with_none_controller():
-    fabric, flows = _hotspot_flows()
-    with pytest.warns(DeprecationWarning, match="run_fluid_experiment"):
-        legacy = run_fluid_experiment(fabric, flows, label="parity")
-    fabric, flows = _hotspot_flows()
-    record = run_experiment(
-        ExperimentSpec(fabric=fabric, flows=flows, label="parity", controller="none")
-    )
-    _assert_parity(legacy, record)
-
-
-def test_run_fluid_experiment_parity_with_crc_instance():
-    def crc_config():
-        return CRCConfig(
-            enable_topology_reconfiguration=True,
-            grid_rows=3,
-            grid_columns=3,
-            utilisation_threshold=0.5,
-        )
-
-    fabric, flows = _hotspot_flows()
-    crc = ClosedRingControl(fabric, crc_config())
-    with pytest.warns(DeprecationWarning, match="run_fluid_experiment"):
-        legacy = run_fluid_experiment(fabric, flows, label="parity", crc=crc)
-    fabric, flows = _hotspot_flows()
-    record = run_experiment(
-        ExperimentSpec(
-            fabric=fabric,
-            flows=flows,
-            label="parity",
-            controller="crc",
-            controller_config={"config": crc_config()},
-        )
-    )
-    _assert_parity(legacy, record)
-    assert record.metrics["reconfigurations"] == len(crc.reconfiguration_times)
-
-
-def test_run_adaptive_experiment_parity():
-    _, flows = _hotspot_flows()
-    with pytest.warns(DeprecationWarning, match="run_adaptive_experiment"):
-        legacy, crc = run_adaptive_experiment(3, 3, flows)
-    assert isinstance(crc, ClosedRingControl)
-    fabric, flows = _hotspot_flows()
-    record = run_experiment(
-        ExperimentSpec(
-            fabric=fabric,
-            flows=flows,
-            label="adaptive",
-            controller="crc",
-            controller_config={
-                "config": CRCConfig(
-                    enable_topology_reconfiguration=True, grid_rows=3, grid_columns=3
+def test_spec_with_unknown_engine_or_shards_is_rejected_on_every_backend():
+    # The fluid backend ignores the packet engine, but a spec naming a
+    # removed engine or shard count must fail loudly there too.
+    for backend in ("fluid", "packet"):
+        fabric, flows = _hotspot_flows(num_flows=2)
+        with pytest.raises(ValueError, match="engine"):
+            run_experiment(
+                ExperimentSpec(
+                    fabric=fabric, flows=flows, backend=backend,
+                    engine=REMOVED_ENGINE, shards=4,
                 )
-            },
-        )
-    )
-    _assert_parity(legacy, record)
+            )
+        with pytest.raises(ValueError, match="engine='batched'"):
+            run_experiment(
+                ExperimentSpec(fabric=fabric, flows=flows, backend=backend, shards=4)
+            )
 
 
-def test_run_control_loop_experiment_parity():
-    fabric, flows = _hotspot_flows()
-    with pytest.warns(DeprecationWarning, match="run_control_loop_experiment"):
-        legacy, loop = run_control_loop_experiment(
-            fabric,
-            flows,
-            loop_config=ControlLoopConfig(interval=microseconds(100.0)),
-            grid_rows=3,
-            grid_columns=3,
-        )
-    assert loop.ticks, "the legacy shim must still hand back the bound loop"
-    fabric, flows = _hotspot_flows()
-    record = run_experiment(
-        ExperimentSpec(
-            fabric=fabric,
-            flows=flows,
-            label="adaptive",
-            controller="loop",
-            controller_config={
-                "config": ControlLoopConfig(interval=microseconds(100.0)),
-                "grid_rows": 3,
-                "grid_columns": 3,
-            },
-        )
-    )
-    _assert_parity(legacy, record)
-    assert record.metrics["reconfigurations"] == len(loop.reconfiguration_times)
-
-
-def test_run_static_baseline_parity():
-    from repro.baselines.static_fabric import run_static_baseline
-
-    fabric, flows = _hotspot_flows()
-    with pytest.warns(DeprecationWarning, match="run_static_baseline"):
-        legacy = run_static_baseline(fabric, flows)
-    fabric, flows = _hotspot_flows()
-    record = run_experiment(
-        ExperimentSpec(fabric=fabric, flows=flows, label="static", controller="static")
-    )
-    _assert_parity(legacy, record)
-
-
-def test_run_ecmp_baseline_parity():
-    from repro.baselines.ecmp import run_ecmp_baseline
-
-    fabric, flows = _hotspot_flows()
-    with pytest.warns(DeprecationWarning, match="run_ecmp_baseline"):
-        legacy = run_ecmp_baseline(fabric.topology, flows)
-    fabric, flows = _hotspot_flows()
-    record = run_experiment(
-        ExperimentSpec(fabric=fabric, flows=flows, label="ecmp", controller="ecmp")
-    )
-    _assert_parity(legacy, record)
-
-
-# --------------------------------------------------------------------------- #
-# Deprecations
-# --------------------------------------------------------------------------- #
-def test_crc_summary_property_is_deprecated_alias():
-    result = ExperimentResult(
-        label="x", fluid=None, flows=FlowSet([]), controller_summary={"a": 1.0}
-    )
-    with pytest.warns(DeprecationWarning, match="controller_summary"):
-        assert result.crc_summary == {"a": 1.0}
-    assert result.controller_summary == {"a": 1.0}
-
-
-def test_crc_summary_constructor_keyword_and_setter_still_work():
-    # The one-release compatibility promise covers writes too: code that
-    # built its own ExperimentResult with the old field name keeps working.
-    with pytest.warns(DeprecationWarning, match="controller_summary"):
-        result = ExperimentResult(
-            label="x", fluid=None, flows=FlowSet([]), crc_summary={"a": 1.0}
-        )
-    assert result.controller_summary == {"a": 1.0}
-    with pytest.warns(DeprecationWarning, match="controller_summary"):
-        result.crc_summary = {"b": 2.0}
-    assert result.controller_summary == {"b": 2.0}
-
-
-def test_crc_true_scenario_parameter_is_deprecated():
+def test_crc_true_scenario_parameter_is_rejected():
+    # ``crc`` stays in every row's params (pinned digests hash them) but
+    # accepts only its default; the error names the replacement.
     scenario = get_scenario("uniform-burst")
-    with pytest.warns(DeprecationWarning, match="controller='crc'"):
-        params = resolve_params(scenario, {"crc": True})
-    assert params["controller"] == "crc"
+    assert resolve_params(scenario, {"crc": False})["crc"] is False
+    with pytest.raises(ScenarioError, match="controller='crc'"):
+        resolve_params(scenario, {"crc": True})
+
+
+def test_shards_scenario_parameter_is_fixed():
+    scenario = get_scenario("uniform-burst")
+    assert resolve_params(scenario, {"shards": 1})["shards"] == 1
+    for shards in (0, 2):
+        with pytest.raises(ScenarioError, match="engine='batched'"):
+            resolve_params(scenario, {"shards": shards})
+    # The engine axis has exactly the two engines left.
+    with pytest.raises(ScenarioError, match="engine"):
+        resolve_params(scenario, {"backend": "packet", "engine": REMOVED_ENGINE})

@@ -300,6 +300,54 @@ def test_controller_mutating_mid_run_is_bit_identical():
     assert snapshots["event"][2], "controller never ticked"
 
 
+def test_mid_run_controller_attach_is_bit_identical():
+    # A periodic controller attached between run() calls: its first tick
+    # lands inside the next run, and every tick mutates the fabric.
+    snapshots = {}
+    for engine in ENGINES:
+        backend, _, _ = _build_backend(engine)
+        backend.run(until=1.2e-4)
+        assert not backend.transport.finished
+        ticks = []
+
+        def tick(be, now, ticks=ticks):
+            ticks.append(now)
+            key = sorted(be.links())[0]
+            be.set_capacity(key, be.links()[key] * 0.9)
+
+        backend.add_controller(1e-4, tick)
+        result = backend.run()
+        snapshots[engine] = (_backend_snapshot(backend, result), list(ticks))
+    assert snapshots["event"] == snapshots["batched"]
+    assert snapshots["event"][1], "controller never ticked"
+
+
+def test_detour_reroute_is_bit_identical():
+    # A mid-run reroute onto a genuinely different path -- through a node
+    # off the flow's shortest route -- rather than a same-path rebind.
+    snapshots = {}
+    for engine in ENGINES:
+        backend, fabric, _ = _build_backend(engine)
+        backend.run(until=1.2e-4)
+        assert not backend.transport.finished
+        victim = backend.active_flows()[0]
+        route = backend.route_of(victim.flow_id)
+        on_route = {node for key in route for node in key}
+        via = next(
+            name for name in sorted(fabric.topology.endpoints())
+            if name not in on_route
+        )
+        left = list(fabric.router.path(victim.src, via))
+        right = list(fabric.router.path(via, victim.dst))
+        nodes = left + right[1:]
+        detour = list(zip(nodes[:-1], nodes[1:]))
+        backend.reroute(victim.flow_id, detour)
+        assert backend.route_of(victim.flow_id) != route
+        result = backend.run()
+        snapshots[engine] = _backend_snapshot(backend, result)
+    assert snapshots["event"] == snapshots["batched"]
+
+
 # --------------------------------------------------------------------------- #
 # Lone-segment chains: window-1 flows on a line
 # --------------------------------------------------------------------------- #

@@ -329,7 +329,7 @@ _batched_flow_draws = st.lists(
 )
 
 
-def _batched_backend(shape, draws, buffer_bytes=None, engine="batched", **kwargs):
+def _batched_backend(shape, draws, buffer_bytes=None, **kwargs):
     kind, a, b = shape
     builder = TopologyBuilder(lanes_per_link=1)
     topology = builder.line(a) if kind == "line" else builder.grid(a, b)
@@ -351,7 +351,7 @@ def _batched_backend(shape, draws, buffer_bytes=None, engine="batched", **kwargs
         flows.append(Flow(src, dst, size_bits=size_bits, start_time=start_time))
     if not flows:
         return None
-    return PacketBackend(fabric, flows, engine=engine, **kwargs)
+    return PacketBackend(fabric, flows, engine="batched", **kwargs)
 
 
 @COMMON_SETTINGS
@@ -430,39 +430,29 @@ def test_batched_delay_breakdown_sums_to_latency(shape, draws):
 
 
 # --------------------------------------------------------------------------- #
-# Sharded packet engine invariants
+# Batched packet engine under live mutations
 # --------------------------------------------------------------------------- #
-# The sharded coordinator partitions flows across batched cores and merges
-# their statistics streams at epoch barriers; conservation and timestamp
-# monotonicity must hold for *any* shard count, at *any* horizon cut, and
-# through live mutations (facade link toggles, the closed control loop's
-# reroutes -- which demote the coordinator mid-run).
-
-#: Shard counts beyond the component count are legal (the coordinator
-#: never splits a closure), so sample past the useful range on purpose.
-_shard_counts = st.integers(min_value=1, max_value=5)
+# Conservation must hold at *any* horizon cut and through live mutations:
+# a facade link flap between cuts, and the closed control loop's reroutes
+# and PLP reconfigurations landing while the engine runs.
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     _topologies,
     _batched_flow_draws,
-    _shard_counts,
     st.floats(min_value=0.0, max_value=1.0),
     st.booleans(),
 )
-def test_sharded_conservation_at_any_cut_with_mutations(
-    shape, draws, shards, horizon_fraction, flap_link
+def test_batched_conservation_at_any_cut_with_mutations(
+    shape, draws, horizon_fraction, flap_link
 ):
     """entered == delivered + dropped + in-flight at any run(until) cut of
-    the sharded engine -- summed across shards -- under random shard counts
-    and a live link flap landing between epochs."""
+    the batched engine, under a live link flap landing between cuts."""
     backend = _batched_backend(
         shape,
         draws,
         buffer_bytes=4500,
-        engine="sharded",
-        shards=shards,
         transport=TransportConfig(window_packets=4, retransmit_delay=1e-6),
     )
     if backend is None:
@@ -498,14 +488,11 @@ def test_sharded_conservation_at_any_cut_with_mutations(
 
 
 @settings(max_examples=15, deadline=None)
-@given(_loop_flow_draws, _shard_counts, st.floats(min_value=0.05, max_value=1.0))
-def test_sharded_conservation_holds_while_the_loop_mutates(
-    draws, shards, horizon_fraction
-):
-    """The loop-on-packet conservation property, but on the sharded engine:
-    binding the ControlLoop schedules external callbacks, which demotes the
-    coordinator to its journal-replayed monolithic core -- conservation must
-    survive the demotion and every later reroute/PLP mutation."""
+@given(_loop_flow_draws, st.floats(min_value=0.05, max_value=1.0))
+def test_batched_conservation_holds_while_the_loop_mutates(draws, horizon_fraction):
+    """The loop-on-packet conservation property on the batched engine:
+    conservation must survive every reroute and PLP mutation the bound
+    ControlLoop makes from inside the engine's calendar."""
     fabric = Fabric(
         TopologyBuilder(lanes_per_link=2).grid(2, 3),
         FabricConfig(switch_model=SwitchModel(buffer_bits=bits_from_bytes(9000))),
@@ -525,8 +512,7 @@ def test_sharded_conservation_holds_while_the_loop_mutates(
     backend = PacketBackend(
         fabric,
         flows,
-        engine="sharded",
-        shards=shards,
+        engine="batched",
         transport=TransportConfig(window_packets=4, retransmit_delay=1e-6),
     )
     loop = ControlLoop(
@@ -559,71 +545,6 @@ def test_sharded_conservation_holds_while_the_loop_mutates(
         network.delivered_count + network.dropped_count
     )
     assert network.bits_delivered <= sum(f.size_bits for f in flows) * (1 + 1e-9)
-
-
-@COMMON_SETTINGS
-@given(_topologies, _batched_flow_draws, _shard_counts)
-def test_sharded_timestamps_nondecreasing_across_boundaries(shape, draws, shards):
-    """Each shard's delivery/retransmit logs are time-ordered, and the
-    coordinator's merged statistics streams respect that order across
-    shard boundaries (the merge never reorders time)."""
-    backend = _batched_backend(
-        shape,
-        draws,
-        buffer_bytes=4500,
-        engine="sharded",
-        shards=shards,
-        transport=TransportConfig(window_packets=4, retransmit_delay=1e-6),
-    )
-    if backend is None:
-        return
-    backend.run()
-    core = backend.network
-    merged_samples = core.queueing_samples
-    if core.shard_count > 1:
-        total = 0
-        for shard in core._bins:
-            times = [t for t, _ in shard.delivery_log]
-            assert times == sorted(times)
-            retx_times = [t for t, _ in shard.retransmit_log]
-            assert retx_times == sorted(retx_times)
-            assert len(shard.delivery_log) == len(shard.queueing_samples)
-            total += len(shard.queueing_samples)
-        assert len(merged_samples) == total
-        merged_times = [
-            t for t, _size, _extra in core._merge_logs(
-                [shard.delivery_log for shard in core._bins], None
-            )
-        ]
-        assert merged_times == sorted(merged_times)
-    else:
-        assert merged_samples == core._bins[0].queueing_samples
-
-
-@COMMON_SETTINGS
-@given(_topologies, _batched_flow_draws, _shard_counts)
-def test_sharded_hop_timestamps_are_nondecreasing(shape, draws, shards):
-    # Rich mode (hop records) runs on the coordinator's single-core path;
-    # the per-hop causal-order property must hold through the sharded
-    # entry point for every requested shard count.
-    backend = _batched_backend(
-        shape, draws, engine="sharded", shards=shards,
-        record_hops=True, retain_packets=True,
-    )
-    if backend is None:
-        return
-    backend.run()
-    network = backend.network
-    assert network.delivered, "idle-buffer runs must deliver everything"
-    for packet in network.delivered:
-        previous_departure = packet.created_at
-        for hop in packet.hops:
-            assert hop.arrival >= previous_departure - 1e-15
-            assert hop.departure >= hop.arrival
-            assert hop.queueing >= 0.0
-            assert hop.switching >= 0.0
-            previous_departure = hop.departure
-        assert packet.delivered_at >= previous_departure
 
 
 # --------------------------------------------------------------------------- #

@@ -80,9 +80,8 @@ def test_resolve_params_merges_and_validates():
         resolve_params(scenario, {"topology": "hypercube"})
     with pytest.raises(ScenarioError, match="crc"):
         resolve_params(scenario, {"topology": "torus", "controller": "crc"})
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ScenarioError, match="crc"):
-            resolve_params(scenario, {"topology": "torus", "crc": True})
+    with pytest.raises(ScenarioError, match="crc"):
+        resolve_params(scenario, {"topology": "torus", "crc": True})
 
 
 def test_resolve_params_canonicalises_numeric_types():
@@ -187,11 +186,16 @@ def test_sweep_rerun_is_bit_identical():
 
 
 def test_legacy_crc_grid_axis_still_sweeps():
-    # The deprecated crc=true spelling keeps working for one release.
-    with pytest.warns(DeprecationWarning, match="crc=True is deprecated"):
-        rows = run_sweep(scenarios=["uniform-burst"], grid={"crc": [True]})
-    assert rows[0]["params"]["controller"] == "crc"
-    assert rows[0]["metrics"]["completion_fraction"] == 1.0
+    # crc=true is no longer a spelling of controller="crc": the axis still
+    # sweeps, but the sweep drops that grid point like any other invalid
+    # one, and a grid made only of it expands to nothing.
+    rows = run_sweep(scenarios=["uniform-burst"], grid={"crc": [False, True]})
+    assert [row["params"]["crc"] for row in rows] == [False]
+    assert rows[0]["params"]["controller"] == "none"
+    with pytest.raises(ScenarioError, match="zero valid runs"):
+        run_sweep(scenarios=["uniform-burst"], grid={"crc": [True]})
+    with pytest.raises(ScenarioError, match="controller='crc'"):
+        run_sweep(scenarios=["uniform-burst"], grid={"crc": [True]}, skip_invalid=False)
 
 
 def test_sweep_base_seed_changes_results():
