@@ -40,7 +40,6 @@ control-loop ticks observe packet-level congestion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -49,16 +48,18 @@ from repro.fabric.fabric import Fabric
 from repro.sim.engine import Simulator
 from repro.sim.flow import Flow, FlowSet
 from repro.sim.fluid import FluidResult
-from repro.sim.packet import HopRecord, Packet
+from repro.sim.packet import (
+    DEFAULT_ECN_THRESHOLD,
+    HopRecord,
+    Packet,
+    PortLedger,
+    PortState,
+)
 from repro.sim.packet_batch import BatchedPacketCore
 from repro.sim.trace import NullTrace, TraceRecorder
 from repro.sim.transport import PacketTransport, TransportConfig
 
 DirectedKey = Tuple[str, str]
-
-#: Backlog fraction of the buffer above which a port marks congestion
-#: (an ECN-style signal surfaced through ``PortState.ecn_marks``).
-DEFAULT_ECN_THRESHOLD = 0.65
 
 #: Selectable packet engines: the event-driven oracle and the batched train
 #: calendar (:mod:`repro.sim.packet_batch`), pinned bit-identical by
@@ -67,28 +68,11 @@ DEFAULT_ECN_THRESHOLD = 0.65
 ENGINES = ("event", "batched")
 
 
-@dataclass
-class PortState:
-    """Transmitter and FIFO output-buffer state of one directed link."""
-
-    #: Output buffer size in bits (tail-drop beyond this occupancy).
-    buffer_bits: float = float("inf")
-    #: Link rate the transmitter is currently clocking at (refreshed from
-    #: the live link on every forward, so reconfigurations take effect).
-    capacity_bps: float = 0.0
-    busy_until: float = 0.0
-    packets_sent: int = 0
-    packets_dropped: int = 0
-    bits_sent: float = 0.0
-    bits_dropped: float = 0.0
-    #: Packets that arrived to a backlog above the ECN threshold.
-    ecn_marks: int = 0
-    queueing_seconds_total: float = 0.0
-    max_backlog_bits: float = 0.0
-
-
-class PacketLevelNetwork:
+class PacketLevelNetwork(PortLedger):
     """Event-driven packet forwarding over a fabric.
+
+    Ports, drain-time queries and conservation counters come from the
+    shared :class:`~repro.sim.packet.PortLedger`.
 
     Parameters
     ----------
@@ -119,97 +103,21 @@ class PacketLevelNetwork:
         record_hops: bool = True,
         retain_packets: bool = True,
     ) -> None:
-        if not 0.0 < ecn_threshold <= 1.0:
-            raise ValueError(f"ecn_threshold must be in (0, 1], got {ecn_threshold!r}")
+        super().__init__(fabric, ecn_threshold)
         self.simulator = simulator
-        self.fabric = fabric
         self.trace = trace if trace is not None else NullTrace()
-        self.ecn_threshold = ecn_threshold
         self.record_hops = record_hops
         self.retain_packets = retain_packets
-        #: Directed links administratively disabled (e.g. created by a
-        #: reconfiguration batch and still training): everything offered to
-        #: them is dropped, the packet analogue of the fluid model's
-        #: zero-effective-capacity disabled links.
-        self.disabled_links: Set[DirectedKey] = set()
-        self._ports: Dict[DirectedKey, PortState] = {}
         self.delivered: List[Packet] = []
         self.dropped: List[Packet] = []
-        #: Per-packet end-to-end queueing totals of delivered packets
-        #: (feeds the p99 queueing-delay metric without retaining packets).
-        self.queueing_samples: List[float] = []
-        # Conservation counters (the property tests pin their invariant:
-        # entered == delivered + dropped + in_flight at any instant).
-        self.packets_injected = 0
-        self.packets_entered = 0
-        self.in_flight = 0
-        self.delivered_count = 0
-        self.dropped_count = 0
-        self.bits_delivered = 0.0
         #: Optional hooks the transport layer installs.
         self.on_delivered: Optional[Callable[[Packet], None]] = None
         self.on_dropped: Optional[Callable[[Packet], None]] = None
 
-    # ------------------------------------------------------------------ #
-    # Port bookkeeping
-    # ------------------------------------------------------------------ #
-    def _port(self, key: DirectedKey) -> PortState:
-        port = self._ports.get(key)
-        if port is None:
-            a, b = key
-            link = self.fabric.topology.link_between(a, b)
-            port = PortState(
-                buffer_bits=self.fabric.config.switch_model.buffer_bits,
-                capacity_bps=link.capacity_bps,
-            )
-            self._ports[key] = port
-        return port
-
-    def sync_port_capacity(self, key: DirectedKey, capacity_bps: float) -> None:
-        """Reshape one port's drain schedule for a live capacity change.
-
-        The bits already accepted into the FIFO keep their volume, but the
-        time they need to drain changes with the service rate -- so the
-        backlog's drain deadline (``busy_until``) is rescaled *at the
-        mutation instant*, not lazily whenever the next packet happens to
-        arrive at the port.  This is what makes mid-run ``set_capacity``/
-        ``add_link`` (PLP reconfiguration batches, failure-plan mutations)
-        first-class: the very next arrival -- and any drain-time query --
-        sees the reshaped backlog, which changes queueing, tail-drop and
-        ECN decisions from the mutation onward.
-
-        A port whose capacity drops to zero keeps its drain deadline: the
-        packets it already accepted have their departure events on the
-        calendar and complete on the old schedule, while new arrivals are
-        dropped by the zero-capacity check.
-        """
-        port = self._ports.get(key)
-        if port is None:
-            a, b = key
-            if not self.fabric.topology.has_link(a, b):
-                return  # nothing routed here yet and no live link to seed from
-            port = self._port(key)
-        now = self.simulator.now
-        remaining = port.busy_until - now
-        if remaining > 0.0 and port.capacity_bps > 0.0 and capacity_bps > 0.0:
-            port.busy_until = now + remaining * (port.capacity_bps / capacity_bps)
-        port.capacity_bps = capacity_bps
-
-    def port_drain_time(self, key: DirectedKey) -> float:
-        """Seconds until the port's accepted backlog has fully drained."""
-        port = self._ports.get(key)
-        if port is None:
-            return 0.0
-        return max(0.0, port.busy_until - self.simulator.now)
-
-    def port_stats(self) -> Dict[DirectedKey, PortState]:
-        """Snapshot of per-directed-link transmitter statistics.
-
-        The returned :class:`PortState` objects are *copies* frozen at
-        call time; live simulation state is never handed out (callers used
-        to receive the mutable internals and see them change underneath).
-        """
-        return {key: replace(port) for key, port in self._ports.items()}
+    @property
+    def now(self) -> float:
+        """Current simulation time of the event engine."""
+        return self.simulator.now
 
     # ------------------------------------------------------------------ #
     # Injection
@@ -385,13 +293,6 @@ class PacketLevelNetwork:
         """End-to-end latencies of all retained delivered packets."""
         return [p.latency for p in self.delivered if p.latency is not None]
 
-    def delivery_fraction(self) -> float:
-        """Delivered packets over delivered plus dropped."""
-        total = self.delivered_count + self.dropped_count
-        if total == 0:
-            return 0.0
-        return self.delivered_count / total
-
 
 class PacketBackend:
     """Packet-level simulation backend with the fluid simulator's surface.
@@ -412,12 +313,12 @@ class PacketBackend:
     the controller's ``prepare`` step), matching the fluid backend's
     route-at-load-time contract.  Capacity mutations made through this
     facade are pushed eagerly into the per-port transmitter state
-    (:meth:`PacketLevelNetwork.sync_port_capacity`): FIFO drain deadlines
-    reshape at the mutation instant, so PLP reconfiguration batches and
-    failure-plan mutations change queueing, tail-drop and ECN behaviour
-    mid-run -- not just the report integrals.  The network's lazy
-    fabric-read in ``_forward`` remains as a backstop for mutations made
-    directly on the fabric without notifying the backend.
+    (:meth:`~repro.sim.packet.PortLedger.sync_port_capacity`): FIFO drain
+    deadlines reshape at the mutation instant, so PLP reconfiguration
+    batches and failure-plan mutations change queueing, tail-drop and ECN
+    behaviour mid-run -- not just the report integrals.  The engines'
+    lazy fabric-read on every forward remains as a backstop for mutations
+    made directly on the fabric without notifying the backend.
 
     ``run()`` returns a :class:`~repro.sim.fluid.FluidResult` with
     ``allocator="packet"`` -- one result schema across backends is what
@@ -428,13 +329,20 @@ class PacketBackend:
     the parity oracle; ``"batched"`` advances per-port FIFO *segment
     trains* and coalesces same-instant window refills into single
     calendar entries (:class:`~repro.sim.packet_batch.BatchedPacketCore`).
-    Both engines produce bit-identical metrics, FCTs, queueing samples
-    and port counters -- pinned by ``tests/test_packet_parity.py`` --
-    and the batched engine is >= 5x faster on the scale-guard workload
-    (``benchmarks/bench_packet_scale.py``).  The only sanctioned
-    difference is ``events_processed``: the batched engine counts
-    calendar entries, and one entry can carry a whole train, so
-    ``max_events`` budgets coalesced entries rather than packet-hops.
+    Both engines keep their ports and flows through the same ledgers
+    (:class:`~repro.sim.packet.PortLedger`,
+    :class:`~repro.sim.transport.FlowLedger`) and produce bit-identical
+    metrics, FCTs, queueing samples and port counters -- pinned by
+    ``tests/test_packet_parity.py`` -- and the batched engine is >= 5x
+    faster on the scale-guard workload
+    (``benchmarks/bench_packet_scale.py``).  The batched engine is
+    lean-only: it materialises no :class:`~repro.sim.packet.Packet`
+    objects, so ``trace``, ``record_hops`` and ``retain_packets`` (the
+    per-packet Figure-1 breakdown path) require ``engine="event"``.  The
+    only sanctioned metric difference is ``events_processed``: the
+    batched engine counts calendar entries, and one entry can carry a
+    whole train, so ``max_events`` budgets coalesced entries rather than
+    packet-hops.
     """
 
     def __init__(
@@ -454,6 +362,15 @@ class PacketBackend:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
+        if engine == "batched" and (
+            record_hops
+            or retain_packets
+            or (trace is not None and not isinstance(trace, NullTrace))
+        ):
+            raise ValueError(
+                "the batched packet engine keeps no per-packet records; "
+                "use engine='event' for trace, record_hops or retain_packets"
+            )
         self.fabric = fabric
         self.engine = engine
         self.trace = trace if trace is not None else NullTrace()
@@ -462,15 +379,7 @@ class PacketBackend:
             # One fused core plays all three roles; the facade methods
             # below address it through whichever surface they need.
             core = BatchedPacketCore(
-                fabric,
-                self._flows,
-                route_fn=self._route,
-                config=transport,
-                trace=self.trace,
-                ecn_threshold=DEFAULT_ECN_THRESHOLD,
-                record_hops=record_hops,
-                retain_packets=retain_packets,
-                port_factory=PortState,
+                fabric, self._flows, route_fn=self._route, config=transport
             )
             self.simulator = core
             self.network = core
@@ -559,7 +468,7 @@ class PacketBackend:
         (queued bits are conserved, their drain time changes with the
         service rate), so queueing, tail-drop and ECN decisions feel the
         change immediately -- see
-        :meth:`PacketLevelNetwork.sync_port_capacity`.
+        :meth:`~repro.sim.packet.PortLedger.sync_port_capacity`.
         """
         if capacity_bps < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity_bps!r}")
@@ -576,6 +485,8 @@ class PacketBackend:
         drain-time queries and the first arrival's occupancy check see it
         without waiting for a lazy fabric read.
         """
+        if capacity_bps < 0:
+            raise ValueError(f"capacity must be >= 0, got {capacity_bps!r}")
         self._integrate_capacities()
         self._capacities[key] = capacity_bps
         self._capacity_seconds.setdefault(key, 0.0)
@@ -727,9 +638,10 @@ class PacketBackend:
             max_events = self.default_max_events
         simulator = self.simulator
         if self.engine == "batched":
-            # The core fuses this loop (identical stop conditions) and
-            # drops its link-property caches on entry; a train whose
-            # later segments fall past ``until`` is split there.
+            # The core fuses this loop (identical stop conditions, clock
+            # parked at ``until`` included) and drops its link-property
+            # caches on entry; a train whose later segments fall past
+            # ``until`` is split there.
             if simulator.drive(until, max_events):
                 self._truncated = True
         else:
@@ -747,8 +659,8 @@ class PacketBackend:
                     self._truncated = True
                     break
                 simulator.step()
-        if until is not None and simulator.now < until and not self._truncated:
-            simulator.run(until=until)
+            if until is not None and simulator.now < until and not self._truncated:
+                simulator.run(until=until)
         return self._result(until)
 
     def _integrate_capacities(self) -> None:

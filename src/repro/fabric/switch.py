@@ -13,11 +13,14 @@ The models here provide exactly the per-hop cost terms that figure needs:
   forwarding, adding a full serialization delay per hop.  Included as the
   pessimistic baseline.
 
-Both models expose queue-aware packet-level behaviour for the detailed
-simulator and closed-form per-hop latency for the analytical model
-(:mod:`repro.analysis.latency`), which must agree -- that agreement is the
-reproduction's substitute for the paper's hardware proof-of-concept
-validation (experiment E6).
+Both models expose the closed-form per-hop latency that the packet
+engines charge at every intermediate hop and the analytical model
+(:mod:`repro.analysis.latency`) sums, which must agree -- that agreement
+is the reproduction's substitute for the paper's hardware proof-of-concept
+validation (experiment E6).  Switches hold no packets themselves: output
+queueing is modelled per directed link by the packet engines' FIFO
+transmitter state (:class:`repro.sim.packet.PortState`), whose buffer is
+``SwitchModel.buffer_bits``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.queues import DropTailQueue
 from repro.sim.units import bits_from_bytes, nanoseconds
 
 #: Pipeline latency (parse + lookup + arbitration + crossbar) of a modern
@@ -82,14 +84,9 @@ class CutThroughSwitch:
     def __init__(self, name: str, model: Optional[SwitchModel] = None) -> None:
         self.name = name
         self.model = model if model is not None else SwitchModel()
-        self.queue = DropTailQueue(
-            capacity_bits=self.model.buffer_bits, name=f"{name}.out"
-        )
-        self.packets_forwarded = 0
-        self.packets_dropped = 0
 
     # ------------------------------------------------------------------ #
-    # Closed-form latency terms (used by the analytical model)
+    # Closed-form latency terms (packet engines and analytical model)
     # ------------------------------------------------------------------ #
     def forwarding_latency(self, packet_size_bits: float) -> float:
         """Per-hop latency contributed by this switch for a packet.
@@ -107,18 +104,6 @@ class CutThroughSwitch:
         if backlog_bits < 0:
             raise ValueError("backlog_bits must be >= 0")
         return backlog_bits / self.model.port_rate_bps
-
-    # ------------------------------------------------------------------ #
-    # Packet-level behaviour (used by the detailed simulator)
-    # ------------------------------------------------------------------ #
-    def accept(self, packet) -> bool:
-        """Enqueue *packet* for forwarding; returns ``False`` on buffer overflow."""
-        accepted = self.queue.enqueue(packet)
-        if accepted:
-            self.packets_forwarded += 1
-        else:
-            self.packets_dropped += 1
-        return accepted
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CutThroughSwitch({self.name!r})"

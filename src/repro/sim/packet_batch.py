@@ -68,32 +68,36 @@ epoch counter at exactly those boundaries and re-reads the live fabric
 when a port's cache is stale.  Cached and live reads are then
 indistinguishable.
 
+What it shares with the event engine
+------------------------------------
+Only the train/lone-segment loop, the calendar and the per-link context
+cache live here.  Flow routing, segmentation and the flow-side queries
+come from :class:`~repro.sim.transport.FlowLedger`; ports, drain-time
+queries and conservation counters from
+:class:`~repro.sim.packet.PortLedger` -- the same code the event engine
+runs, so those answers cannot drift apart.
+
 Differences from the event engine (documented, not observable in
 metrics): ``events_executed`` counts processed calendar *entries*
 (trains, lone segments, deliveries, callbacks -- and each inline window
 refill, as the entry it stands in for), not per-packet events, so
-``max_events`` budgets truncate at different points; per-packet ``inject`` of hand-built
-packets is not supported (use the event engine for that).
+``max_events`` budgets truncate at different points.  The core is
+lean-only: it materialises no per-packet objects (no
+:class:`~repro.sim.packet.Packet`, no per-hop records), records no trace
+and keeps no drop reasons, so per-packet records, hand-built packet
+``inject`` and traces need the event engine.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace as _dataclass_replace
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.sim.engine import SimulationError
 from repro.sim.flow import Flow
-from repro.sim.packet import HopRecord, Packet
-from repro.sim.trace import NullTrace, TraceRecorder
-from repro.sim.transport import (
-    FlowTransportState,
-    TransportConfig,
-    segment_layout,
-)
-
-DirectedKey = Tuple[str, str]
+from repro.sim.packet import DEFAULT_ECN_THRESHOLD, DirectedKey, PortLedger
+from repro.sim.transport import FlowLedger, FlowTransportState, TransportConfig
 
 #: Heap-entry kinds.  Entries are ``(time, seq, kind, payload...)`` tuples;
 #: ``seq`` is unique, so tuple comparison never reaches ``kind``.
@@ -104,7 +108,7 @@ _DELIVER = 2
 #: mutate the fabric, so they skip the mutation-epoch bump that external
 #: callbacks force.
 _ICALL = 3
-#: A lone lean-mode segment, flat: ``(time, seq, _HOP, state, path, hop,
+#: A lone segment, flat: ``(time, seq, _HOP, state, path, hop,
 #: size, seg, q_acc)``.  ``time`` is the head-available instant at
 #: ``path[hop]``; ``hop == len(path) - 1`` means it is due for delivery.
 #: ``q_acc`` is the queueing accumulated over the hops already taken.
@@ -114,9 +118,10 @@ _HOP = 4
 #: flow's transport state, its path snapshot, the current hop index
 #: (``len(path) - 1`` for a delivery train), and parallel per-segment
 #: lists.  ``times`` holds head-available times for forward trains and
-#: delivery times for delivery trains; both are non-decreasing.  ``seqs`` are the virtual event sequence numbers --
-#: strictly increasing within a train -- that stand in for the event
-#: engine's scheduling order.
+#: delivery times for delivery trains; both are non-decreasing.  ``seqs``
+#: are the virtual event sequence numbers -- strictly increasing within a
+#: train -- that stand in for the event engine's scheduling order.
+#: ``queue`` accumulates each segment's queueing over the hops taken.
 _T_STATE = 0
 _T_PATH = 1
 _T_HOP = 2
@@ -124,10 +129,7 @@ _T_TIMES = 3
 _T_SEQS = 4
 _T_SIZES = 5
 _T_SEGS = 6
-_T_CREATED = 7
-_T_QUEUE = 8
-_T_PIDS = 9
-_T_PACKETS = 10
+_T_QUEUE = 7
 
 #: Per-directed-link context record layout: epoch-guarded live link
 #: properties (slots 0-3) ahead of the stable cached objects.
@@ -163,19 +165,17 @@ class _Path(list):
         self.ctx: List[Optional[list]] = [None] * (len(self) - 1 or 1)
 
 
-class BatchedPacketCore:
+class BatchedPacketCore(FlowLedger, PortLedger):
     """Fused calendar + forwarding plane + transport for ``engine="batched"``.
 
-    Exposes the union of the three surfaces
-    :class:`~repro.fabric.packetsim.PacketBackend` consumes -- the
-    simulator clock/run control, the network's ports and conservation
-    counters, and the transport's flow bookkeeping -- so the backend can
-    point ``simulator``/``network``/``transport`` at one object.
-
-    Parameters mirror the event-driven trio; ``port_factory`` and
-    ``ecn_threshold`` are injected by the backend so this module stays
-    fabric-agnostic (the simulation kernel never imports ``repro.fabric``).
+    Exposes the surfaces :class:`~repro.fabric.packetsim.PacketBackend`
+    consumes -- the clock and scheduling, the shared port ledger and the
+    shared flow ledger -- so the backend can point
+    ``simulator``/``network``/``transport`` at one object.  The fabric is
+    duck-typed, so the simulation kernel never imports ``repro.fabric``.
     """
+
+    path_type = _Path
 
     def __init__(
         self,
@@ -183,90 +183,25 @@ class BatchedPacketCore:
         flows: Sequence[Flow],
         route_fn: Callable[[Flow], Sequence[str]],
         config: Optional[TransportConfig] = None,
-        trace: Optional[TraceRecorder] = None,
-        ecn_threshold: float = 0.65,
-        record_hops: bool = False,
-        retain_packets: bool = False,
-        port_factory=None,
+        ecn_threshold: float = DEFAULT_ECN_THRESHOLD,
     ) -> None:
-        if not 0.0 < ecn_threshold <= 1.0:
-            raise ValueError(f"ecn_threshold must be in (0, 1], got {ecn_threshold!r}")
-        if port_factory is None:
-            raise TypeError("port_factory is required (the backend injects PortState)")
-        self.fabric = fabric
-        self.trace = trace if trace is not None else NullTrace()
-        self.config = config if config is not None else TransportConfig()
-        self.route_fn = route_fn
-        self.ecn_threshold = ecn_threshold
-        self.record_hops = record_hops
-        self.retain_packets = retain_packets
-        self._port_factory = port_factory
-        #: Rich mode materialises Packet/HopRecord objects per segment --
-        #: needed only when callers want retained packets, hop records or
-        #: a real trace; the scale path never allocates them.
-        self._rich = bool(
-            record_hops or retain_packets or not isinstance(self.trace, NullTrace)
-        )
-
-        # -- calendar -------------------------------------------------- #
+        PortLedger.__init__(self, fabric, ecn_threshold)
         self._now = 0.0
         self._heap: list = []
         self._seq = 0
         self._events_executed = 0
+        self._truncated = False
         #: Mutation epoch: bumped whenever external code may have touched
-        #: the fabric (calendar callbacks, run()/step() entry from outside,
+        #: the fabric (calendar callbacks, drive() entry from outside,
         #: facade mutations).  Link-property caches are keyed on it.
         self._epoch = 0
         self._ctx: Dict[DirectedKey, list] = {}
-
-        # -- forwarding plane (PacketLevelNetwork surface) ------------- #
-        self.disabled_links: Set[DirectedKey] = set()
-        self._ports: Dict[DirectedKey, object] = {}
-        self.delivered: List[Packet] = []
-        self.dropped: List[Packet] = []
-        self.queueing_samples: List[float] = []
-        self.packets_injected = 0
-        self.packets_entered = 0
-        self.in_flight = 0
-        self.delivered_count = 0
-        self.dropped_count = 0
-        self.bits_delivered = 0.0
-        #: Optional external hooks; called with Packet objects, so they
-        #: fire only in rich mode (the transport logic is fused in-line
-        #: here, unlike the event path where it installs these hooks).
-        self.on_delivered: Optional[Callable[[Packet], None]] = None
-        self.on_dropped: Optional[Callable[[Packet], None]] = None
-
-        # -- transport (PacketTransport surface) ----------------------- #
-        self._packet_counter = 0
-        self.retransmissions = 0
-        self.retransmitted_bits = 0.0
-        self.segments_abandoned = 0
-        self._states: Dict[int, FlowTransportState] = {}
-        self._unfinished = 0
-        mtu = self.config.mtu_bits
-        for flow in flows:
-            total, last = segment_layout(flow.size_bits, mtu)
-            path = _Path(route_fn(flow))
-            if path[0] != flow.src or path[-1] != flow.dst:
-                raise ValueError(
-                    f"path {path} does not connect {flow.src!r} to {flow.dst!r}"
-                )
-            state = FlowTransportState(
-                flow=flow,
-                path=path,
-                total_segments=total,
-                segment_bits=mtu,
-                last_segment_bits=last,
-            )
-            if flow.flow_id in self._states:
-                raise ValueError(f"duplicate flow id {flow.flow_id}")
-            self._states[flow.flow_id] = state
-            self._unfinished += 1
-            self._schedule_internal(flow.start_time, self._start_flow, state)
+        FlowLedger.__init__(self, flows, route_fn, config)
+        for state in self._states.values():
+            self._schedule_internal(state.flow.start_time, self._start_flow, state)
 
     # ------------------------------------------------------------------ #
-    # Simulator surface: clock, scheduling, run control
+    # Clock, scheduling, run control
     # ------------------------------------------------------------------ #
     @property
     def now(self) -> float:
@@ -277,22 +212,6 @@ class BatchedPacketCore:
     def events_executed(self) -> int:
         """Calendar entries processed (trains count once per pop)."""
         return self._events_executed
-
-    @property
-    def pending(self) -> int:
-        """Entries currently on the calendar."""
-        return len(self._heap)
-
-    def touch(self) -> None:
-        """Invalidate link-property caches: external code may have mutated
-        the fabric.  The backend calls this on every ``run()`` entry."""
-        self._epoch += 1
-
-    def peek(self) -> Optional[float]:
-        """Time of the next calendar entry, or ``None`` when empty."""
-        if not self._heap:
-            return None
-        return self._heap[0][0]
 
     def schedule(self, delay: float, fn: Callable, *args, priority: int = 0,
                  **kwargs) -> None:
@@ -339,36 +258,6 @@ class BatchedPacketCore:
         self._seq += 1
         heappush(self._heap, (float(time), seq, _ICALL, fn, args, {}))
 
-    def step(self, until: Optional[float] = None) -> bool:
-        """Process the single next calendar entry.
-
-        A train whose later segments fall past *until* -- or would order
-        after another calendar entry -- is split: the processed prefix's
-        effects are applied, the rest re-enqueued.  Returns ``True`` if an
-        entry ran.
-        """
-        heap = self._heap
-        if not heap:
-            return False
-        entry = heappop(heap)
-        self._events_executed += 1
-        kind = entry[2]
-        if kind == _HOP:
-            # One entry per step: no inline refills.
-            self._hop(entry, until, 0)
-        elif kind == _TRAIN:
-            self._process_train(entry[3], until)
-        elif kind == _DELIVER:
-            self._process_deliveries(entry[3], until)
-        else:
-            self._now = entry[0]
-            entry[3](*entry[4], **entry[5])
-            if kind == _CALL:
-                # The callback may have mutated the fabric (controller
-                # ticks, failure plans): re-read link properties next use.
-                self._epoch += 1
-        return True
-
     def drive(self, until: Optional[float], max_events: int) -> bool:
         """The backend's run loop, fused: pop and dispatch entries until
         the calendar drains, *until* passes, the transport finishes (only
@@ -376,7 +265,9 @@ class BatchedPacketCore:
         (an inline window refill counts as the entry it stands in for).
 
         Returns ``True`` if the event budget was exhausted (truncation).
-        Check order mirrors ``PacketBackend.run``'s event-engine loop.
+        Check order mirrors ``PacketBackend.run``'s event-engine loop,
+        including its tail: unless a run has ever truncated, the clock
+        then advances to *until* even if the calendar drained earlier.
         External code may have mutated the fabric since the last drive, so
         link-property caches are dropped on entry.
         """
@@ -395,6 +286,7 @@ class BatchedPacketCore:
                 elif self._unfinished == 0:
                     break
                 if executed >= max_events:
+                    self._truncated = True
                     return True
                 entry = heappop(heap)
                 executed += 1
@@ -409,57 +301,19 @@ class BatchedPacketCore:
                     self._now = entry[0]
                     entry[3](*entry[4], **entry[5])
                     if kind == _CALL:
+                        # The callback may have mutated the fabric
+                        # (controller ticks, failure plans): re-read link
+                        # properties next use.
                         self._epoch += 1
+            if bounded and self._now < until and not self._truncated:
+                self._now = until
             return False
         finally:
             self._events_executed = executed
 
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> int:
-        """Run entries until the calendar drains or *until* is reached.
-
-        Mirrors :meth:`repro.sim.engine.Simulator.run`, including the
-        clock advancing to *until* even if the calendar drained earlier.
-        """
-        if until is not None and until < self._now:
-            raise SimulationError(
-                f"cannot run until {until!r}: clock already at {self._now!r}"
-            )
-        self.touch()
-        executed = 0
-        heap = self._heap
-        while True:
-            if max_events is not None and executed >= max_events:
-                break
-            if not heap:
-                break
-            if until is not None and heap[0][0] > until:
-                break
-            self.step(until)
-            executed += 1
-        if until is not None and self._now < until:
-            self._now = until
-        return executed
-
-    def drain(self, max_events: int = 10_000_000) -> int:
-        """Run until the calendar is empty (bounded by *max_events*)."""
-        return self.run(max_events=max_events)
-
     # ------------------------------------------------------------------ #
-    # Network surface: ports, counters
+    # Per-link context
     # ------------------------------------------------------------------ #
-    def _port(self, key: DirectedKey):
-        port = self._ports.get(key)
-        if port is None:
-            a, b = key
-            link = self.fabric.topology.link_between(a, b)
-            port = self._port_factory(
-                buffer_bits=self.fabric.config.switch_model.buffer_bits,
-                capacity_bps=link.capacity_bps,
-            )
-            self._ports[key] = port
-        return port
-
     def _link_ctx(self, key: DirectedKey) -> list:
         """The per-directed-link context record, live-refreshed per epoch.
 
@@ -501,107 +355,10 @@ class BatchedPacketCore:
         return ctx
 
     def sync_port_capacity(self, key: DirectedKey, capacity_bps: float) -> None:
-        """Eagerly reshape a port's drain deadline for a capacity change.
-
-        Identical to
-        :meth:`repro.fabric.packetsim.PacketLevelNetwork.sync_port_capacity`;
-        also invalidates the link-property cache so the next forward
-        re-reads the live fabric.
-        """
-        port = self._ports.get(key)
-        if port is None:
-            a, b = key
-            if not self.fabric.topology.has_link(a, b):
-                return
-            port = self._port(key)
-        now = self._now
-        remaining = port.busy_until - now
-        if remaining > 0.0 and port.capacity_bps > 0.0 and capacity_bps > 0.0:
-            port.busy_until = now + remaining * (port.capacity_bps / capacity_bps)
-        port.capacity_bps = capacity_bps
+        """The shared eager drain-deadline rescale, plus a cache
+        invalidation so the next forward re-reads the live fabric."""
+        super().sync_port_capacity(key, capacity_bps)
         self._epoch += 1
-
-    def port_drain_time(self, key: DirectedKey) -> float:
-        """Seconds until the port's accepted backlog has fully drained."""
-        port = self._ports.get(key)
-        if port is None:
-            return 0.0
-        return max(0.0, port.busy_until - self._now)
-
-    def port_stats(self) -> Dict[DirectedKey, object]:
-        """Frozen per-port statistics snapshot (copies, like the event path)."""
-        return {key: _dataclass_replace(port) for key, port in self._ports.items()}
-
-    def latencies(self) -> List[float]:
-        """End-to-end latencies of retained delivered packets (rich mode)."""
-        return [p.latency for p in self.delivered if p.latency is not None]
-
-    def delivery_fraction(self) -> float:
-        """Delivered packets over delivered plus dropped."""
-        total = self.delivered_count + self.dropped_count
-        if total == 0:
-            return 0.0
-        return self.delivered_count / total
-
-    # ------------------------------------------------------------------ #
-    # Transport surface: flow bookkeeping
-    # ------------------------------------------------------------------ #
-    @property
-    def finished(self) -> bool:
-        """Every flow has either fully delivered or been abandoned."""
-        return self._unfinished == 0
-
-    def _settle(self, state: FlowTransportState) -> None:
-        if not state.settled and state.finished:
-            state.settled = True
-            self._unfinished -= 1
-
-    def state_of(self, flow_id: int) -> FlowTransportState:
-        """Transport state of one flow."""
-        return self._states[flow_id]
-
-    def active_flows(self) -> List[Flow]:
-        """Flows that have started and are not yet finished."""
-        return [
-            state.flow
-            for state in self._states.values()
-            if state.started and not state.finished
-        ]
-
-    @property
-    def unstarted_count(self) -> int:
-        """Flows whose start event has not fired yet."""
-        return sum(1 for state in self._states.values() if not state.started)
-
-    def pending_demand_bits(self) -> float:
-        """Undelivered bits of the started, unfinished flows."""
-        return sum(
-            state.flow.size_bits - state.delivered_bits
-            for state in self._states.values()
-            if state.started and not state.finished
-        )
-
-    def reroute(self, flow_id: int, path: Sequence[str]) -> None:
-        """Point the remaining segments of a flow at a new path."""
-        state = self._states[flow_id]
-        path = _Path(path)
-        if len(path) < 2:
-            raise ValueError("a path needs at least a source and a destination")
-        if path[0] != state.flow.src or path[-1] != state.flow.dst:
-            raise ValueError(
-                f"path {path} does not connect {state.flow.src!r} "
-                f"to {state.flow.dst!r}"
-            )
-        state.path = path
-
-    def summary(self) -> Dict[str, float]:
-        """Headline transport counters."""
-        return {
-            "packets_sent": float(self._packet_counter),
-            "retransmissions": float(self.retransmissions),
-            "retransmitted_bits": self.retransmitted_bits,
-            "segments_abandoned": float(self.segments_abandoned),
-        }
 
     # ------------------------------------------------------------------ #
     # Injection machinery
@@ -622,72 +379,39 @@ class BatchedPacketCore:
         if in_window >= window or seg >= total:
             return
         if window - in_window == 1 or total - seg == 1:
-            if not self._rich:
-                # Steady-state refill: each delivery frees exactly one
-                # window slot, so inject the one fresh segment as a flat
-                # lone-segment entry.
-                state.next_segment = seg + 1
-                size = (state.last_segment_bits if seg == total - 1
-                        else state.segment_bits)
-                self._packet_counter += 1
-                state.outstanding += 1
-                self.packets_injected += 1
-                sq = self._seq
-                self._seq += 1
-                heappush(self._heap, (self._now, sq, _HOP, state, state.path,
-                                      0, size, seg, 0.0))
-                return
-        segs: List[int] = []
-        sizes: List[float] = []
-        pids: List[int] = []
-        seqs: List[int] = []
-        packets: Optional[List[Packet]] = [] if self._rich else None
-        while state.in_window < window and state.next_segment < state.total_segments:
-            self._append_injection(state, state.next_segment,
-                                   segs, sizes, pids, seqs, packets)
-            state.next_segment += 1
-        self._push_injection(state, segs, sizes, pids, seqs, packets)
-
-    def _append_injection(self, state, seg, segs, sizes, pids, seqs, packets):
-        """Mirror of ``PacketTransport._inject_segment`` + ``inject``."""
-        flow = state.flow
-        size = state.size_of(seg)
-        pid = self._packet_counter
-        self._packet_counter += 1
-        if packets is not None:
-            packet = Packet(
-                src=flow.src,
-                dst=flow.dst,
-                size_bits=size,
-                created_at=self._now,
-                flow_id=flow.flow_id,
-                packet_id=pid,
-            )
-            packet.metadata["segment"] = seg
-            packets.append(packet)
-        state.outstanding += 1
-        self.packets_injected += 1
-        seqs.append(self._seq)
-        self._seq += 1
-        segs.append(seg)
-        sizes.append(size)
-        pids.append(pid)
-
-    def _push_injection(self, state, segs, sizes, pids, seqs, packets):
-        now = self._now
-        n = len(segs)
-        # ``state.path`` is shared, not copied: ``reroute`` rebinds the
-        # attribute to a fresh list, so in-flight trains keep the path
-        # they were injected with -- the event engine's semantics.
-        if n == 1 and packets is None:
-            heappush(self._heap, (now, seqs[0], _HOP, state, state.path,
-                                  0, sizes[0], segs[0], 0.0))
+            # Steady-state refill: each delivery frees exactly one
+            # window slot, so inject the one fresh segment as a flat
+            # lone-segment entry.
+            state.next_segment = seg + 1
+            size = (state.last_segment_bits if seg == total - 1
+                    else state.segment_bits)
+            self._packet_counter += 1
+            state.outstanding += 1
+            self.packets_injected += 1
+            sq = self._seq
+            self._seq += 1
+            heappush(self._heap, (self._now, sq, _HOP, state, state.path,
+                                  0, size, seg, 0.0))
             return
-        train = (
-            state, state.path, 0,
-            [now] * n, seqs, sizes, segs, [now] * n, [0.0] * n, pids, packets,
-        )
-        heappush(self._heap, (now, seqs[0], _TRAIN, train))
+        # At least two segments: one train.  ``state.path`` is shared, not
+        # copied: ``reroute`` rebinds the attribute to a fresh path, so
+        # in-flight trains keep the path they were injected with -- the
+        # event engine's semantics.
+        n = min(window - in_window, total - seg)
+        sq = self._seq
+        self._seq = sq + n
+        sizes = [state.segment_bits] * n
+        if seg + n == total:
+            sizes[-1] = state.last_segment_bits
+        state.next_segment = seg + n
+        state.outstanding += n
+        self._packet_counter += n
+        self.packets_injected += n
+        now = self._now
+        heappush(self._heap, (now, sq, _TRAIN, (
+            state, state.path, 0, [now] * n, list(range(sq, sq + n)), sizes,
+            list(range(seg, seg + n)), [0.0] * n,
+        )))
 
     def _retransmit(self, state: FlowTransportState, seg: int) -> None:
         state.pending_retransmits -= 1
@@ -697,13 +421,13 @@ class BatchedPacketCore:
         self.retransmissions += 1
         size = state.size_of(seg)
         self.retransmitted_bits += size
-        segs: List[int] = []
-        sizes: List[float] = []
-        pids: List[int] = []
-        seqs: List[int] = []
-        packets: Optional[List[Packet]] = [] if self._rich else None
-        self._append_injection(state, seg, segs, sizes, pids, seqs, packets)
-        self._push_injection(state, segs, sizes, pids, seqs, packets)
+        self._packet_counter += 1
+        state.outstanding += 1
+        self.packets_injected += 1
+        sq = self._seq
+        self._seq += 1
+        heappush(self._heap, (self._now, sq, _HOP, state, state.path,
+                              0, size, seg, 0.0))
 
     # ------------------------------------------------------------------ #
     # Forwarding
@@ -743,8 +467,6 @@ class BatchedPacketCore:
         sizes = train[_T_SIZES]
         segs = train[_T_SEGS]
         queue = train[_T_QUEUE]
-        pids = train[_T_PIDS]
-        packets = train[_T_PACKETS]
         n = len(times)
         heap = self._heap
         last_hop = hop + 2 == len(path)
@@ -768,15 +490,12 @@ class BatchedPacketCore:
             if fwd_latency is None:
                 fwd_latency = self.fabric.switch(here).forwarding_latency
                 ctx[_C_FWD] = fwd_latency
-        else:
-            fwd_latency = None
 
         # Continuation builder: where the surviving segments go next.
         c_times: List[float] = []
         c_seqs: List[int] = []
         c_queue: List[float] = []
         c_keep: List[int] = []
-        c_packets: Optional[List[Packet]] = [] if packets is not None else None
 
         # Hot port fields in locals; flushed after the loop.
         busy = port.busy_until
@@ -808,14 +527,7 @@ class BatchedPacketCore:
                 entered += 1
             size = sizes[i]
             if not forwardable:
-                if capacity <= 0.0:
-                    reason = f"link {here}->{nxt} has no active capacity"
-                else:
-                    reason = f"link {here}->{nxt} is disabled"
-                self._drop_segment(
-                    state, segs[i], size, port, stats, here, nxt, reason,
-                    packets[i] if packets is not None else None, pids[i],
-                )
+                self._drop_segment(state, segs[i], size, port, stats)
                 i += 1
                 continue
             if hop:
@@ -825,7 +537,6 @@ class BatchedPacketCore:
                     switch_cache[size] = switching
                 ready = t + switching
             else:
-                switching = 0.0
                 ready = t
             queueing = busy - ready
             if queueing <= 0.0:
@@ -834,11 +545,7 @@ class BatchedPacketCore:
             if backlog > max_backlog:
                 max_backlog = backlog
             if backlog + size > buffer_bits:
-                self._drop_segment(
-                    state, segs[i], size, port, stats, here, nxt,
-                    f"buffer overflow at {here}->{nxt}",
-                    packets[i] if packets is not None else None, pids[i],
-                )
+                self._drop_segment(state, segs[i], size, port, stats)
                 i += 1
                 continue
             if backlog > ecn_bits:
@@ -868,20 +575,6 @@ class BatchedPacketCore:
                 else alpha * occupancy + one_minus_alpha * value
             )
             stats.packets += 1
-            if packets is not None:
-                packet = packets[i]
-                packet.queueing_seconds += queueing
-                if self.record_hops:
-                    packet.record_hop(HopRecord(
-                        element=here,
-                        arrival=t,
-                        departure=start_tx,
-                        queueing=queueing,
-                        switching=switching,
-                        serialization=serialization if hop == 0 else 0.0,
-                        propagation=propagation + phy,
-                    ))
-                c_packets.append(packet)
             sq_new = self._seq
             self._seq += 1
             if last_hop:
@@ -908,16 +601,15 @@ class BatchedPacketCore:
             # keys, plus whatever continuation has accumulated so far.
             self._requeue(train, i, _TRAIN)
         self._finish_train(train, last_hop, c_times, c_seqs, c_queue,
-                           c_keep, c_packets, until)
+                           c_keep, until)
 
     def _requeue(self, train: tuple, i: int, kind: int) -> None:
         """Re-enqueue a train's unprocessed tail from segment *i*, keeping
-        its original times and seqs; a lone lean-mode segment goes back as
-        a flat ``_HOP`` entry."""
+        its original times and seqs; a lone segment goes back as a flat
+        ``_HOP`` entry."""
         times = train[_T_TIMES]
         seqs = train[_T_SEQS]
-        packets = train[_T_PACKETS]
-        if packets is None and i == len(times) - 1:
+        if i == len(times) - 1:
             heappush(self._heap, (
                 times[i], seqs[i], _HOP, train[_T_STATE], train[_T_PATH],
                 train[_T_HOP], train[_T_SIZES][i], train[_T_SEGS][i],
@@ -926,23 +618,21 @@ class BatchedPacketCore:
         tail = (
             train[_T_STATE], train[_T_PATH], train[_T_HOP],
             times[i:], seqs[i:], train[_T_SIZES][i:], train[_T_SEGS][i:],
-            train[_T_CREATED][i:], train[_T_QUEUE][i:], train[_T_PIDS][i:],
-            packets[i:] if packets is not None else None,
+            train[_T_QUEUE][i:],
         )
         heappush(self._heap, (times[i], seqs[i], kind, tail))
 
     def _finish_train(self, train, last_hop, c_times, c_seqs, c_queue,
-                      c_keep, c_packets, until) -> None:
+                      c_keep, until) -> None:
         """Dispatch the continuation train built for the processed prefix.
 
         ``c_keep`` indexes the surviving segments (drops fall out), used to
-        gather their sizes/segment-ids/creation times from the parent; a
-        lone lean-mode survivor continues as a flat ``_HOP`` entry.  If
-        the continuation would be the very next calendar pop anyway --
-        nothing on the heap orders before it (the caller has already
-        re-enqueued any unprocessed tail) and the horizon reaches it --
-        it is processed inline, eliding the heap round trip; otherwise it
-        is enqueued.
+        gather their sizes and segment ids from the parent; a lone survivor
+        continues as a flat ``_HOP`` entry.  If the continuation would be
+        the very next calendar pop anyway -- nothing on the heap orders
+        before it (the caller has already re-enqueued any unprocessed
+        tail) and the horizon reaches it -- it is processed inline,
+        eliding the heap round trip; otherwise it is enqueued.
         """
         if not c_times:
             return
@@ -953,26 +643,19 @@ class BatchedPacketCore:
         segs = train[_T_SEGS]
         c0 = c_times[0]
         s0 = c_seqs[0]
-        if c_packets is None and len(c_keep) == 1:
+        if len(c_keep) == 1:
             j = c_keep[0]
             entry = (c0, s0, _HOP, state, path, hop, sizes[j], segs[j],
                      c_queue[0])
         else:
-            created = train[_T_CREATED]
-            pids = train[_T_PIDS]
             if len(c_keep) == len(sizes):
                 c_sizes = sizes
                 c_segs = segs
-                c_created = created
-                c_pids = pids
             else:
                 c_sizes = [sizes[j] for j in c_keep]
                 c_segs = [segs[j] for j in c_keep]
-                c_created = [created[j] for j in c_keep]
-                c_pids = [pids[j] for j in c_keep]
             entry = (c0, s0, _DELIVER if last_hop else _TRAIN, (
-                state, path, hop, c_times, c_seqs, c_sizes, c_segs,
-                c_created, c_queue, c_pids, c_packets,
+                state, path, hop, c_times, c_seqs, c_sizes, c_segs, c_queue,
             ))
         if until is None or c0 <= until:
             heap = self._heap
@@ -991,7 +674,7 @@ class BatchedPacketCore:
         heappush(self._heap, entry)
 
     def _hop(self, entry: tuple, until: Optional[float], budget: int) -> int:
-        """Advance a lone lean-mode segment hop by hop, through delivery.
+        """Advance a lone segment hop by hop, through delivery.
 
         The popped *entry* is the calendar minimum.  Each hop replays
         ``PacketLevelNetwork._forward`` operation for operation, and the
@@ -1073,8 +756,7 @@ class BatchedPacketCore:
                 self.packets_entered += 1
                 self.in_flight += 1
             if capacity <= 0.0 or (dl and (path[hop], path[hop + 1]) in dl):
-                self._drop_segment(state, seg, size, port, stats,
-                                   path[hop], path[hop + 1], None)
+                self._drop_segment(state, seg, size, port, stats)
                 return refills
             if capacity != port.capacity_bps:
                 remaining = port.busy_until - t
@@ -1101,8 +783,7 @@ class BatchedPacketCore:
             if backlog > port.max_backlog_bits:
                 port.max_backlog_bits = backlog
             if backlog + size > buffer_bits:
-                self._drop_segment(state, seg, size, port, stats,
-                                   path[hop], path[hop + 1], None)
+                self._drop_segment(state, seg, size, port, stats)
                 return refills
             if backlog > ecn_bits:
                 port.ecn_marks += 1
@@ -1140,31 +821,13 @@ class BatchedPacketCore:
                                 q_acc))
                 return refills
 
-    def _drop_segment(self, state, seg, size, port, stats, here, nxt, reason,
-                      packet=None, pid=None) -> None:
-        """Mirror of ``PacketLevelNetwork._drop`` + ``_on_dropped`` fused.
-
-        *reason*, *packet* and *pid* only matter in rich mode: lean mode
-        materialises no packet and records no trace.
-        """
+    def _drop_segment(self, state, seg, size, port, stats) -> None:
+        """Mirror of ``PacketLevelNetwork._drop`` + ``_on_dropped`` fused."""
         port.packets_dropped += 1
         port.bits_dropped += size
         self.dropped_count += 1
         self.in_flight -= 1
-        if packet is not None:
-            packet.mark_dropped(reason)
-            if self.retain_packets:
-                self.dropped.append(packet)
         stats.observe(drops=1, packets=1)
-        if not isinstance(self.trace, NullTrace):
-            self.trace.record(
-                self._now,
-                "packet_dropped",
-                packet_id=pid,
-                at=f"{here}->{nxt}",
-            )
-        if packet is not None and self.on_dropped is not None:
-            self.on_dropped(packet)
         # Transport reaction: retransmit with linear backoff, or abandon.
         state.outstanding -= 1
         if state.abandoned:
@@ -1196,12 +859,10 @@ class BatchedPacketCore:
         seqs = train[_T_SEQS]
         sizes = train[_T_SIZES]
         queue = train[_T_QUEUE]
-        packets = train[_T_PACKETS]
         state = train[_T_STATE]
         flow = state.flow
         n = len(times)
         heap = self._heap
-        trace_on = not isinstance(self.trace, NullTrace)
         samples = self.queueing_samples
         i = 0
         while i < n:
@@ -1217,28 +878,10 @@ class BatchedPacketCore:
                     break
             self._now = t
             size = sizes[i]
-            packet = None
-            if packets is not None:
-                packet = packets[i]
-                packet.mark_delivered(t)
             self.delivered_count += 1
             self.in_flight -= 1
             self.bits_delivered += size
             samples.append(queue[i])
-            if packet is not None and self.retain_packets:
-                self.delivered.append(packet)
-            if trace_on:
-                self.trace.record(
-                    t,
-                    "packet_delivered",
-                    packet_id=train[_T_PIDS][i],
-                    src=flow.src,
-                    dst=flow.dst,
-                    latency=t - train[_T_CREATED][i],
-                    hops=len(train[_T_PATH]) - 1,
-                )
-            if packet is not None and self.on_delivered is not None:
-                self.on_delivered(packet)
             # Transport reaction: progress accounting and window refill.
             state.outstanding -= 1
             state.delivered_segments += 1

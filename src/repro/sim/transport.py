@@ -151,40 +151,37 @@ class FlowTransportState:
         return self.segment_bits
 
 
-class PacketTransport:
-    """Segment, window, inject and retransmit a set of flows.
+class FlowLedger:
+    """Route a flow workload once and answer the flow-side queries.
+
+    The shared base of both packet engines' transports: it segments and
+    routes every flow up front (matching the fluid backend's
+    route-at-load-time contract) into a :class:`FlowTransportState`, keeps
+    the transport counters, and answers the introspection queries
+    controllers and the backend make.  Each engine schedules the flow
+    starts itself, in flow order, on its own calendar.
 
     Parameters
     ----------
-    simulator:
-        The event engine the packet network runs on.
-    network:
-        Packet forwarding plane; the transport takes over its
-        ``on_delivered``/``on_dropped`` hooks.
     flows:
-        The workload.  Every flow is routed immediately via *route_fn*
-        (matching the fluid backend's route-at-load-time contract) and
-        scheduled to start at its ``start_time``.
+        The workload.
     route_fn:
         ``flow -> [node names]`` path resolver.
     config:
         Transport knobs; defaults are :class:`TransportConfig`'s.
     """
 
+    #: Path container the engine's paths are built in (a ``list`` subclass
+    #: may carry per-hop engine state alongside the node names).
+    path_type = list
+
     def __init__(
         self,
-        simulator,
-        network,
         flows: Sequence[Flow],
         route_fn: Callable[[Flow], Sequence[str]],
         config: Optional[TransportConfig] = None,
     ) -> None:
-        self.simulator = simulator
-        self.network = network
         self.config = config if config is not None else TransportConfig()
-        self.route_fn = route_fn
-        network.on_delivered = self._on_delivered
-        network.on_dropped = self._on_dropped
         #: Local, per-run packet id counter: packet identity must be a
         #: function of the run alone (never of what ran before in the same
         #: process) for sweep rows to be bit-identical at any worker count.
@@ -199,7 +196,7 @@ class PacketTransport:
             total, last = segment_layout(flow.size_bits, mtu)
             state = FlowTransportState(
                 flow=flow,
-                path=list(route_fn(flow)),
+                path=self._checked_path(flow, route_fn(flow)),
                 total_segments=total,
                 segment_bits=mtu,
                 last_segment_bits=last,
@@ -208,7 +205,14 @@ class PacketTransport:
                 raise ValueError(f"duplicate flow id {flow.flow_id}")
             self._states[flow.flow_id] = state
             self._unfinished += 1
-            simulator.schedule_at(flow.start_time, self._start_flow, state)
+
+    def _checked_path(self, flow: Flow, nodes: Sequence[str]) -> List[str]:
+        path = self.path_type(nodes)
+        if path[0] != flow.src or path[-1] != flow.dst:
+            raise ValueError(
+                f"path {path} does not connect {flow.src!r} to {flow.dst!r}"
+            )
+        return path
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -261,15 +265,9 @@ class PacketTransport:
         new injections and retransmissions use the new one.
         """
         state = self._states[flow_id]
-        path = list(path)
         if len(path) < 2:
             raise ValueError("a path needs at least a source and a destination")
-        if path[0] != state.flow.src or path[-1] != state.flow.dst:
-            raise ValueError(
-                f"path {path} does not connect {state.flow.src!r} "
-                f"to {state.flow.dst!r}"
-            )
-        state.path = path
+        state.path = self._checked_path(state.flow, path)
 
     def summary(self) -> Dict[str, float]:
         """Headline transport counters."""
@@ -279,6 +277,38 @@ class PacketTransport:
             "retransmitted_bits": self.retransmitted_bits,
             "segments_abandoned": float(self.segments_abandoned),
         }
+
+
+class PacketTransport(FlowLedger):
+    """Segment, window, inject and retransmit a set of flows.
+
+    Parameters
+    ----------
+    simulator:
+        The event engine the packet network runs on.
+    network:
+        Packet forwarding plane; the transport takes over its
+        ``on_delivered``/``on_dropped`` hooks.
+    flows, route_fn, config:
+        As for :class:`FlowLedger`; every flow is scheduled to start at
+        its ``start_time``.
+    """
+
+    def __init__(
+        self,
+        simulator,
+        network,
+        flows: Sequence[Flow],
+        route_fn: Callable[[Flow], Sequence[str]],
+        config: Optional[TransportConfig] = None,
+    ) -> None:
+        super().__init__(flows, route_fn, config)
+        self.simulator = simulator
+        self.network = network
+        network.on_delivered = self._on_delivered
+        network.on_dropped = self._on_dropped
+        for state in self._states.values():
+            simulator.schedule_at(state.flow.start_time, self._start_flow, state)
 
     # ------------------------------------------------------------------ #
     # Injection machinery

@@ -22,6 +22,8 @@ queueing-sample sequence -- must match to the last bit.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.api import ExperimentSpec, run_experiment
 from repro.experiments.harness import build_grid_fabric
@@ -38,6 +40,7 @@ from repro.fabric.packetsim import ENGINES, PacketBackend
 from repro.fabric.switch import SwitchModel
 from repro.fabric.topology import TopologyBuilder
 from repro.sim.flow import Flow, reset_flow_ids
+from repro.sim.trace import TraceRecorder
 from repro.sim.transport import TransportConfig
 from repro.sim.units import bits_from_bytes
 
@@ -471,3 +474,115 @@ def test_lone_segment_buffer_overflow_retransmits_identically():
 def test_unknown_engine_is_rejected():
     with pytest.raises(ValueError, match="engine"):
         _build_backend("vectorised")
+
+
+@pytest.mark.parametrize(
+    "rich",
+    [{"record_hops": True}, {"retain_packets": True}, {"trace": TraceRecorder()}],
+    ids=lambda rich: next(iter(rich)),
+)
+def test_batched_engine_rejects_per_packet_records(rich):
+    # The batched engine is lean-only; per-packet records live on the
+    # event engine.
+    with pytest.raises(ValueError, match="engine='event'"):
+        _build_backend("batched", **rich)
+
+
+# --------------------------------------------------------------------------- #
+# Random workloads: the lean batched engine against the recorded oracle
+# --------------------------------------------------------------------------- #
+#: (kind, a, b): a line of ``a`` nodes or an ``a`` x ``b`` grid.
+_shapes = st.one_of(
+    st.tuples(st.just("line"), st.integers(2, 5), st.just(0)),
+    st.tuples(st.just("grid"), st.integers(2, 3), st.integers(2, 3)),
+)
+
+#: One random flow draw: (src pick, dst pick, size bits, start time).
+_flow_draws = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=10 ** 6),
+        st.integers(min_value=0, max_value=10 ** 6),
+        st.floats(min_value=2_000.0, max_value=150_000.0, allow_nan=False),
+        st.floats(min_value=0.0, max_value=3e-5, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _random_backend(engine, shape, draws, **kwargs):
+    """A three-packet buffer and a window of four, so random bursts drop,
+    retransmit and split trains."""
+    reset_flow_ids()
+    kind, a, b = shape
+    builder = TopologyBuilder(lanes_per_link=1)
+    topology = builder.line(a) if kind == "line" else builder.grid(a, b)
+    config = FabricConfig(switch_model=SwitchModel(buffer_bits=bits_from_bytes(4500)))
+    fabric = Fabric(topology, config)
+    endpoints = fabric.topology.endpoints()
+    flows = []
+    for src_pick, dst_pick, size_bits, start_time in draws:
+        src = endpoints[src_pick % len(endpoints)]
+        dst = endpoints[dst_pick % len(endpoints)]
+        if src == dst:
+            dst = endpoints[(dst_pick + 1) % len(endpoints)]
+            if src == dst:
+                continue
+        flows.append(Flow(src, dst, size_bits=size_bits, start_time=start_time))
+    if not flows:
+        return None
+    return PacketBackend(
+        fabric,
+        flows,
+        engine=engine,
+        transport=TransportConfig(window_packets=4, retransmit_delay=1e-6),
+        **kwargs,
+    )
+
+
+def _lean_snapshot(backend):
+    network = backend.network
+    return {
+        "queueing_samples": list(network.queueing_samples),
+        "ports": network.port_stats(),
+        "fcts": [(flow.flow_id, flow.fct) for flow in backend._flows],
+        "transport": backend.transport.summary(),
+        "conservation": (
+            network.packets_injected,
+            network.packets_entered,
+            network.in_flight,
+            network.delivered_count,
+            network.dropped_count,
+            network.bits_delivered,
+        ),
+    }
+
+
+@settings(max_examples=50, deadline=None)
+@given(_shapes, _flow_draws)
+def test_lean_batched_matches_the_recorded_event_run(shape, draws):
+    event = _random_backend(
+        "event", shape, draws, record_hops=True, retain_packets=True
+    )
+    if event is None:
+        return
+    batched = _random_backend("batched", shape, draws)
+    event.run()
+    batched.run()
+    assert _lean_snapshot(event) == _lean_snapshot(batched)
+
+    # The oracle's per-packet records: causal per-hop timestamps, and a
+    # delay breakdown that sums to the end-to-end latency.
+    assert event.network.delivered, "the first segment always fits the buffer"
+    for packet in event.network.delivered:
+        previous_departure = packet.created_at
+        for hop in packet.hops:
+            assert hop.arrival >= previous_departure - 1e-15
+            assert hop.departure >= hop.arrival
+            assert hop.queueing >= 0.0
+            assert hop.switching >= 0.0
+            previous_departure = hop.departure
+        assert packet.delivered_at >= previous_departure
+        breakdown = packet.delay_breakdown()
+        assert sum(breakdown.values()) == pytest.approx(packet.latency, rel=1e-9)
+        assert breakdown["queueing"] == pytest.approx(packet.queueing_seconds, rel=1e-9)

@@ -310,11 +310,13 @@ def test_packet_conservation_holds_while_the_loop_mutates(draws, horizon_fractio
 # Batched packet engine invariants
 # --------------------------------------------------------------------------- #
 # The batched engine coalesces segments into trains and splits them on
-# interleave, so its conservation counters, per-hop timestamps and delay
-# decomposition must hold at *any* horizon cut -- a train split mid-run
-# must never lose or double-count a segment.  (The engine drives flows
-# through the transport, so these properties feed it flow draws rather
-# than raw packets.)
+# interleave, so its conservation counters must hold at *any* horizon cut
+# -- a train split mid-run must never lose or double-count a segment.
+# (The engine drives flows through the transport, so these properties
+# feed it flow draws rather than raw packets.)  The batched engine is
+# lean-only, so its per-hop timestamps and delay decomposition are those
+# of the event engine's recorded run of the same workload, which the
+# batched run must match on every lean observable.
 
 #: One random flow draw: (src pick, dst pick, size bits, start time).
 _batched_flow_draws = st.lists(
@@ -329,7 +331,7 @@ _batched_flow_draws = st.lists(
 )
 
 
-def _batched_backend(shape, draws, buffer_bytes=None, **kwargs):
+def _batched_backend(shape, draws, buffer_bytes=None, engine="batched", **kwargs):
     kind, a, b = shape
     builder = TopologyBuilder(lanes_per_link=1)
     topology = builder.line(a) if kind == "line" else builder.grid(a, b)
@@ -351,7 +353,26 @@ def _batched_backend(shape, draws, buffer_bytes=None, **kwargs):
         flows.append(Flow(src, dst, size_bits=size_bits, start_time=start_time))
     if not flows:
         return None
-    return PacketBackend(fabric, flows, engine="batched", **kwargs)
+    return PacketBackend(fabric, flows, engine=engine, **kwargs)
+
+
+def _recorded_oracle_of_batched_run(shape, draws):
+    """Run ``draws`` lean on the batched engine and recorded on the event
+    engine; return the event network once both agree on every lean
+    observable, or ``None`` when the draws yield no flow."""
+    batched = _batched_backend(shape, draws)
+    if batched is None:
+        return None
+    event = _batched_backend(
+        shape, draws, engine="event", record_hops=True, retain_packets=True
+    )
+    batched.run()
+    event.run()
+    assert batched.network.queueing_samples == event.network.queueing_samples
+    assert batched.network.port_stats() == event.network.port_stats()
+    assert [f.fct for f in batched._flows] == [f.fct for f in event._flows]
+    assert batched.network.delivered_count == event.network.delivered_count
+    return event.network
 
 
 @COMMON_SETTINGS
@@ -379,7 +400,7 @@ def test_batched_conservation_at_any_run_point(shape, draws, horizon_fraction):
     )
     assert network.packets_entered <= network.packets_injected
     backend.run()
-    backend.simulator.drain()
+    backend.run(until=backend.now + 1.0)
     assert network.in_flight == 0
     assert network.packets_entered == network.packets_injected
     assert network.packets_entered == (
@@ -395,13 +416,12 @@ def test_batched_conservation_at_any_run_point(shape, draws, horizon_fraction):
 @COMMON_SETTINGS
 @given(_topologies, _batched_flow_draws)
 def test_batched_hop_timestamps_are_nondecreasing(shape, draws):
-    # record_hops forces the engine's rich mode: coalescing must still
-    # stamp every per-hop arrival/departure in causal order.
-    backend = _batched_backend(shape, draws, record_hops=True, retain_packets=True)
-    if backend is None:
+    # Coalescing must not reorder anything the per-hop records would show:
+    # the batched run equals the recorded run, whose every per-hop
+    # arrival/departure is in causal order.
+    network = _recorded_oracle_of_batched_run(shape, draws)
+    if network is None:
         return
-    backend.run()
-    network = backend.network
     assert network.delivered, "idle-buffer runs must deliver everything"
     for packet in network.delivered:
         previous_departure = packet.created_at
@@ -417,11 +437,9 @@ def test_batched_hop_timestamps_are_nondecreasing(shape, draws):
 @COMMON_SETTINGS
 @given(_topologies, _batched_flow_draws)
 def test_batched_delay_breakdown_sums_to_latency(shape, draws):
-    backend = _batched_backend(shape, draws, record_hops=True, retain_packets=True)
-    if backend is None:
+    network = _recorded_oracle_of_batched_run(shape, draws)
+    if network is None:
         return
-    backend.run()
-    network = backend.network
     assert network.delivered, "idle-buffer runs must deliver everything"
     for packet in network.delivered:
         breakdown = packet.delay_breakdown()
@@ -475,7 +493,7 @@ def test_batched_conservation_at_any_cut_with_mutations(
         )
         backend.set_enabled(key, True)
     backend.run()
-    backend.simulator.drain()
+    backend.run(until=backend.now + 1.0)
     assert network.in_flight == 0
     assert network.packets_entered == network.packets_injected
     assert network.packets_entered == (
@@ -539,7 +557,7 @@ def test_batched_conservation_holds_while_the_loop_mutates(draws, horizon_fracti
     assert network.packets_entered == (
         network.delivered_count + network.dropped_count + network.in_flight
     )
-    backend.simulator.drain()
+    backend.run(until=backend.now + 1.0)
     assert network.in_flight == 0
     assert network.packets_entered == (
         network.delivered_count + network.dropped_count

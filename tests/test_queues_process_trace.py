@@ -1,127 +1,11 @@
-"""Tests for queues, processes, random streams and tracing."""
+"""Tests for processes, random streams and tracing."""
 
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.packet import Packet
 from repro.sim.process import GeneratorProcess, PeriodicProcess, Process
-from repro.sim.queues import CalendarQueue, DropTailQueue, PriorityDropTailQueue
 from repro.sim.random import RandomStreams
 from repro.sim.trace import NullTrace, TraceRecorder
-
-
-# --------------------------------------------------------------------------- #
-# DropTailQueue
-# --------------------------------------------------------------------------- #
-def test_queue_fifo_order():
-    queue = DropTailQueue()
-    first = Packet("a", "b", 10)
-    second = Packet("a", "b", 20)
-    queue.enqueue(first)
-    queue.enqueue(second)
-    assert queue.dequeue() is first
-    assert queue.dequeue() is second
-    assert queue.dequeue() is None
-
-
-def test_queue_occupancy_tracking():
-    queue = DropTailQueue(capacity_bits=100)
-    queue.enqueue(Packet("a", "b", 40))
-    queue.enqueue(Packet("a", "b", 30))
-    assert queue.occupancy_bits == 70
-    assert queue.occupancy_packets == 2
-    assert queue.occupancy_fraction() == pytest.approx(0.7)
-    queue.dequeue()
-    assert queue.occupancy_bits == 30
-
-
-def test_queue_drop_on_bit_overflow():
-    queue = DropTailQueue(capacity_bits=50)
-    assert queue.enqueue(Packet("a", "b", 40)) is True
-    assert queue.enqueue(Packet("a", "b", 20)) is False
-    assert queue.stats.dropped == 1
-    assert queue.stats.drop_fraction() == pytest.approx(0.5)
-
-
-def test_queue_drop_on_packet_overflow():
-    queue = DropTailQueue(capacity_packets=1)
-    assert queue.enqueue(Packet("a", "b", 1))
-    assert not queue.enqueue(Packet("a", "b", 1))
-
-
-def test_queue_rejects_invalid_capacity():
-    with pytest.raises(ValueError):
-        DropTailQueue(capacity_bits=0)
-    with pytest.raises(ValueError):
-        DropTailQueue(capacity_packets=0)
-
-
-def test_queue_clear():
-    queue = DropTailQueue()
-    queue.enqueue(Packet("a", "b", 10))
-    queue.enqueue(Packet("a", "b", 10))
-    assert queue.clear() == 2
-    assert queue.empty
-    assert queue.occupancy_bits == 0
-
-
-def test_queue_peek_does_not_remove():
-    queue = DropTailQueue()
-    packet = Packet("a", "b", 10)
-    queue.enqueue(packet)
-    assert queue.peek() is packet
-    assert queue.occupancy_packets == 1
-
-
-# --------------------------------------------------------------------------- #
-# PriorityDropTailQueue
-# --------------------------------------------------------------------------- #
-def test_priority_queue_serves_high_priority_first():
-    queue = PriorityDropTailQueue(levels=2)
-    low = Packet("a", "b", 10, priority=1)
-    high = Packet("a", "b", 10, priority=0)
-    queue.enqueue(low)
-    queue.enqueue(high)
-    assert queue.dequeue() is high
-    assert queue.dequeue() is low
-
-
-def test_priority_queue_unknown_priority_clamped():
-    queue = PriorityDropTailQueue(levels=2)
-    packet = Packet("a", "b", 10, priority=7)
-    assert queue.level_for(packet) == 1
-    negative = Packet("a", "b", 10, priority=-3)
-    assert queue.level_for(negative) == 0
-
-
-def test_priority_queue_aggregate_stats():
-    queue = PriorityDropTailQueue(levels=2)
-    queue.enqueue(Packet("a", "b", 10, priority=0))
-    queue.enqueue(Packet("a", "b", 10, priority=1))
-    queue.dequeue()
-    assert queue.stats.enqueued == 2
-    assert queue.stats.dequeued == 1
-    assert queue.occupancy_packets == 1
-    assert not queue.empty
-
-
-def test_priority_queue_rejects_bad_levels():
-    with pytest.raises(ValueError):
-        PriorityDropTailQueue(levels=0)
-
-
-# --------------------------------------------------------------------------- #
-# CalendarQueue
-# --------------------------------------------------------------------------- #
-def test_calendar_queue_pop_until():
-    calendar = CalendarQueue()
-    calendar.push(3.0, "c")
-    calendar.push(1.0, "a")
-    calendar.push(2.0, "b")
-    ready = calendar.pop_until(2.0)
-    assert [item for _, item in ready] == ["a", "b"]
-    assert len(calendar) == 1
-    assert calendar.peek_time() == 3.0
 
 
 # --------------------------------------------------------------------------- #

@@ -16,7 +16,6 @@ from repro.fabric.routing import (
 )
 from repro.fabric.switch import CutThroughSwitch, StoreAndForwardSwitch, SwitchModel
 from repro.fabric.topology import TopologyBuilder
-from repro.sim.packet import Packet
 from repro.sim.units import bits_from_bytes
 
 
@@ -59,15 +58,6 @@ def test_switch_queueing_delay():
     assert switch.queueing_delay(1e6) == pytest.approx(1e6 / switch.model.port_rate_bps)
     with pytest.raises(ValueError):
         switch.queueing_delay(-1)
-
-
-def test_switch_accept_counts_and_drops():
-    model = SwitchModel(buffer_bits=100)
-    switch = CutThroughSwitch("sw", model)
-    assert switch.accept(Packet("a", "b", 80))
-    assert not switch.accept(Packet("a", "b", 80))
-    assert switch.packets_forwarded == 1
-    assert switch.packets_dropped == 1
 
 
 def test_switch_model_validation():

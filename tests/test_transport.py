@@ -8,6 +8,7 @@ from repro.fabric.packetsim import ENGINES, PacketBackend
 from repro.fabric.switch import SwitchModel
 from repro.fabric.topology import TopologyBuilder
 from repro.sim.flow import Flow, FlowState
+from repro.sim.fluid import FluidFlowSimulator
 from repro.sim.transport import TransportConfig
 from repro.sim.units import bits_from_bytes
 
@@ -252,6 +253,18 @@ def test_max_events_budget_marks_the_run_truncated(engine, window):
 # --------------------------------------------------------------------------- #
 # Controller surface
 # --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("backend", ("fluid",) + ENGINES)
+def test_add_link_rejects_negative_capacity(backend):
+    if backend == "fluid":
+        sim = FluidFlowSimulator()
+    else:
+        flow = Flow("n0", "n3", size_bits=MTU_BITS)
+        sim = PacketBackend(line_fabric(), [flow], engine=backend)
+    with pytest.raises(ValueError, match="capacity must be >= 0"):
+        sim.add_link(("n0", "n3"), -1.0)
+    assert not sim.has_link(("n0", "n3"))
+
+
 def test_periodic_controller_observes_packet_utilisation():
     fabric = line_fabric(nodes=2)
     flow = Flow("n0", "n1", size_bits=50 * MTU_BITS)
