@@ -27,7 +27,7 @@ Examples
         --output backends.jsonl
     repro-fabric sweep --scenario uniform-burst --grid backend=packet \\
         --grid engine=event,batched --output engines.jsonl
-    repro-fabric lint --strict
+    repro-fabric lint
     repro-fabric lint --list-rules
 
 Every ``run``/``compare``/``sweep`` invocation goes through the single
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # `lint` forwards everything verbatim to the repro.lint parser; it is
     # intercepted in main() because argparse.REMAINDER cannot hand leading
-    # option tokens (e.g. `lint --strict`) through a subparser.  The stub
+    # option tokens (e.g. `lint --rules D001`) through a subparser.  The stub
     # here keeps the subcommand in --help.
     lint = sub.add_parser(
         "lint",
@@ -382,7 +382,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if tokens and tokens[0] == "lint":
             # Forward verbatim; argparse.REMAINDER cannot pass leading
-            # option tokens (e.g. `lint --strict`) through a subparser.
+            # option tokens (e.g. `lint --rules D001`) through a subparser.
             from repro.lint.cli import main as lint_main
 
             return lint_main(tokens[1:])

@@ -14,10 +14,11 @@
   grid-to-torus move.
 * :mod:`repro.core.policy` -- control policies (latency minimisation, power
   cap, adaptive FEC, composites).
-* :mod:`repro.core.scheduler` -- flow scheduling subject to PLP availability.
+* :mod:`repro.core.scheduler` -- link and path pricing under observed load,
+  and the cheapest-path choice the control loop reroutes flows onto.
 * :mod:`repro.core.crc` -- the Closed Ring Control itself: the periodic
-  feedback loop that observes link statistics, prices links, asks the
-  policies for PLP commands, executes them and re-routes traffic.
+  feedback loop that observes link statistics, asks the policies for PLP
+  commands, executes them and re-routes traffic.
 * :mod:`repro.core.control` -- the closed-loop adaptive control *runtime*:
   a :class:`~repro.core.control.ControlLoop` process on the event engine
   that drives telemetry, pricing, scheduling and reconfiguration inside a
@@ -76,7 +77,7 @@ from repro.core.reconfiguration import (
     break_even_flow_size,
     reconfiguration_gain,
 )
-from repro.core.scheduler import FlowScheduler, SchedulingDecision
+from repro.core.scheduler import FlowScheduler
 
 __all__ = [
     "Controller",
@@ -118,5 +119,4 @@ __all__ = [
     "break_even_flow_size",
     "reconfiguration_gain",
     "FlowScheduler",
-    "SchedulingDecision",
 ]

@@ -353,14 +353,7 @@ class ControlLoop:
         # 1. observe ---------------------------------------------------- #
         raw_utilisation = self._canonical_utilisation(sim)
         raw_max = max(raw_utilisation.values()) if raw_utilisation else 0.0
-        for key in self.fabric.topology.link_keys():
-            link = self.fabric.topology.link_between(*key)
-            self.fabric.stats_for(*key).observe(
-                latency=link.one_way_latency,
-                utilisation=raw_utilisation.get(key, 0.0),
-                post_fec_ber=link.post_fec_ber,
-                power_watts=link.power_watts,
-            )
+        self.fabric.observe_links(raw_utilisation)
         smoothed = {
             key: self.fabric.stats_for(*key).utilisation.value_or(0.0)
             for key in self.fabric.topology.link_keys()

@@ -29,7 +29,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.fabric.fabric import Fabric
 from repro.phy.link import Link
-from repro.phy.stats import LinkStatistics
 from repro.sim.units import microseconds
 
 
@@ -183,17 +182,6 @@ class LinkPriceTagger:
             + weights.congestion * self.congestion_term(utilisation, queue_occupancy)
             + weights.health * self.health_term(ber)
             + weights.power * self.power_term(power)
-        )
-
-    def price_from_stats(self, link: Link, stats: LinkStatistics) -> float:
-        """Price computed from a link's smoothed statistics stream."""
-        snapshot = stats.snapshot()
-        return self.price(
-            link,
-            utilisation=snapshot["utilisation"],
-            queue_occupancy=snapshot["queue_occupancy"],
-            post_fec_ber=snapshot["post_fec_ber"] or None,
-            power_watts=snapshot["power_watts"] or None,
         )
 
     def price_map(

@@ -4,12 +4,15 @@ The CRC is the feedback loop of the architecture: every control interval it
 
 1. ingests per-link statistics (utilisation, queueing, health, power) --
    PLP primitive 5,
-2. tags every link with a price (:mod:`repro.core.cost`),
-3. asks its policy stack for PLP commands
+2. asks its policy stack for PLP commands
    (:mod:`repro.core.policy`),
-4. executes the commands through the PLP executor, which mutates the fabric
+3. executes the commands through the PLP executor, which mutates the fabric
    and charges reconfiguration delays (:mod:`repro.core.plp`),
-5. re-routes traffic over the updated fabric.
+4. re-routes traffic over the updated fabric.
+
+The scripted CRC routes on whatever weight the fabric's router already
+carries; price-tag routing is the closed loop's job
+(:class:`repro.core.control.ControlLoop`).
 
 The controller can run standalone (``control_step`` driven by a test or a
 benchmark) or attached to a :class:`~repro.sim.fluid.FluidFlowSimulator`,
@@ -26,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from repro.core.cost import LinkPriceTagger, PriceWeights
 from repro.core.plp import PLPCommandType, PLPExecutor, PLPResult, ReconfigurationDelays
 from repro.core.policy import (
     AdaptiveFecPolicy,
@@ -66,8 +68,6 @@ class CRCConfig:
 
     #: Interval between control iterations (seconds).
     control_period: float = microseconds(100.0)
-    #: Price-tag weighting (the A1 ablation knob).
-    price_weights: PriceWeights = field(default_factory=PriceWeights)
     #: Utilisation above which the latency policy considers reconfiguring.
     utilisation_threshold: float = 0.7
     #: Reconfiguration delay model.
@@ -92,6 +92,16 @@ class CRCConfig:
     def __post_init__(self) -> None:
         if self.control_period <= 0:
             raise ValueError("control_period must be positive")
+        if not (
+            self.enable_adaptive_fec
+            or self.enable_bypass
+            or self.enable_topology_reconfiguration
+            or self.power_cap_watts is not None
+        ):
+            raise ValueError(
+                "CRCConfig enables no policy; use controller='none' for an "
+                "uncontrolled run"
+            )
         if self.enable_topology_reconfiguration and (
             self.grid_rows is None or self.grid_columns is None
         ):
@@ -126,7 +136,6 @@ class ClosedRingControl:
         self.fabric = fabric
         self.config = config if config is not None else CRCConfig()
         self.trace = trace if trace is not None else NullTrace()
-        self.tagger = LinkPriceTagger(weights=self.config.price_weights)
         self.executor = PLPExecutor(fabric, delays=self.config.delays)
         self.planner = ReconfigurationPlanner(
             delays=self.config.delays,
@@ -160,8 +169,6 @@ class ClosedRingControl:
             )
         if self.config.enable_adaptive_fec:
             policies.append(AdaptiveFecPolicy())
-        if not policies:
-            policies.append(AdaptiveFecPolicy())
         return CompositePolicy(policies)
 
     # ------------------------------------------------------------------ #
@@ -178,20 +185,11 @@ class ClosedRingControl:
         """Assemble the observation for this iteration and update link stats."""
         canonical = merge_directed_values(link_utilisation or {})
         power_report = self.fabric.power_report()
-        for key in self.fabric.topology.link_keys():
-            link = self.fabric.topology.link_between(*key)
-            self.fabric.stats_for(*key).observe(
-                latency=link.one_way_latency,
-                utilisation=canonical.get(key, 0.0),
-                post_fec_ber=link.post_fec_ber,
-                power_watts=link.power_watts,
-            )
-        prices = self.tagger.price_map(self.fabric, canonical)
+        self.fabric.observe_links(canonical)
         return Observation(
             time=now,
             fabric=self.fabric,
             link_utilisation=canonical,
-            link_prices=prices,
             power_report=power_report,
             active_flow_count=active_flow_count,
             pending_demand_bits=pending_demand_bits,

@@ -16,10 +16,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
+from repro.core.candidates import GridToTorusCandidate
 from repro.core.plp import PLPCommand, PLPCommandType
-from repro.core.reconfiguration import GridToTorusPlan, ReconfigurationPlanner
+from repro.core.reconfiguration import ReconfigurationPlanner
 from repro.fabric.fabric import Fabric
-from repro.fabric.topology import TopologyBuilder
 from repro.phy.fec import AdaptiveFecController
 from repro.phy.power import PowerReport
 from repro.phy.stats import EwmaEstimator
@@ -36,8 +36,6 @@ class Observation:
     fabric: Fabric
     #: Smoothed or instantaneous utilisation per canonical link key.
     link_utilisation: Dict[LinkKey, float] = field(default_factory=dict)
-    #: Price tags per canonical link key (computed by the CRC).
-    link_prices: Dict[LinkKey, float] = field(default_factory=dict)
     #: Instantaneous fabric power breakdown.
     power_report: Optional[PowerReport] = None
     #: Number of flows currently in the fabric.
@@ -107,9 +105,10 @@ class LatencyMinimizationPolicy(ControlPolicy):
     """Reconfigure the topology to cut hop counts when congestion appears.
 
     Concretely: when the hottest link exceeds ``utilisation_threshold`` and
-    the grid-to-torus plan is feasible and clears the planner's break-even
-    test, emit the plan's command batch.  This is the policy that drives the
-    paper's Figure 2 scenario.
+    the grid-to-torus move (:class:`~repro.core.candidates.GridToTorusCandidate`)
+    is feasible and clears the planner's break-even test, emit the move's
+    command batch.  This is the policy that drives the paper's Figure 2
+    scenario.
     """
 
     name = "latency-minimization"
@@ -129,14 +128,14 @@ class LatencyMinimizationPolicy(ControlPolicy):
         Parameters
         ----------
         rows, columns:
-            Grid dimensions the plan reconfigures from.
+            Grid dimensions the move reconfigures from.
         utilisation_threshold:
-            Hottest-link utilisation at which the plan is considered.
+            Hottest-link utilisation at which the move is considered.
         planner:
             Shared go/no-go planner (the CRC passes its own so hysteresis
             state is global); a private one is created when omitted.
         harvest_per_link, lanes_per_wraparound:
-            Lane budget of the grid-to-torus plan.
+            Lane budget of the grid-to-torus move.
         demand_alpha:
             EWMA coefficient for smoothing the observed pending demand; the
             smoothed estimate is threaded into the planner so a one-tick
@@ -146,17 +145,20 @@ class LatencyMinimizationPolicy(ControlPolicy):
             raise ValueError("utilisation_threshold must be in (0, 1]")
         self.utilisation_threshold = utilisation_threshold
         self.planner = planner if planner is not None else ReconfigurationPlanner()
-        self.plan_builder = GridToTorusPlan(
-            rows=rows,
-            columns=columns,
+        self.candidate = GridToTorusCandidate(
+            rows,
+            columns,
             harvest_per_link=harvest_per_link,
             lanes_per_wraparound=lanes_per_wraparound,
         )
         # Seeded at zero so a spike on the very first iteration is damped
         # like any other one-tick transient.
         self.demand_ewma = EwmaEstimator(alpha=demand_alpha, initial=0.0)
-        self.applied = False
-        self.attempts = 0
+
+    @property
+    def applied(self) -> bool:
+        """Whether the move has been issued (or the fabric is already a torus)."""
+        return self.candidate.applied
 
     def decide(self, observation: Observation) -> List[PLPCommand]:  # noqa: D102
         if self.applied:
@@ -166,19 +168,13 @@ class LatencyMinimizationPolicy(ControlPolicy):
         self.demand_ewma.update(observation.pending_demand_bits)
         if observation.max_utilisation() < self.utilisation_threshold:
             return []
-        self.attempts += 1
-        topology = observation.fabric.topology
         try:
-            plan = self.plan_builder.build(topology, self.planner.delays)
+            proposal = self.candidate.propose(observation.fabric, self.planner.delays)
         except ValueError:
-            # Not a (thick enough) grid any more; nothing to do.
-            return []
-        if not any(cmd.type is PLPCommandType.CREATE_LINK for cmd in plan.commands):
-            # Wrap-around links already exist; the fabric is already a torus.
-            self.applied = True
-            return []
+            return []  # a different topology family or grid size
+        if proposal is None:
+            return []  # not a (thick enough) grid any more, or already a torus
 
-        current_rate, reconfigured_rate = self._estimate_rates(observation)
         demand = observation.pending_demand_bits
         smoothed: Optional[float] = self.demand_ewma.value
         if demand <= 0:
@@ -189,41 +185,21 @@ class LatencyMinimizationPolicy(ControlPolicy):
             hottest = observation.hottest_links(1)
             if hottest:
                 key, _ = hottest[0]
-                demand = topology.link_between(*key).capacity_bps * milliseconds(1)
+                link = observation.fabric.topology.link_between(*key)
+                demand = link.capacity_bps * milliseconds(1)
             smoothed = None
         if not self.planner.should_apply(
-            plan,
+            proposal.plan,
             demand,
-            current_rate,
-            reconfigured_rate,
+            proposal.current_rate_bps,
+            proposal.reconfigured_rate_bps,
             now=observation.time,
             smoothed_demand_bits=smoothed,
         ):
             return []
         self.planner.commit(observation.time)
-        self.applied = True
-        return plan.commands
-
-    def _estimate_rates(self, observation: Observation) -> Tuple[float, float]:
-        """Estimate aggregate service rates before/after the reconfiguration.
-
-        The estimate uses the classic uniform-traffic capacity bound: the
-        aggregate throughput a topology sustains is proportional to the total
-        link capacity divided by the average path length in hops.  The lane
-        budget is conserved by the plan, so the capacity term is unchanged
-        and the ratio reduces to the ratio of average hop counts -- exactly
-        the "fewer switch traversals" argument of the paper.
-        """
-        topology = observation.fabric.topology
-        total_capacity = sum(link.capacity_bps for link in topology.links())
-        current_hops = topology.average_shortest_path_hops()
-        target = TopologyBuilder(
-            lanes_per_link=1
-        ).torus(self.plan_builder.rows, self.plan_builder.columns)
-        target_hops = target.average_shortest_path_hops()
-        current_rate = total_capacity / max(current_hops, 1e-9)
-        reconfigured_rate = total_capacity / max(target_hops, 1e-9)
-        return current_rate, reconfigured_rate
+        self.candidate.committed(observation.time)
+        return proposal.plan.commands
 
 
 class BypassPolicy(ControlPolicy):

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional
 
-from repro.experiments.api import ExperimentSpec, RunRecord, run_experiment
+from repro.experiments.api import RunRecord, run_experiment
 from repro.experiments.scenarios import (
     Scenario,
-    controller_config_from_params,
     derive_run_seed,
+    experiment_spec,
     get_scenario,
-    materialize_run,
     resolve_params,
 )
 
@@ -79,8 +78,8 @@ def adaptive_vs_static(
     run regenerates the flow list from the same derived seed with the flow
     id counter reset, so all three controllers serve bit-identical
     workloads (and identical failure plans, when the scenario declares
-    one).  The ``backend`` parameter selects the simulation backend for
-    all three legs; the controller-to-label mapping is the same on both
+    one).  The ``backend``, ``allocator`` and ``engine`` parameters apply
+    to all three legs; the controller-to-label mapping is the same on both
     backends (see :data:`CONTROLLER_BY_LABEL`).
     """
     if isinstance(scenario, str):
@@ -90,22 +89,8 @@ def adaptive_vs_static(
     params = resolve_params(scenario, merged)
     seed = derive_run_seed(base_seed, scenario.name, params)
 
-    backend = str(params["backend"])
     rows: List[Dict[str, object]] = []
     for label in COMPARISON_LABELS:
-        fabric, flows, failure_events = materialize_run(scenario, params, seed)
-        controller = CONTROLLER_BY_LABEL[label]
-        record = run_experiment(
-            ExperimentSpec(
-                fabric=fabric,
-                flows=flows,
-                label=label,
-                controller=controller,
-                controller_config=controller_config_from_params(controller, params),
-                failures=tuple(failure_events or ()),
-                backend=backend,
-                allocator=str(params["allocator"]),
-            )
-        )
-        rows.append(_result_row(label, record))
+        spec = experiment_spec(scenario, params, seed, CONTROLLER_BY_LABEL[label], label)
+        rows.append(_result_row(label, run_experiment(spec)))
     return rows

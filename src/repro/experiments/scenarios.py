@@ -435,6 +435,35 @@ def controller_config_from_params(
     return {}
 
 
+def experiment_spec(
+    scenario: Scenario,
+    params: Mapping[str, object],
+    seed: int,
+    controller: str,
+    label: str,
+) -> ExperimentSpec:
+    """The experiment a resolved parameter set asks for, under *controller*.
+
+    Materialises the fabric, flows and failure plan from *seed* and carries
+    every execution parameter (backend, allocator, packet engine) into the
+    spec; :func:`run_scenario` and
+    :func:`~repro.experiments.comparison.adaptive_vs_static` both build
+    their runs here.
+    """
+    fabric, flows, failure_events = materialize_run(scenario, params, seed)
+    return ExperimentSpec(
+        fabric=fabric,
+        flows=flows,
+        label=label,
+        controller=controller,
+        controller_config=controller_config_from_params(controller, params),
+        failures=tuple(failure_events or ()),
+        backend=str(params["backend"]),
+        allocator=str(params["allocator"]),
+        engine=str(params["engine"]),
+    )
+
+
 def run_scenario(
     scenario: "Scenario | str",
     overrides: Optional[Mapping[str, object]] = None,
@@ -450,25 +479,11 @@ def run_scenario(
         scenario = get_scenario(scenario)
     params = resolve_params(scenario, overrides)
     seed = derive_run_seed(base_seed, scenario.name, params)
-    fabric, flows, failure_events = materialize_run(scenario, params, seed)
-
-    controller = str(params["controller"])
-    record = run_experiment(
-        ExperimentSpec(
-            fabric=fabric,
-            flows=flows,
-            label=scenario.name,
-            controller=controller,
-            controller_config=controller_config_from_params(controller, params),
-            failures=tuple(failure_events or ()),
-            backend=str(params["backend"]),
-            allocator=str(params["allocator"]),
-            engine=str(params["engine"]),
-        )
-    )
+    spec = experiment_spec(scenario, params, seed, str(params["controller"]), scenario.name)
+    record = run_experiment(spec)
 
     metrics: Dict[str, object] = dict(record.metrics)
-    metrics.update(fabric_state_row(fabric))
+    metrics.update(fabric_state_row(spec.fabric))
     return {
         "scenario": scenario.name,
         "workload": scenario.workload,

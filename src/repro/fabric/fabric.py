@@ -18,7 +18,7 @@ validation (experiment E6) compares against the packet-level simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.fabric.node import NodeType
 from repro.fabric.routing import Router, RoutingPolicy, WeightFn, hop_weight, path_links
@@ -90,6 +90,21 @@ class Fabric:
         if key not in self.link_stats:
             self.link_stats[key] = LinkStatistics(link_key=key)
         return self.link_stats[key]
+
+    def observe_links(self, utilisation: Mapping[Tuple[str, str], float]) -> None:
+        """Fold one control tick's per-link state into every link's stream.
+
+        *utilisation* is keyed by canonical link key; links absent from it
+        are observed as idle.
+        """
+        for key in self.topology.link_keys():
+            link = self.topology.link_between(*key)
+            self.stats_for(*key).observe(
+                latency=link.one_way_latency,
+                utilisation=utilisation.get(key, 0.0),
+                post_fec_ber=link.post_fec_ber,
+                power_watts=link.power_watts,
+            )
 
     def register_switch(self, name: str) -> CutThroughSwitch:
         """Create a switching element for a node added after construction."""

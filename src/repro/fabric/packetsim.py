@@ -40,7 +40,7 @@ control-loop ticks observe packet-level congestion.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -404,17 +404,10 @@ class PacketBackend:
         self._truncated = False
         # Capacity view: utilisation denominators and report integrals.
         self._capacities: Dict[DirectedKey, float] = dict(fabric.directed_capacities())
-        self._disabled: Set[DirectedKey] = set()
         self._capacity_seconds: Dict[DirectedKey, float] = {
             key: 0.0 for key in self._capacities
         }
         self._integrated_until = 0.0
-        # Windowed utilisation sampling state.
-        self._sample_time = 0.0
-        self._sample_bits: Dict[DirectedKey, float] = {key: 0.0 for key in self._capacities}
-        self._last_utilisation: Dict[DirectedKey, float] = {
-            key: 0.0 for key in self._capacities
-        }
 
     def _route(self, flow: Flow) -> List[str]:
         return list(self.fabric.router.path(flow.src, flow.dst, flow_id=flow.flow_id))
@@ -490,8 +483,6 @@ class PacketBackend:
         self._integrate_capacities()
         self._capacities[key] = capacity_bps
         self._capacity_seconds.setdefault(key, 0.0)
-        self._sample_bits.setdefault(key, 0.0)
-        self._last_utilisation.setdefault(key, 0.0)
         self.network.sync_port_capacity(key, capacity_bps)
 
     def set_enabled(self, key: DirectedKey, enabled: bool) -> None:
@@ -507,10 +498,8 @@ class PacketBackend:
             raise KeyError(f"unknown link {key!r}")
         self._integrate_capacities()
         if enabled:
-            self._disabled.discard(key)
             self.network.disabled_links.discard(key)
         else:
-            self._disabled.add(key)
             self.network.disabled_links.add(key)
 
     def active_flows(self) -> List[Flow]:
@@ -559,9 +548,10 @@ class PacketBackend:
         """
         now = self.simulator.now
         ports = self.network._ports
+        disabled = self.network.disabled_links
         load: Dict[DirectedKey, float] = {}
         for key, capacity in self._capacities.items():
-            if capacity <= 0.0 or key in self._disabled:
+            if capacity <= 0.0 or key in disabled:
                 load[key] = 0.0
                 continue
             port = ports.get(key)
@@ -575,15 +565,14 @@ class PacketBackend:
         (``busy_until > now``), exactly like
         :meth:`instantaneous_link_load`; controllers EWMA-smooth these
         samples into a duty-cycle estimate, the same way they smooth the
-        fluid model's instantaneous rates.  The previous behaviour --
-        bits sent since the last observation over the window's capacity
-        -- remains available as :meth:`windowed_link_utilisation`.
+        fluid model's instantaneous rates.
         """
         now = self.simulator.now
         ports = self.network._ports
+        disabled = self.network.disabled_links
         utilisation: Dict[DirectedKey, float] = {}
         for key, capacity in self._capacities.items():
-            if capacity <= 0.0 or key in self._disabled:
+            if capacity <= 0.0 or key in disabled:
                 utilisation[key] = 0.0
                 continue
             port = ports.get(key)
@@ -591,32 +580,6 @@ class PacketBackend:
                 1.0 if port is not None and port.busy_until > now else 0.0
             )
         return utilisation
-
-    def windowed_link_utilisation(self) -> Dict[DirectedKey, float]:
-        """Per-directed-link utilisation over the window since the last call.
-
-        Bits sent since the previous observation divided by the link's
-        capacity over that window -- an average, not an instantaneous
-        value, which is why controllers observe
-        :meth:`instantaneous_link_utilisation` instead.
-        """
-        now = self.simulator.now
-        elapsed = now - self._sample_time
-        if elapsed <= 0.0:
-            return dict(self._last_utilisation)
-        ports = self.network._ports
-        utilisation: Dict[DirectedKey, float] = {}
-        for key, capacity in self._capacities.items():
-            port = ports.get(key)
-            bits = port.bits_sent if port is not None else 0.0
-            delta = bits - self._sample_bits.get(key, 0.0)
-            self._sample_bits[key] = bits
-            utilisation[key] = (
-                min(1.0, delta / (capacity * elapsed)) if capacity > 0 else 0.0
-            )
-        self._sample_time = now
-        self._last_utilisation = utilisation
-        return dict(utilisation)
 
     # ------------------------------------------------------------------ #
     # Running
@@ -667,8 +630,9 @@ class PacketBackend:
         now = self.simulator.now
         elapsed = now - self._integrated_until
         if elapsed > 0.0:
+            disabled = self.network.disabled_links
             for key, capacity in self._capacities.items():
-                if capacity > 0.0 and key not in self._disabled:
+                if capacity > 0.0 and key not in disabled:
                     self._capacity_seconds[key] += capacity * elapsed
         self._integrated_until = now
 
@@ -682,6 +646,7 @@ class PacketBackend:
             )
         idle_gap = end_time - self._integrated_until
         ports = self.network._ports
+        disabled = self.network.disabled_links
         bits_carried = {
             key: (ports[key].bits_sent if key in ports else 0.0)
             for key in self._capacities
@@ -697,7 +662,7 @@ class PacketBackend:
                 key: self._capacity_seconds[key]
                 + (
                     self._capacities[key] * idle_gap
-                    if idle_gap > 0 and key not in self._disabled
+                    if idle_gap > 0 and key not in disabled
                     else 0.0
                 )
                 for key in self._capacities

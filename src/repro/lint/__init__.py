@@ -13,17 +13,11 @@ invariants statically.  Rule families:
 ========  ==========================================================
 
 Run it as ``python -m repro.lint`` or ``repro-fabric lint``; see
-``docs/lint.md`` for the catalogue, the ``# repro: ignore[RULE]``
-suppression syntax and the baseline workflow.
+``docs/lint.md`` for the catalogue and the ``# repro: ignore[RULE]``
+suppression syntax.
 """
 
 from repro.lint import rules  # noqa: F401  -- registers the built-ins
-from repro.lint.baseline import (
-    apply_baseline,
-    finding_key,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.cli import main
 from repro.lint.framework import (
     Finding,
@@ -44,15 +38,11 @@ __all__ = [
     "ParityPair",
     "Rule",
     "SourceFile",
-    "apply_baseline",
     "collect_files",
-    "finding_key",
     "fingerprint_reference",
-    "load_baseline",
     "main",
     "register_rule",
     "resolve_rules",
     "rule_catalog",
     "run_rules",
-    "write_baseline",
 ]

@@ -4,17 +4,14 @@ Examples
 --------
 ::
 
-    python -m repro.lint                      # lint src/repro, apply baseline
-    python -m repro.lint --strict             # CI mode: stale baseline fails too
+    python -m repro.lint                      # lint src/repro (the CI gate)
     python -m repro.lint src/repro/sim        # one subtree
     python -m repro.lint --rules D001,D002    # one rule family
     python -m repro.lint --list-rules         # the catalogue
     python -m repro.lint --print-fingerprints # bless parity pairs after edits
-    python -m repro.lint --write-baseline     # grandfather current findings
-    repro-fabric lint --strict                # same checker via the main CLI
+    repro-fabric lint                         # same checker via the main CLI
 
-Exit status: 0 clean, 1 findings (or, with ``--strict``, stale baseline
-entries), 2 usage errors.
+Exit status: 0 clean, 1 findings, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -25,12 +22,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.baseline import (
-    BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.framework import (
     LintError,
     collect_files,
@@ -56,18 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--rules", metavar="CODES",
         help="comma-separated rule codes to run (default: all registered)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE",
-        help=f"baseline file (default: <repo-root>/{BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="also fail on stale baseline entries (the CI mode)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -152,39 +131,15 @@ def _main(argv: Optional[List[str]] = None) -> int:
     files = collect_files(paths, repo_root)
     run = run_rules(files, rules, repo_root=repo_root)
 
-    baseline_path = (
-        Path(args.baseline) if args.baseline else repo_root / BASELINE_NAME
-    )
-    if args.write_baseline:
-        count = write_baseline(baseline_path, run.findings)
-        print(f"wrote {count} baseline entr{'y' if count == 1 else 'ies'} "
-              f"to {baseline_path}")
-        return 0
-
-    baseline = load_baseline(baseline_path)
-    new, stale = apply_baseline(run.findings, baseline)
-
-    for finding in new:
+    for finding in run.findings:
         print(finding.render())
-    grandfathered = len(run.findings) - len(new)
-    if grandfathered:
-        print(f"({grandfathered} finding(s) excused by {baseline_path.name})")
-    if stale and args.strict:
-        for rule, rel, line_hash in stale:
-            print(
-                f"{baseline_path.name}: stale entry {rule} {rel} {line_hash} "
-                "matches no finding; remove it"
-            )
-    if new:
-        checked = sum(1 for f in files)
+    if run.findings:
         print(
-            f"repro.lint: {len(new)} finding(s) across {checked} file(s); "
-            "see docs/lint.md for suppression and baseline workflow",
+            f"repro.lint: {len(run.findings)} finding(s) across {len(files)} "
+            "file(s); see docs/lint.md for suppressions",
             file=sys.stderr,
         )
         return 1
-    if stale and args.strict:
-        return 1
     print(f"repro.lint OK: {len(files)} file(s), "
-          f"{len(rules)} rule(s), no new findings")
+          f"{len(rules)} rule(s), no findings")
     return 0

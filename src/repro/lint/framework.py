@@ -11,12 +11,8 @@ once, walks its tree once, and dispatches each node to the rules that
 declared an interest in its type, together with the ancestor stack (so a
 rule can see the enclosing function or class without re-walking).
 
-Findings can be silenced two ways:
-
-* inline, with a ``# repro: ignore[D001]`` comment on the offending line
-  (``# repro: ignore`` silences every rule on that line), or
-* via a checked-in baseline file for grandfathered violations
-  (:mod:`repro.lint.baseline`).
+A finding is silenced inline, with a ``# repro: ignore[D001]`` comment on
+the offending line (``# repro: ignore`` silences every rule on that line).
 
 Rules fall into two shapes.  *File rules* declare ``node_types`` and
 implement :meth:`Rule.visit` (plus optional ``begin_file``/``end_file``
@@ -43,16 +39,13 @@ class Finding:
     """One rule violation at one location.
 
     ``line`` is 1-based; file-level findings (a missing docs row, a parity
-    declaration gone stale) use line 0.  ``source_line`` carries the
-    stripped text of the offending line -- the baseline keys on it, so
-    grandfathered findings survive unrelated edits that shift line numbers.
+    declaration gone stale) use line 0.
     """
 
     rule: str
     path: str
     line: int
     message: str
-    source_line: str = ""
 
     def render(self) -> str:
         location = f"{self.path}:{self.line}" if self.line else self.path
@@ -92,7 +85,6 @@ class SourceFile:
         self.rel = rel.replace("\\", "/")
         self.text = text
         self.path = path
-        self.lines = text.splitlines()
         self.suppressions = _parse_suppressions(text)
         self.syntax_error: Optional[SyntaxError] = None
         try:
@@ -105,11 +97,6 @@ class SourceFile:
     def read(cls, path: Path, repo_root: Path) -> "SourceFile":
         rel = path.resolve().relative_to(repo_root.resolve()).as_posix()
         return cls(rel, path.read_text(), path=path)
-
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
 
     def is_suppressed(self, rule: str, line: int) -> bool:
         codes = self.suppressions.get(line)
@@ -134,7 +121,6 @@ class FileContext:
                 path=self.source.rel,
                 line=int(line),
                 message=message,
-                source_line=self.source.line_text(int(line)),
             )
         )
 
@@ -303,8 +289,7 @@ def run_rules(
     """Run *rules* over *files*; inline suppressions are already applied.
 
     Repo-wide rules only run when *repo_root* is given (they need the docs
-    tree and the registries, not just the parsed sources).  Baseline
-    filtering is the caller's concern (:mod:`repro.lint.baseline`).
+    tree and the registries, not just the parsed sources).
     """
     active = list(rules) if rules is not None else rule_catalog()
     run = LintRun(files=list(files), repo_root=repo_root)

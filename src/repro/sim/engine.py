@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -265,9 +265,3 @@ class Simulator:
             "events_scheduled": self._events_scheduled,
             "events_cancelled_skipped": self._events_cancelled_skipped,
         }
-
-
-def run_callbacks_at(simulator: Simulator, times_and_callbacks: Iterable[Tuple[float, Callable[[], Any]]]) -> None:
-    """Convenience helper: schedule many ``(time, zero-arg callback)`` pairs."""
-    for time, callback in times_and_callbacks:
-        simulator.schedule_at(time, callback)

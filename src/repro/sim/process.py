@@ -1,114 +1,21 @@
-"""Process abstractions layered on the event engine.
+"""A periodic process on the event engine.
 
-Two styles are provided:
-
-* :class:`Process` -- a plain callback-driven component that owns a
-  reference to the simulator and schedules its own events.  Most fabric
-  models (switches, NICs, the CRC) use this style.
-* :class:`GeneratorProcess` -- an OMNeT++/SimPy-like coroutine style where a
-  generator yields delays; convenient for scripted scenarios in tests and
-  examples.
-* :class:`PeriodicProcess` -- a fixed-interval callback, used for the CRC
-  control loop and telemetry sampling.
+:class:`PeriodicProcess` fires a callback at a fixed interval; the closed
+control loop (:class:`repro.core.control.ControlLoop`) ticks on one.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.engine import EventHandle, Simulator
 
 
-class Process:
-    """Base class for simulation components.
-
-    Subclasses override :meth:`start` to schedule their first events.  The
-    base class provides a tiny convenience API (``self.schedule``) and keeps
-    a name so traces are readable.
-    """
-
-    def __init__(self, simulator: Simulator, name: str) -> None:
-        self.simulator = simulator
-        self.name = name
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self.simulator.now
-
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> EventHandle:
-        """Schedule *fn* relative to now."""
-        return self.simulator.schedule(delay, fn, *args, **kwargs)
-
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> EventHandle:
-        """Schedule *fn* at an absolute time."""
-        return self.simulator.schedule_at(time, fn, *args, **kwargs)
-
-    def start(self) -> None:
-        """Hook for subclasses to schedule their initial events."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-class GeneratorProcess(Process):
-    """Run a generator that yields delays (in seconds) between steps.
-
-    Example
-    -------
-    ::
-
-        def behaviour(proc):
-            yield 1e-6            # wait 1 us
-            do_something(proc.now)
-            yield 2e-6            # wait 2 us more
-
-        GeneratorProcess(sim, "script", behaviour).start()
-
-    The generator receives the process instance so it can read the clock and
-    schedule further events.  Yielding a negative delay raises
-    :class:`ValueError`; returning (StopIteration) ends the process.
-    """
-
-    def __init__(
-        self,
-        simulator: Simulator,
-        name: str,
-        behaviour: Callable[["GeneratorProcess"], Generator[float, None, None]],
-    ) -> None:
-        super().__init__(simulator, name)
-        self._behaviour_factory = behaviour
-        self._generator: Optional[Generator[float, None, None]] = None
-        self.finished = False
-        self.steps = 0
-
-    def start(self) -> None:
-        """Instantiate the generator and schedule its first step immediately."""
-        self._generator = self._behaviour_factory(self)
-        self.simulator.schedule(0.0, self._step)
-
-    def _step(self) -> None:
-        if self._generator is None or self.finished:
-            return
-        try:
-            delay = next(self._generator)
-        except StopIteration:
-            self.finished = True
-            return
-        self.steps += 1
-        if delay is None:
-            delay = 0.0
-        if delay < 0:
-            raise ValueError(f"generator process {self.name!r} yielded negative delay {delay!r}")
-        self.simulator.schedule(delay, self._step)
-
-
-class PeriodicProcess(Process):
+class PeriodicProcess:
     """Invoke a callback every ``period`` seconds until stopped.
 
-    The CRC control loop and the telemetry sampler are both periodic
-    processes; keeping the scheduling logic here means their tests only need
-    to exercise the callback bodies.
+    The callback receives the current simulation time; *name* labels the
+    process for debugging.
     """
 
     def __init__(
@@ -120,11 +27,12 @@ class PeriodicProcess(Process):
         start_offset: float = 0.0,
         max_iterations: Optional[int] = None,
     ) -> None:
-        super().__init__(simulator, name)
         if period <= 0:
             raise ValueError(f"period must be positive, got {period!r}")
         if start_offset < 0:
             raise ValueError(f"start_offset must be >= 0, got {start_offset!r}")
+        self.simulator = simulator
+        self.name = name
         self.period = period
         self.callback = callback
         self.start_offset = start_offset
@@ -150,7 +58,7 @@ class PeriodicProcess(Process):
         if self.max_iterations is not None and self.iterations >= self.max_iterations:
             return
         self.iterations += 1
-        self.callback(self.now)
+        self.callback(self.simulator.now)
         if self.max_iterations is not None and self.iterations >= self.max_iterations:
             return
         if not self._stopped:

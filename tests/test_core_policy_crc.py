@@ -87,6 +87,7 @@ def test_latency_policy_threshold_validation():
         LatencyMinimizationPolicy(3, 3, utilisation_threshold=0.0)
 
 
+
 # --------------------------------------------------------------------------- #
 # BypassPolicy
 # --------------------------------------------------------------------------- #
@@ -226,6 +227,13 @@ def test_crc_config_validation():
         CRCConfig(control_period=0)
     with pytest.raises(ValueError):
         CRCConfig(enable_topology_reconfiguration=True)
+
+
+def test_crc_config_rejects_enabling_no_policy():
+    """A CRC with every policy switched off would control nothing; the
+    config says so instead of quietly running adaptive FEC."""
+    with pytest.raises(ValueError, match="controller='none'"):
+        CRCConfig(enable_bypass=False, enable_adaptive_fec=False)
 
 
 def test_crc_control_step_records_iteration():

@@ -16,8 +16,7 @@ from repro.core.reconfiguration import (
 from repro.core.scheduler import FlowScheduler
 from repro.fabric.fabric import Fabric, FabricConfig
 from repro.fabric.topology import TopologyBuilder
-from repro.sim.flow import Flow
-from repro.sim.units import GBPS, megabytes
+from repro.sim.units import GBPS
 
 
 # --------------------------------------------------------------------------- #
@@ -184,50 +183,33 @@ def fabric():
 
 def test_scheduler_routes_on_cheapest_path(fabric):
     scheduler = FlowScheduler(fabric)
-    flow = Flow("n0x0", "n2x2", megabytes(1))
-    decision = scheduler.admit(flow)
-    assert decision.path[0] == "n0x0" and decision.path[-1] == "n2x2"
-    assert len(decision.directed_keys) == len(decision.path) - 1
-    assert decision.estimated_rate_bps > 0
-    assert decision.estimated_fct > 0
-    assert not decision.used_bypass
+    path, price = scheduler.cheapest_path("n0x0", "n2x2")
+    assert path[0] == "n0x0" and path[-1] == "n2x2"
+    assert len(path) - 1 == 4  # a hop-minimal path on the idle 3x3 grid
+    assert price == pytest.approx(scheduler.path_price(path)) and price > 0
 
 
 def test_scheduler_avoids_loaded_path(fabric):
     scheduler = FlowScheduler(fabric, candidate_paths=4)
     # Saturate the straight row path.
-    scheduler.record_admission(["n0x0", "n0x1", "n0x2"], 60 * GBPS)
-    decision = scheduler.admit(Flow("n0x0", "n0x2", megabytes(1)))
-    assert decision.path != ["n0x0", "n0x1", "n0x2"]
-
-
-def test_scheduler_prefers_established_bypass(fabric):
-    fabric.bypasses.establish("n0x0", "n2x2", ["n0x1"], 100 * GBPS, now=0.0)
-    scheduler = FlowScheduler(fabric)
-    decision = scheduler.admit(Flow("n0x0", "n2x2", megabytes(1)))
-    assert decision.used_bypass
-    assert decision.path == ["n0x0", "n0x1", "n2x2"]
-
-
-def test_scheduler_flags_reconfiguration_worthy_flows(fabric):
-    scheduler = FlowScheduler(fabric, reconfiguration_delay=1e-5, reconfiguration_speedup=2.0)
-    tiny = scheduler.admit(Flow("n0x0", "n2x2", 1_000))
-    huge = scheduler.admit(Flow("n0x0", "n2x2", megabytes(500)))
-    assert not tiny.reconfiguration_worthy
-    assert huge.reconfiguration_worthy
+    scheduler.sync_observed_load({("n0x0", "n0x1"): 60 * GBPS, ("n0x1", "n0x2"): 60 * GBPS})
+    path, _ = scheduler.cheapest_path("n0x0", "n0x2")
+    assert path != ["n0x0", "n0x1", "n0x2"]
 
 
 def test_scheduler_load_accounting_round_trip(fabric):
     scheduler = FlowScheduler(fabric)
-    path = ["n0x0", "n0x1", "n0x2"]
-    scheduler.record_admission(path, 10 * GBPS)
-    assert scheduler.admitted_load_bps[("n0x0", "n0x1")] == pytest.approx(10 * GBPS)
-    scheduler.record_completion(path, 10 * GBPS)
-    assert scheduler.admitted_load_bps[("n0x0", "n0x1")] == 0.0
+    # Per physical link the busier direction wins ...
+    scheduler.sync_observed_load({("n0x1", "n0x0"): 10 * GBPS, ("n0x0", "n0x1"): 4 * GBPS})
+    assert scheduler.observed_load_bps[("n0x0", "n0x1")] == pytest.approx(10 * GBPS)
+    idle = scheduler.link_price("n0x1", "n0x2")
+    assert scheduler.link_price("n0x0", "n0x1") > idle
+    # ... and each sync replaces the previous observation outright.
+    scheduler.sync_observed_load({})
+    assert scheduler.observed_load_bps == {}
+    assert scheduler.link_price("n0x0", "n0x1") == idle
 
 
 def test_scheduler_validation(fabric):
     with pytest.raises(ValueError):
         FlowScheduler(fabric, candidate_paths=0)
-    with pytest.raises(ValueError):
-        FlowScheduler(fabric, reconfiguration_speedup=1.0)

@@ -9,6 +9,7 @@ flows.
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -115,6 +116,38 @@ def test_adaptive_vs_static_runs_identical_flows():
     by_label = {row["label"]: row for row in rows}
     assert by_label["static"]["reconfigurations"] == 0
     assert by_label["ecmp"]["reconfigurations"] == 0
+
+
+def test_adaptive_vs_static_carries_every_execution_parameter(monkeypatch):
+    """Every comparison leg runs on the backend, allocator and packet engine
+    the overrides select, exactly as run_scenario would."""
+    import repro.experiments.comparison as comparison
+
+    specs = []
+
+    def spy(spec):
+        specs.append(spec)
+        return SimpleNamespace(
+            mean_fct=1.0,
+            p99_fct=1.0,
+            makespan=1.0,
+            straggler=1.0,
+            power_watts=0.0,
+            metrics={"completion_fraction": 1.0, "reconfigurations": 0.0},
+        )
+
+    monkeypatch.setattr(comparison, "run_experiment", spy)
+    adaptive_vs_static(
+        "hotspot_migration",
+        {"num_flows": 4, "backend": "packet", "engine": "batched", "allocator": "reference"},
+    )
+    assert [spec.label for spec in specs] == list(COMPARISON_LABELS)
+    for spec in specs:
+        assert (spec.backend, spec.allocator, spec.engine) == (
+            "packet",
+            "reference",
+            "batched",
+        )
 
 
 # --------------------------------------------------------------------------- #

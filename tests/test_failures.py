@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.crc import ClosedRingControl, CRCConfig
+from repro.core.cost import LinkPriceTagger
 from repro.core.policy import AdaptiveFecPolicy, Observation
 from repro.experiments.harness import build_grid_fabric
 from repro.fabric.failures import (
@@ -131,18 +131,14 @@ def test_failure_mid_run_slows_flows_but_completes(fabric):
 
 
 def test_crc_routes_around_failed_link(fabric):
-    crc = ClosedRingControl(
-        fabric,
-        CRCConfig(enable_bypass=False, enable_adaptive_fec=False,
-                  control_period=microseconds(100)),
-    )
+    tagger = LinkPriceTagger()
     key = ("n0x1", "n1x1")
     FailureInjector(fabric, [FailureEvent(0.0, FailureKind.LINK_FAILURE, key)]).apply_due(0.0)
     # The dead link is priced at infinity, and once the router uses the
-    # CRC's price tags as weights it steers around it.
-    prices = crc.tagger.price_map(fabric)
+    # price tags as weights it steers around it.
+    prices = tagger.price_map(fabric)
     assert prices[canonical_key(*key)] == float("inf")
-    fabric.set_router_weight(crc.tagger.weight_fn())
+    fabric.set_router_weight(tagger.weight_fn())
     path = fabric.router.path("n0x1", "n1x1")
     assert len(path) > 2
     used = {canonical_key(path[i], path[i + 1]) for i in range(len(path) - 1)}

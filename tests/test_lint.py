@@ -1,9 +1,9 @@
-"""The invariant linter (src/repro/lint): rules, baseline, parity pairs.
+"""The invariant linter (src/repro/lint): rules, CLI, parity pairs.
 
 Fixture files are built in memory through :class:`SourceFile`, so each
 rule's trigger/suppression behaviour is pinned without touching the real
 tree; the meta-test at the bottom then lints the live ``src/repro``
-package and requires it clean modulo the checked-in baseline.
+package and requires it to have no findings.
 """
 
 from __future__ import annotations
@@ -13,17 +13,10 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.lint.baseline import (
-    apply_baseline,
-    finding_key,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.framework import (
     LintError,
     LintRun,
@@ -398,54 +391,6 @@ def test_r201_declared_table_keys_reads_module_level_dict_literals():
 
 
 # --------------------------------------------------------------------------- #
-# Baseline
-# --------------------------------------------------------------------------- #
-def test_baseline_round_trip_and_application(tmp_path):
-    text = "import random\nx = random.random()\ny = random.random()\n"
-    findings = lint_source("src/repro/sim/x.py", text, ["D001"])
-    assert len(findings) == 2
-
-    baseline_path = tmp_path / "lint-baseline.txt"
-    write_baseline(baseline_path, findings)
-    baseline = load_baseline(baseline_path)
-    new, stale = apply_baseline(findings, baseline)
-    assert new == [] and stale == []
-
-
-def test_baseline_counts_excuse_exactly_that_many_findings():
-    text = "import random\nx = random.random()\nx = random.random()\n"
-    findings = lint_source("src/repro/sim/x.py", text, ["D001"])
-    assert len(findings) == 2
-    assert finding_key(findings[0]) == finding_key(findings[1])
-    baseline = Counter({finding_key(findings[0]): 1})
-    new, stale = apply_baseline(findings, baseline)
-    assert len(new) == 1 and stale == []
-
-
-def test_baseline_survives_line_number_drift_but_not_edits():
-    before = "import random\nx = random.random()\n"
-    after = "import random\n# a new comment shifts the line\nx = random.random()\n"
-    edited = "import random\nx = random.random()  # changed line\n"
-    key = finding_key(lint_source("src/repro/sim/x.py", before, ["D001"])[0])
-    baseline = Counter({key: 1})
-    new, stale = apply_baseline(
-        lint_source("src/repro/sim/x.py", after, ["D001"]), baseline
-    )
-    assert new == [] and stale == []
-    new, stale = apply_baseline(
-        lint_source("src/repro/sim/x.py", edited, ["D001"]), baseline
-    )
-    assert len(new) == 1 and stale == [key]
-
-
-def test_baseline_rejects_malformed_lines(tmp_path):
-    path = tmp_path / "lint-baseline.txt"
-    path.write_text("D001 too few\n")
-    with pytest.raises(ValueError, match="expected 'RULE PATH HASH COUNT'"):
-        load_baseline(path)
-
-
-# --------------------------------------------------------------------------- #
 # CLI
 # --------------------------------------------------------------------------- #
 def _write_project(tmp_path: Path, body: str) -> Path:
@@ -461,16 +406,11 @@ def test_cli_exit_codes_and_baseline_workflow(tmp_path):
     from repro.lint.cli import main
 
     target = _write_project(tmp_path, "import random\nx = random.random()\n")
-    argv = [str(target), "--rules", "D001",
-            "--baseline", str(tmp_path / "lint-baseline.txt")]
+    argv = [str(target), "--rules", "D001"]
     assert main(argv) == 1
-    assert main(argv + ["--write-baseline"]) == 0
-    assert main(argv) == 0
-    # Fixing the violation leaves a stale entry: plain run passes,
-    # --strict fails until the baseline shrinks.
     target.write_text("x = 4\n")
     assert main(argv) == 0
-    assert main(argv + ["--strict"]) == 1
+    assert main([str(tmp_path / "missing.py")]) == 2
 
 
 def test_cli_list_rules_and_unknown_rule(capsys):
@@ -492,14 +432,11 @@ def test_main_cli_forwards_the_lint_subcommand(capsys):
 # The live tree
 # --------------------------------------------------------------------------- #
 def test_live_tree_is_lint_clean_modulo_baseline():
-    """src/repro passes every rule; the checked-in baseline may only excuse
-    grandfathered findings that still exist (no stale entries)."""
+    """src/repro passes every rule with zero findings (inline
+    ``# repro: ignore`` suppressions are the only excuse)."""
     files = collect_files([REPO_ROOT / "src" / "repro"], REPO_ROOT)
     run = run_rules(files, resolve_rules(), repo_root=REPO_ROOT)
-    baseline = load_baseline(REPO_ROOT / "lint-baseline.txt")
-    new, stale = apply_baseline(run.findings, baseline)
-    assert new == [], "\n" + "\n".join(f.render() for f in new)
-    assert stale == [], f"stale baseline entries: {stale}"
+    assert run.findings == [], "\n" + "\n".join(f.render() for f in run.findings)
 
 
 def test_find_repo_root_walks_up_to_pyproject():

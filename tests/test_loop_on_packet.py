@@ -7,9 +7,7 @@ and each is pinned here:
 * ``instantaneous_link_utilisation``/``instantaneous_link_load`` are now
   *occupancy-derived* -- a work-conserving FIFO port either serves at its
   full link rate or sits idle, so the instantaneous signal is exactly 0/1
-  (times capacity).  The old since-last-observation average survives as
-  ``windowed_link_utilisation``; controllers (the CRC included) observe
-  the new signal.
+  (times capacity).  Controllers (the CRC included) observe this signal.
 * ``set_capacity``/``add_link`` are eager: a live capacity change reshapes
   the port's FIFO drain deadline *at the mutation instant* and changes
   drop accounting from then on, instead of only feeding report integrals.
@@ -71,26 +69,10 @@ def test_instantaneous_utilisation_is_occupancy_derived():
     assert all(v == 0.0 for v in backend.instantaneous_link_load().values())
 
 
-def test_windowed_utilisation_remains_the_old_average():
-    """The pre-change signal is still available under its new name, and it
-    disagrees with the instantaneous one exactly where a window average
-    must: after the run the window says "partially used", the instant says
-    "idle"."""
-    fabric = line_fabric(nodes=2)
-    flow = Flow("n0", "n1", size_bits=40 * MTU_BITS)
-    backend = PacketBackend(fabric, [flow])
-    key = ("n0", "n1")
-    backend.run()
-    assert flow.completed
-    windowed = backend.windowed_link_utilisation()
-    assert 0.0 < windowed[key] <= 1.0
-    assert backend.instantaneous_link_utilisation()[key] == 0.0
-
-
 def test_crc_on_packet_observes_instantaneous_rates():
     """The CRC's recorded per-tick max utilisation on the packet backend is
-    the occupancy indicator -- exactly 0.0 or 1.0 -- not the fractional
-    windowed average it used to observe."""
+    the occupancy indicator -- exactly 0.0 or 1.0 -- not a fractional
+    window average."""
     fabric = build_grid_fabric(2, 2)
     flows = [
         Flow("n0x0", "n1x1", size_bits=400 * MTU_BITS),

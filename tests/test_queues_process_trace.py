@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.process import GeneratorProcess, PeriodicProcess, Process
+from repro.sim.process import PeriodicProcess
 from repro.sim.random import RandomStreams
 from repro.sim.trace import NullTrace, TraceRecorder
 
@@ -11,48 +11,6 @@ from repro.sim.trace import NullTrace, TraceRecorder
 # --------------------------------------------------------------------------- #
 # Processes
 # --------------------------------------------------------------------------- #
-def test_process_schedule_helper():
-    sim = Simulator()
-    fired = []
-
-    class Ping(Process):
-        def start(self):
-            self.schedule(1.0, lambda: fired.append(self.now))
-
-    Ping(sim, "ping").start()
-    sim.run()
-    assert fired == [1.0]
-
-
-def test_generator_process_yields_delays():
-    sim = Simulator()
-    times = []
-
-    def behaviour(proc):
-        times.append(proc.now)
-        yield 1.0
-        times.append(proc.now)
-        yield 2.0
-        times.append(proc.now)
-
-    proc = GeneratorProcess(sim, "script", behaviour)
-    proc.start()
-    sim.run()
-    assert times == [0.0, 1.0, 3.0]
-    assert proc.finished
-
-
-def test_generator_process_negative_delay_raises():
-    sim = Simulator()
-
-    def behaviour(proc):
-        yield -1.0
-
-    GeneratorProcess(sim, "bad", behaviour).start()
-    with pytest.raises(ValueError):
-        sim.run()
-
-
 def test_periodic_process_fires_at_period():
     sim = Simulator()
     ticks = []

@@ -20,8 +20,6 @@ from repro.fabric.routing import Router
 from repro.fabric.topology import TopologyBuilder
 from repro.phy.fec import FEC_NONE, FEC_RS528, post_fec_ber
 from repro.phy.link import Link
-from repro.sim.flow import Flow
-from repro.sim.units import megabytes
 
 
 class CountingTagger(LinkPriceTagger):
@@ -109,11 +107,11 @@ def test_disconnected_pair_is_not_cached(fabric):
 def test_admit_prices_each_candidate_once(fabric):
     tagger = CountingTagger()
     scheduler = FlowScheduler(fabric, tagger=tagger)
-    decision = scheduler.admit(Flow("n0x0", "n2x2", megabytes(1)))
+    path, price = scheduler.cheapest_path("n0x0", "n2x2")
     candidates = scheduler.router.all_paths("n0x0", "n2x2")
-    assert tagger.calls == sum(len(path) - 1 for path in candidates)
-    assert decision.path in candidates
-    assert decision.price == scheduler.path_price(decision.path)
+    assert tagger.calls == sum(len(candidate) - 1 for candidate in candidates)
+    assert path in candidates
+    assert price == scheduler.path_price(path)
 
 
 # --------------------------------------------------------------------------- #
