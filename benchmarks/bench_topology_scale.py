@@ -8,13 +8,31 @@ shortest-path queries on the live graph on every row, so those paths must
 stay cheap at that size -- this guard pins the declared shapes and holds
 build + state-row + first-route inside a deliberately loose CI budget
 (the measured cost is well under a second per family).
+
+It also records what the native SHORTEST search buys over its immediate
+baseline, networkx's ``bidirectional_dijkstra`` with a per-edge link
+lookup (what the router ran before): 256 seeded endpoint pairs under
+``hop_weight`` on the 1,024-host fat-tree and the 16x16 grid, identical
+paths asserted, fastest-of-three CPU seconds compared.  The fat-tree row
+is held to its floor in ``ROUTING_CASES``; the grid row is recorded with
+no floor.  Run directly to write the record:
+
+    python benchmarks/bench_topology_scale.py
+
+which writes ``BENCH_routing.json`` (per topology: pairs, both sides' CPU
+seconds, the speedup and its floor) for CI to archive.
 """
 
+import argparse
+import json
+import random
+import sys
 import time
 
 import pytest
 
 from repro.experiments.harness import build_fabric, fabric_state_row
+from repro.fabric.routing import hop_weight, shortest_path
 from repro.fabric.topologies import topology_metadata
 
 #: (topology name, builder dimensions) for the two 1k-endpoint defaults.
@@ -61,3 +79,98 @@ def test_state_row_reflects_declared_shape(name, dims):
     assert fabric.topology.bisection_bandwidth_bps() == pytest.approx(
         meta.bisection_bandwidth_bps
     )
+
+
+#: (topology name, builder dimensions, CPU speedup floor or None) for the
+#: native-vs-networkx SHORTEST row.
+ROUTING_CASES = [
+    ("fat-tree", {"pods": 16}, 3.0),
+    ("grid", {"rows": 16, "columns": 16}, None),
+]
+ROUTING_PAIRS = 256
+ROUTING_SEED = 1024
+#: Each side is timed this many times; the fastest pass counts.
+ROUTING_REPEATS = 3
+
+REPORT_PATH = "BENCH_routing.json"
+
+
+def networkx_shortest_path(topology, graph, src, dst):
+    """The immediate baseline: networkx's bidirectional Dijkstra on *graph*
+    (the topology's snapshot), weighing every edge through a link lookup."""
+    import networkx as nx
+
+    def weight(u, v, _data):
+        return hop_weight(topology.link_between(u, v))
+
+    return nx.bidirectional_dijkstra(graph, src, dst, weight=weight)[1]
+
+
+def _fastest(query, pairs):
+    """The paths and the fastest of ``ROUTING_REPEATS`` CPU timings."""
+    best = float("inf")
+    for _ in range(ROUTING_REPEATS):
+        start = time.process_time()
+        paths = [query(src, dst) for src, dst in pairs]
+        best = min(best, time.process_time() - start)
+    return paths, best
+
+
+def measure_routing(name, dims, floor):
+    """Native vs networkx SHORTEST over seeded endpoint pairs, same paths."""
+    topology = build_fabric(name, **dims).topology
+    rng = random.Random(ROUTING_SEED)
+    endpoints = topology.endpoints()
+    pairs = [tuple(rng.sample(endpoints, 2)) for _ in range(ROUTING_PAIRS)]
+    native, native_s = _fastest(lambda src, dst: shortest_path(topology, src, dst), pairs)
+    graph = topology.graph  # built outside the baseline's timing
+    baseline, networkx_s = _fastest(
+        lambda src, dst: networkx_shortest_path(topology, graph, src, dst), pairs
+    )
+    assert native == baseline, f"native SHORTEST diverged from networkx on {name}"
+    return {
+        "topology": name,
+        "dimensions": dims,
+        "pairs": len(pairs),
+        "native_cpu_s": native_s,
+        "networkx_cpu_s": networkx_s,
+        "speedup": networkx_s / native_s,
+        "floor": floor,
+    }
+
+
+@pytest.mark.parametrize(
+    "name,dims,floor", ROUTING_CASES, ids=[case[0] for case in ROUTING_CASES]
+)
+def test_native_shortest_path_beats_networkx(name, dims, floor):
+    row = measure_routing(name, dims, floor)
+    if floor is not None:
+        assert row["speedup"] >= floor, (
+            f"native SHORTEST only {row['speedup']:.2f}x networkx on {name} (floor {floor}x)"
+        )
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Native vs networkx SHORTEST routing record")
+    parser.parse_args(argv)
+    rows = [measure_routing(name, dims, floor) for name, dims, floor in ROUTING_CASES]
+    failed = False
+    for row in rows:
+        print(
+            f"{row['topology']}: {row['pairs']} pairs, native {row['native_cpu_s'] * 1e3:.1f} ms, "
+            f"networkx {row['networkx_cpu_s'] * 1e3:.1f} ms -> {row['speedup']:.2f}x "
+            f"(floor {row['floor']})"
+        )
+        failed |= row["floor"] is not None and row["speedup"] < row["floor"]
+    with open(REPORT_PATH, "w") as handle:
+        json.dump(rows, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    if failed:
+        print("FAIL: speedup below floor", file=sys.stderr)
+        return 1
+    print("bench_topology_scale OK")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.core.plp import PLPCommandType, PLPExecutor, PLPResult, ReconfigurationDelays
 from repro.core.policy import (
     AdaptiveFecPolicy,
@@ -41,6 +39,7 @@ from repro.core.policy import (
 )
 from repro.core.reconfiguration import ReconfigurationPlanner
 from repro.fabric.fabric import Fabric
+from repro.fabric.routing import NoPathError
 from repro.fabric.topology import merge_directed_values
 from repro.sim.fluid import FluidFlowSimulator
 from repro.sim.trace import NullTrace, TraceRecorder
@@ -303,7 +302,7 @@ class ClosedRingControl:
         for flow in simulator.active_flows():
             try:
                 keys = self.fabric.route_keys(flow.src, flow.dst, flow_id=flow.flow_id)
-            except nx.NetworkXNoPath:
+            except NoPathError:
                 continue  # pair temporarily disconnected mid-reconfiguration
             if keys and all(simulator.has_link(key) for key in keys):
                 simulator.reroute(flow.flow_id, keys)

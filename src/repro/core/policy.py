@@ -14,12 +14,11 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.core.candidates import GridToTorusCandidate
 from repro.core.plp import PLPCommand, PLPCommandType
 from repro.core.reconfiguration import ReconfigurationPlanner
 from repro.fabric.fabric import Fabric
+from repro.fabric.routing import NoPathError
 from repro.phy.fec import AdaptiveFecController
 from repro.phy.power import PowerReport
 from repro.phy.stats import EwmaEstimator
@@ -252,7 +251,7 @@ class BypassPolicy(ControlPolicy):
                 continue
             try:
                 path = fabric.router.path(src, dst)
-            except nx.NetworkXNoPath:  # disconnected pair; nothing to bypass
+            except NoPathError:  # disconnected pair; nothing to bypass
                 continue
             if len(path) < 3:
                 continue  # already adjacent, a bypass buys nothing

@@ -17,11 +17,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
 
-import networkx as nx
-
 from repro.core.cost import LinkPriceTagger
 from repro.fabric.fabric import Fabric
-from repro.fabric.routing import Router, RoutingPolicy, hop_weight
+from repro.fabric.routing import NoPathError, Router, RoutingPolicy, hop_weight
 from repro.fabric.topology import merge_directed_values
 
 LinkKey = Tuple[str, str]
@@ -153,7 +151,7 @@ class FlowScheduler:
         """
         try:
             candidates = self.router.all_paths(src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        except NoPathError:
             return None  # pair disconnected (e.g. mid-reconfiguration)
         viable = [
             path

@@ -168,6 +168,10 @@ def fabric_state_row(fabric: Fabric, packet_size_bytes: float = 1500.0) -> Dict[
             frontier = next_frontier
         return hops, latency
 
+    # Each search is read out once as endpoint-ordered rows (None where an
+    # endpoint is unreachable); every source then appends the slice of its
+    # row past itself, so the pairs land in the same order as a per-pair
+    # loop would put them.
     latencies: List[float] = []
     hop_counts: List[int] = []
     searched = None
@@ -179,11 +183,14 @@ def fabric_state_row(fabric: Fabric, packet_size_bytes: float = 1500.0) -> Dict[
         if seed != searched:
             searched = seed
             hops, latency = search(*seed)
-        for dst in endpoints[index + 1:]:
-            if dst not in hops:
-                raise ValueError(f"fabric is disconnected: no path from {src!r} to {dst!r}")
-            hop_counts.append(hops[dst])
-            latencies.append(latency[dst])
+            hop_row = [hops.get(dst) for dst in endpoints]
+            latency_row = [latency.get(dst) for dst in endpoints]
+        later_hops = hop_row[index + 1:]
+        if None in later_hops:
+            dst = endpoints[index + 1 + later_hops.index(None)]
+            raise ValueError(f"fabric is disconnected: no path from {src!r} to {dst!r}")
+        hop_counts.extend(later_hops)
+        latencies.extend(latency_row[index + 1:])
 
     report = fabric.power_report()
     return {

@@ -20,6 +20,7 @@ from repro.fabric.failures import (
 from repro.fabric.node import Node, NodeType
 from repro.fabric.packetsim import PacketBackend, PacketLevelNetwork, PortState
 from repro.fabric.routing import (
+    NoPathError,
     Router,
     RoutingPolicy,
     ecmp_paths,
@@ -52,6 +53,7 @@ __all__ = [
     "PacketBackend",
     "PacketLevelNetwork",
     "PortState",
+    "NoPathError",
     "Router",
     "RoutingPolicy",
     "ecmp_paths",

@@ -7,15 +7,23 @@ primitives -- single shortest path, k-shortest paths, and ECMP path sets --
 plus a :class:`Router` that caches paths per :attr:`Topology.version
 <repro.fabric.topology.Topology.version>` and is also invalidated whenever
 the CRC changes the routing weights.
+
+The single shortest path is a native bidirectional search over
+:attr:`Topology.adjacency <repro.fabric.topology.Topology.adjacency>` that
+mirrors ``networkx.bidirectional_dijkstra`` push for push and pop for pop,
+so equal-cost ties break exactly as networkx breaks them.  Only the
+k-shortest and ECMP sets still run networkx (Yen's algorithm, through
+``shortest_simple_paths``), on the topology's structure-only snapshot.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
+from collections import deque
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro.fabric.topology import Topology
 from repro.phy.link import Link
@@ -50,13 +58,12 @@ def inverse_capacity_weight(link: Link) -> float:
     return 1.0 / capacity
 
 
-def _edge_weight(topology: Topology, weight_fn: WeightFn):
-    """A networkx edge-weight callable: *weight_fn* of the live link.
+class NoPathError(Exception):
+    """No route joins the pair: it is disconnected, or a node is unknown."""
 
-    Routing runs on :attr:`Topology.graph` itself, with no weighted copy, so
-    weights are read at query time.  The live graph's node and adjacency
-    order is the link insertion order, which fixes how equal-cost ties break.
-    """
+
+def _edge_weight(topology: Topology, weight_fn: WeightFn):
+    """A networkx edge-weight callable: *weight_fn* of the live link."""
     return lambda u, v, _data: weight_fn(topology.link_between(u, v))
 
 
@@ -68,10 +75,135 @@ def shortest_path(
 ) -> PathType:
     """Single shortest path from *src* to *dst* as a list of node names.
 
-    Raises :class:`networkx.NetworkXNoPath` when the nodes are disconnected,
-    which callers treat as "the CRC must repair the topology first".
+    Returns what ``networkx.shortest_path`` would on a graph with the same
+    node and adjacency order, ties included.  Raises :class:`NoPathError`
+    when the nodes are disconnected (callers treat that as "the CRC must
+    repair the topology first") or either node is unknown.
     """
-    return nx.shortest_path(topology.graph, src, dst, weight=_edge_weight(topology, weight_fn))
+    adjacency = topology.adjacency
+    for node in (src, dst):
+        if node not in adjacency:
+            raise NoPathError(f"node {node!r} is not in {topology.name!r}")
+    if src == dst:
+        return [src]
+    if weight_fn is hop_weight:
+        path = _bidirectional_bfs(adjacency, src, dst)
+    else:
+        path = _bidirectional_dijkstra(adjacency, src, dst, weight_fn)
+    if path is None:
+        raise NoPathError(f"no path between {src!r} and {dst!r}")
+    return path
+
+
+def _join(forward: Dict[str, Optional[str]], backward: Dict[str, Optional[str]], meet: str):
+    """The path through *meet* that the two predecessor maps describe."""
+    path = []
+    node: Optional[str] = meet
+    while node is not None:
+        path.append(node)
+        node = forward[node]
+    path.reverse()
+    node = backward[meet]
+    while node is not None:
+        path.append(node)
+        node = backward[node]
+    return path
+
+
+def _bidirectional_dijkstra(adjacency, src, dst, weight_fn) -> Optional[PathType]:
+    """``networkx.bidirectional_dijkstra``, step for step, on *adjacency*.
+
+    Same ``(dist, count, node)`` heaps, the same alternation starting
+    forward, the same strict-``<`` relaxation and the same ``finaldist`` /
+    ``meetnode`` rule; the weight is read straight off the adjacency's link.
+    Like networkx 3.6, the path through ``meetnode`` is read from the live
+    predecessor maps when the search stops, not copied when ``finaldist``
+    drops: a later relaxation whose total rounds to ``finaldist`` still
+    moves the meet node's predecessor.
+    """
+    dists: Tuple[Dict[str, float], Dict[str, float]] = ({}, {})
+    preds: Tuple[Dict[str, Optional[str]], ...] = ({src: None}, {dst: None})
+    seen: Tuple[Dict[str, float], Dict[str, float]] = ({src: 0}, {dst: 0})
+    counter = itertools.count()
+    fringe = ([(0, next(counter), src)], [(0, next(counter), dst)])
+    finaldist = None
+    meetnode = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, node = heappop(fringe[direction])
+        done = dists[direction]
+        if node in done:
+            continue
+        done[node] = dist
+        if node in dists[1 - direction]:
+            return _join(preds[0], preds[1], meetnode)
+        reached, other = seen[direction], seen[1 - direction]
+        pred, heap = preds[direction], fringe[direction]
+        for neighbour, link in adjacency[node].items():
+            # Weighed before the settled check, as networkx does: a weight
+            # function may count or memoise its calls.
+            length = dist + weight_fn(link)
+            if neighbour in done:
+                continue  # non-negative weights: a settled node never improves
+            if neighbour not in reached or length < reached[neighbour]:
+                reached[neighbour] = length
+                heappush(heap, (length, next(counter), neighbour))
+                pred[neighbour] = node
+                if neighbour in other:
+                    total = length + other[neighbour]
+                    if finaldist is None or finaldist > total:
+                        finaldist, meetnode = total, neighbour
+    return None
+
+
+def _bidirectional_bfs(adjacency, src, dst) -> Optional[PathType]:
+    """:func:`_bidirectional_dijkstra` under ``hop_weight``, on two FIFO queues.
+
+    With unit weights each heap pops in push order (distances are pushed
+    non-decreasing, and the counter breaks ties) and never holds a node
+    twice (a node is first seen at its final distance), so a FIFO queue
+    pops the same nodes in the same order and only unseen neighbours are
+    pushed.  Integer hop sums equal the exact sums of ``1.0``.
+    """
+    done: Tuple[set, set] = (set(), set())
+    preds: Tuple[Dict[str, Optional[str]], ...] = ({src: None}, {dst: None})
+    seen: Tuple[Dict[str, int], Dict[str, int]] = ({src: 0}, {dst: 0})
+    fringe = (deque([src]), deque([dst]))
+    finaldist = None
+    meetnode = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        node = fringe[direction].popleft()
+        done[direction].add(node)
+        if node in done[1 - direction]:
+            return _join(preds[0], preds[1], meetnode)
+        reached, other = seen[direction], seen[1 - direction]
+        pred, queue = preds[direction], fringe[direction]
+        length = reached[node] + 1
+        for neighbour in adjacency[node]:
+            if neighbour not in reached:
+                reached[neighbour] = length
+                queue.append(neighbour)
+                pred[neighbour] = node
+                if neighbour in other:
+                    total = length + other[neighbour]
+                    if finaldist is None or finaldist > total:
+                        finaldist, meetnode = total, neighbour
+    return None
+
+
+@contextlib.contextmanager
+def _networkx():
+    """networkx, for Yen's algorithm; its no-path and missing-node errors
+    re-raised as :class:`NoPathError`."""
+    import networkx as nx
+
+    try:
+        yield nx
+    except (nx.NetworkXNoPath, nx.NodeNotFound) as error:
+        raise NoPathError(str(error)) from error
 
 
 def k_shortest_paths(
@@ -81,12 +213,18 @@ def k_shortest_paths(
     k: int,
     weight_fn: WeightFn = hop_weight,
 ) -> List[PathType]:
-    """Up to *k* loop-free shortest paths in non-decreasing cost order."""
+    """Up to *k* loop-free shortest paths in non-decreasing cost order.
+
+    Yen's algorithm (``networkx.shortest_simple_paths``) on
+    :attr:`Topology.graph`; raises :class:`NoPathError` like
+    :func:`shortest_path`.
+    """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k!r}")
     weight = _edge_weight(topology, weight_fn)
-    generator = nx.shortest_simple_paths(topology.graph, src, dst, weight=weight)
-    return list(itertools.islice(generator, k))
+    with _networkx() as nx:
+        generator = nx.shortest_simple_paths(topology.graph, src, dst, weight=weight)
+        return list(itertools.islice(generator, k))
 
 
 def ecmp_paths(
@@ -99,16 +237,18 @@ def ecmp_paths(
 
     Costs within a relative ``1e-12`` of the minimum count as equal, so the
     tolerance holds whatever the scale of the weights (``1 / capacity`` costs
-    are ~1e-11 per link, hop counts are exact integers).
+    are ~1e-11 per link, hop counts are exact integers).  Runs networkx on
+    :attr:`Topology.graph` like :func:`k_shortest_paths`.
     """
     weight = _edge_weight(topology, weight_fn)
-    best_cost = nx.shortest_path_length(topology.graph, src, dst, weight=weight)
     paths: List[PathType] = []
-    for path in nx.shortest_simple_paths(topology.graph, src, dst, weight=weight):
-        cost = sum(weight_fn(link) for link in path_links(topology, path))
-        if cost > best_cost + 1e-12 * abs(best_cost):
-            break
-        paths.append(path)
+    with _networkx() as nx:
+        best_cost = nx.shortest_path_length(topology.graph, src, dst, weight=weight)
+        for path in nx.shortest_simple_paths(topology.graph, src, dst, weight=weight):
+            cost = sum(weight_fn(link) for link in path_links(topology, path))
+            if cost > best_cost + 1e-12 * abs(best_cost):
+                break
+            paths.append(path)
     return paths
 
 

@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.fabric.node import Node, NodeType
 from repro.phy.fec import FEC_RS528, FecScheme
 from repro.phy.link import Link
 from repro.phy.media import COPPER_DAC, Media
 from repro.sim.units import GBPS
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Default spacing between adjacent switching elements, from the paper's
 #: Figure 1 caption ("we assume a switch every 2 meters").
@@ -59,9 +60,13 @@ class Topology:
 
     def __init__(self, name: str = "fabric") -> None:
         self.name = name
-        self._graph = nx.Graph()
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[LinkKey, Link] = {}
+        #: node -> {neighbour: link}, both levels in insertion order.
+        self._adjacency: Dict[str, Dict[str, Link]] = {}
+        #: Yen's algorithm runs on a networkx snapshot, rebuilt per version.
+        self._graph: Optional["nx.Graph"] = None
+        self._graph_version = -1
         #: Registered topology-family name this graph was built as (e.g.
         #: ``"grid"``, ``"fat-tree"``) and the dimensions it was built with.
         #: ``None``/empty for hand-assembled topologies.  Reconfiguration
@@ -83,7 +88,7 @@ class Topology:
     def add_node(self, node: Node) -> Node:
         """Add a node; re-adding the same name replaces the stored object."""
         self._nodes[node.name] = node
-        self._graph.add_node(node.name)
+        self._adjacency.setdefault(node.name, {})
         self.version += 1
         return node
 
@@ -123,7 +128,8 @@ class Topology:
         if key in self._links:
             raise ValueError(f"a link between {key} already exists")
         self._links[key] = link
-        self._graph.add_edge(*key)
+        self._adjacency[key[0]][key[1]] = link
+        self._adjacency[key[1]][key[0]] = link
         self.version += 1
         return link
 
@@ -133,7 +139,8 @@ class Topology:
         if key not in self._links:
             raise KeyError(f"no link between {a!r} and {b!r}")
         link = self._links.pop(key)
-        self._graph.remove_edge(*key)
+        del self._adjacency[key[0]][key[1]]
+        del self._adjacency[key[1]][key[0]]
         self.version += 1
         return link
 
@@ -155,33 +162,86 @@ class Topology:
 
     def neighbors(self, name: str) -> List[str]:
         """Names of nodes adjacent to *name*."""
-        return list(self._graph.neighbors(name))
+        return list(self._adjacency[name])
 
     def degree(self, name: str) -> int:
         """Number of links attached to *name*."""
-        return self._graph.degree(name)
+        return len(self._adjacency[name])
 
     # ------------------------------------------------------------------ #
     # Graph-level queries
     # ------------------------------------------------------------------ #
     @property
-    def graph(self) -> nx.Graph:
-        """The underlying (live) networkx graph.  Mutate through Topology only."""
+    def adjacency(self) -> Dict[str, Dict[str, Link]]:
+        """The live adjacency: node -> {neighbour: link}.  Read only.
+
+        Nodes are in insertion order, and each node's neighbours are in the
+        order its links were added, so a removed and re-added link moves to
+        the end of both endpoints' orders -- exactly as in a
+        ``networkx.Graph`` fed the same calls.  Routing breaks equal-cost
+        ties by this order.
+        """
+        return self._adjacency
+
+    @property
+    def graph(self) -> "nx.Graph":
+        """A structure-only networkx snapshot of the current graph.
+
+        Built on first use after the version moves, by replaying
+        :meth:`node_names` and then :meth:`link_keys`, so its node and
+        neighbour orders equal :attr:`adjacency`'s.  Only Yen's algorithm
+        (``k_shortest_paths``, ``ecmp_paths``) needs it; do not mutate it.
+        """
+        if self._graph_version != self.version:
+            import networkx
+
+            graph = networkx.Graph()
+            graph.add_nodes_from(self._nodes)
+            graph.add_edges_from(self._links)
+            self._graph, self._graph_version = graph, self.version
         return self._graph
+
+    def _hops_from(self, start: str) -> Dict[str, int]:
+        """Hop distance from *start* to every node it reaches (BFS)."""
+        hops = {start: 0}
+        frontier = [start]
+        depth = 0
+        while frontier:
+            depth += 1
+            next_frontier = []
+            for node in frontier:
+                for neighbour in self._adjacency[node]:
+                    if neighbour not in hops:
+                        hops[neighbour] = depth
+                        next_frontier.append(neighbour)
+            frontier = next_frontier
+        return hops
+
+    def _all_pairs_hops(self) -> Iterator[Dict[str, int]]:
+        """One BFS per node; raises ``ValueError`` unless the graph is connected."""
+        if not self._adjacency:
+            raise ValueError(f"topology {self.name!r} has no nodes, so no paths")
+        for name in self._adjacency:
+            hops = self._hops_from(name)
+            if len(hops) != len(self._adjacency):
+                raise ValueError(f"topology {self.name!r} is not connected")
+            yield hops
 
     def is_connected(self) -> bool:
         """Whether every node can reach every other node."""
-        if self._graph.number_of_nodes() == 0:
+        if not self._adjacency:
             return True
-        return nx.is_connected(self._graph)
+        return len(self._hops_from(next(iter(self._adjacency)))) == len(self._adjacency)
 
     def diameter(self) -> int:
         """Longest shortest path (in hops) between any node pair."""
-        return nx.diameter(self._graph)
+        return max(max(hops.values()) for hops in self._all_pairs_hops())
 
     def average_shortest_path_hops(self) -> float:
-        """Mean shortest-path length in hops over all node pairs."""
-        return nx.average_shortest_path_length(self._graph)
+        """Mean shortest-path length in hops over all ordered node pairs."""
+        total = sum(sum(hops.values()) for hops in self._all_pairs_hops())
+        count = len(self._adjacency)
+        return total / (count * (count - 1)) if count > 1 else 0.0
 
     def total_lanes(self) -> int:
         """Total physical lanes across all links (the paper's lane budget)."""
