@@ -23,9 +23,10 @@ fluid-vs-packet agreement is pinned per scenario by
 Every tick the loop walks one lap of the ring:
 
 1. **observe** -- pull instantaneous link utilisation and per-flow state
-   from the simulation backend, fold them into the fabric's EWMA-smoothed
-   :class:`~repro.phy.stats.LinkStatistics`, and record the headline
-   series into a :class:`~repro.telemetry.collector.TelemetryCollector`;
+   from the simulation backend, fold the utilisation into the fabric's
+   EWMA-smoothed :class:`~repro.phy.stats.LinkStatistics`, and record the
+   headline series into a
+   :class:`~repro.telemetry.collector.TelemetryCollector`;
 2. **price** -- refresh the :class:`~repro.core.cost.LinkPriceTagger` tags
    from the smoothed utilisation and install them as the fabric's routing
    weight;
@@ -353,11 +354,7 @@ class ControlLoop:
         # 1. observe ---------------------------------------------------- #
         raw_utilisation = self._canonical_utilisation(sim)
         raw_max = max(raw_utilisation.values()) if raw_utilisation else 0.0
-        self.fabric.observe_links(raw_utilisation)
-        smoothed = {
-            key: self.fabric.stats_for(*key).utilisation.value_or(0.0)
-            for key in self.fabric.topology.link_keys()
-        }
+        smoothed = self.fabric.observe_links(raw_utilisation)
         smoothed_max = max(smoothed.values()) if smoothed else 0.0
         active = sim.active_flows()
         # Exact remaining demand at the tick instant: the fluid model

@@ -7,7 +7,7 @@ folds together:
 
 * **latency** -- the fixed one-way latency of the link (propagation, SerDes,
   FEC), normalised by a reference latency,
-* **congestion** -- smoothed utilisation and queue occupancy,
+* **congestion** -- smoothed link utilisation,
 * **health** -- how far the post-FEC error rate is from the target (a sick
   link should be priced out of the routing even if it is idle),
 * **power** -- the bundle's power draw, so a power-capped rack prefers
@@ -128,20 +128,18 @@ class LinkPriceTagger:
         """Fixed one-way latency normalised by the reference latency."""
         return link.one_way_latency / self.normalisation.reference_latency
 
-    def congestion_term(self, utilisation: float, queue_occupancy: float = 0.0) -> float:
+    def congestion_term(self, utilisation: float) -> float:
         """Convex congestion cost, M/M/1-style: ``u / (1 - u)`` capped.
 
         Utilisation is clipped just below 1 so a saturated link gets a very
         large but finite price (an infinite price would make shortest-path
-        computations brittle).  Queue occupancy (a fraction of the buffer)
-        is added linearly on top.
+        computations brittle).
         """
         utilisation = min(max(utilisation, 0.0), 0.999)
         knee = self.normalisation.utilisation_knee
         # Scale so that utilisation == knee costs exactly 1.0.
         scale = (1.0 - knee) / knee
-        cost = scale * utilisation / (1.0 - utilisation)
-        return cost + max(0.0, queue_occupancy)
+        return scale * utilisation / (1.0 - utilisation)
 
     def health_term(self, post_fec_ber: float) -> float:
         """Orders of magnitude by which the residual BER misses the target."""
@@ -163,7 +161,6 @@ class LinkPriceTagger:
         self,
         link: Link,
         utilisation: float = 0.0,
-        queue_occupancy: float = 0.0,
         post_fec_ber: Optional[float] = None,
         power_watts: Optional[float] = None,
     ) -> float:
@@ -179,7 +176,7 @@ class LinkPriceTagger:
         power = power_watts if power_watts is not None else link.power_watts
         return (
             weights.latency * self.latency_term(link)
-            + weights.congestion * self.congestion_term(utilisation, queue_occupancy)
+            + weights.congestion * self.congestion_term(utilisation)
             + weights.health * self.health_term(ber)
             + weights.power * self.power_term(power)
         )

@@ -366,7 +366,10 @@ class PLPExecutor:
     def _query_stats(self, command: PLPCommand, now: float) -> str:
         link = self._link(command)
         stats = self.fabric.stats_for(*command.endpoints)
-        snapshot = stats.snapshot()
-        snapshot["capacity_bps"] = link.capacity_bps
-        snapshot["post_fec_ber"] = link.post_fec_ber
-        return str(snapshot)
+        return str({
+            "utilisation": stats.utilisation.value_or(0.0),
+            "capacity_bps": link.capacity_bps,
+            "one_way_latency": link.one_way_latency,
+            "post_fec_ber": link.post_fec_ber,
+            "power_watts": link.power_watts,
+        })

@@ -8,7 +8,7 @@ mutates.  It owns:
   sled's NIC, or the dedicated switch ASIC for switch nodes),
 * the :class:`~repro.phy.power.PowerModel` and a :class:`PowerBudget`,
 * the :class:`~repro.phy.bypass.BypassManager` for PLP primitive 2,
-* per-link statistics streams feeding the CRC.
+* per-link utilisation streams feeding the CRC.
 
 It also provides the closed-form end-to-end latency of a packet along a
 path, which is the quantity Figure 1 plots and the quantity the analytical
@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.fabric.node import NodeType
 from repro.fabric.routing import Router, RoutingPolicy, WeightFn, hop_weight, path_links
 from repro.fabric.switch import CutThroughSwitch, StoreAndForwardSwitch, SwitchModel
-from repro.fabric.topology import Topology
+from repro.fabric.topology import Topology, canonical_key
 from repro.phy.bypass import BypassManager
 from repro.phy.power import PowerBudget, PowerModel, PowerReport
 from repro.phy.stats import LinkStatistics
@@ -84,27 +84,25 @@ class Fabric:
 
         Streams are created lazily for links added by reconfiguration.
         """
-        from repro.fabric.topology import canonical_key
-
         key = canonical_key(a, b)
         if key not in self.link_stats:
             self.link_stats[key] = LinkStatistics(link_key=key)
         return self.link_stats[key]
 
-    def observe_links(self, utilisation: Mapping[Tuple[str, str], float]) -> None:
-        """Fold one control tick's per-link state into every link's stream.
+    def observe_links(
+        self, utilisation: Mapping[Tuple[str, str], float]
+    ) -> Dict[Tuple[str, str], float]:
+        """Fold one control tick's utilisation into every link's stream.
 
         *utilisation* is keyed by canonical link key; links absent from it
-        are observed as idle.
+        are observed as idle.  Returns the smoothed utilisation of every
+        link, keyed the same way.
         """
-        for key in self.topology.link_keys():
-            link = self.topology.link_between(*key)
-            self.stats_for(*key).observe(
-                latency=link.one_way_latency,
-                utilisation=utilisation.get(key, 0.0),
-                post_fec_ber=link.post_fec_ber,
-                power_watts=link.power_watts,
-            )
+        stats_for = self.stats_for
+        return {
+            key: stats_for(*key).utilisation.update(utilisation.get(key, 0.0))
+            for key in self.topology.link_keys()
+        }
 
     def register_switch(self, name: str) -> CutThroughSwitch:
         """Create a switching element for a node added after construction."""

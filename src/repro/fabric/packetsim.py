@@ -31,15 +31,15 @@ suite (and ``tests/test_backend_fidelity.py``) asserts.
 
 The earlier implementation approximated the buffer with a drain-time
 proxy (drop when ``queueing > buffer/capacity``); the occupancy check is
-stricter by exactly the arriving packet's own bits, charges drops and
-congestion marks to per-port counters, and feeds queue-occupancy samples
-into the fabric's :meth:`~repro.fabric.fabric.Fabric.stats_for` streams so
-control-loop ticks observe packet-level congestion.
+stricter by exactly the arriving packet's own bits, and charges drops and
+congestion marks to per-port counters.  Control-loop ticks observe
+packet-level congestion through
+:meth:`PacketBackend.instantaneous_link_utilisation`, which reads the
+ports' busy windows; the forwarding path writes no per-hop statistics.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -208,16 +208,7 @@ class PacketLevelNetwork(PortLedger):
         port.busy_until = start_tx + serialization
         port.packets_sent += 1
         port.bits_sent += packet.size_bits
-        port.queueing_seconds_total += queueing
         packet.queueing_seconds += queueing
-        # Occupancy is fed to the stats stream as a buffer *fraction* (the
-        # price tagger's congestion term is dimensionless), not raw bits.
-        occupancy_fraction = (
-            backlog / port.buffer_bits if math.isfinite(port.buffer_bits) else 0.0
-        )
-        self.fabric.stats_for(here, nxt).observe(
-            packets=1, queue_occupancy=occupancy_fraction
-        )
 
         propagation = link.propagation_delay
         phy = link.phy_latency
@@ -256,7 +247,6 @@ class PacketLevelNetwork(PortLedger):
         self.in_flight -= 1
         if self.retain_packets:
             self.dropped.append(packet)
-        self.fabric.stats_for(here, nxt).observe(drops=1, packets=1)
         self.trace.record(
             self.simulator.now,
             "packet_dropped",

@@ -61,8 +61,8 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         name="packet-forward-path",
         primary="src/repro/sim/packet_batch.py::BatchedPacketCore._process_train",
         oracle="src/repro/fabric/packetsim.py::PacketLevelNetwork._forward",
-        primary_fingerprint="2c1d522927b54807",
-        oracle_fingerprint="c4163d3ff48e8e85",
+        primary_fingerprint="f3d82a0e42998020",
+        oracle_fingerprint="19ee21f939f90759",
         rationale=(
             "the per-hop float pipeline (queueing, tail-drop, ECN, "
             "serialization) must evolve in lock-step across the engines; "
@@ -74,8 +74,8 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         name="packet-lean-hop",
         primary="src/repro/sim/packet_batch.py::BatchedPacketCore._hop",
         oracle="src/repro/fabric/packetsim.py::PacketLevelNetwork._forward",
-        primary_fingerprint="79f207f7b6fce662",
-        oracle_fingerprint="c4163d3ff48e8e85",
+        primary_fingerprint="ae0ba5367463081a",
+        oracle_fingerprint="19ee21f939f90759",
         rationale=(
             "the flat lone-segment loop replays the per-hop float pipeline "
             "(queueing, tail-drop, ECN, serialization) and the delivery "

@@ -2,11 +2,10 @@
 
 The Closed Ring Control is a feedback controller; the feedback is the
 per-lane statistics the physical layer exposes -- bit error rate, latency
-and effective bandwidth -- plus the per-link congestion signals (queue
-occupancy, drops) collected by the fabric.  The estimators here smooth raw
-samples with exponentially weighted moving averages so the control loop is
-not whipsawed by measurement noise, and they expose the snapshot structure
-the CRC's price-tag computation consumes.
+and effective bandwidth -- plus the per-link utilisation the control loop
+observes each tick.  The estimators here smooth raw samples with
+exponentially weighted moving averages so the control loop is not
+whipsawed by measurement noise.
 """
 
 from __future__ import annotations
@@ -16,24 +15,16 @@ from typing import Dict, Optional
 
 
 class EwmaEstimator:
-    """Exponentially weighted moving average with sample counting."""
+    """Exponentially weighted moving average."""
 
     def __init__(self, alpha: float = 0.2, initial: Optional[float] = None) -> None:
         if not 0 < alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
         self.alpha = alpha
         self._value = initial
-        self.samples = 0
-        self.last_sample: Optional[float] = None
-        self.minimum: Optional[float] = None
-        self.maximum: Optional[float] = None
 
     def update(self, sample: float) -> float:
         """Fold *sample* into the average and return the new value."""
-        self.samples += 1
-        self.last_sample = sample
-        self.minimum = sample if self.minimum is None else min(self.minimum, sample)
-        self.maximum = sample if self.maximum is None else max(self.maximum, sample)
         if self._value is None:
             self._value = sample
         else:
@@ -48,14 +39,6 @@ class EwmaEstimator:
     def value_or(self, default: float) -> float:
         """Current value, or *default* before the first sample."""
         return self._value if self._value is not None else default
-
-    def reset(self) -> None:
-        """Forget all history."""
-        self._value = None
-        self.samples = 0
-        self.last_sample = None
-        self.minimum = None
-        self.maximum = None
 
 
 @dataclass
@@ -97,62 +80,10 @@ class LaneStatistics:
 class LinkStatistics:
     """Statistics stream for a link (bundle), as consumed by the CRC.
 
-    The four smoothed signals map one-to-one onto the terms of the CRC's
-    per-link price tag: latency, congestion (utilisation and queueing),
-    health (post-FEC BER and drops), and power.
+    The stream keeps the one signal a price or a plan reads: smoothed
+    utilisation, folded once per control tick.  The other price-tag terms
+    (latency, post-FEC BER, power) are read live from the link.
     """
 
     link_key: object
-    latency: EwmaEstimator = field(default_factory=lambda: EwmaEstimator(alpha=0.25))
     utilisation: EwmaEstimator = field(default_factory=lambda: EwmaEstimator(alpha=0.25))
-    queue_occupancy: EwmaEstimator = field(
-        default_factory=lambda: EwmaEstimator(alpha=0.25)
-    )
-    post_fec_ber: EwmaEstimator = field(default_factory=lambda: EwmaEstimator(alpha=0.25))
-    power_watts: EwmaEstimator = field(default_factory=lambda: EwmaEstimator(alpha=0.25))
-    drops: int = 0
-    packets: int = 0
-
-    def observe(
-        self,
-        latency: Optional[float] = None,
-        utilisation: Optional[float] = None,
-        queue_occupancy: Optional[float] = None,
-        post_fec_ber: Optional[float] = None,
-        power_watts: Optional[float] = None,
-        drops: int = 0,
-        packets: int = 0,
-    ) -> None:
-        """Fold one observation interval into the stream."""
-        if latency is not None:
-            self.latency.update(latency)
-        if utilisation is not None:
-            self.utilisation.update(utilisation)
-        if queue_occupancy is not None:
-            self.queue_occupancy.update(queue_occupancy)
-        if post_fec_ber is not None:
-            self.post_fec_ber.update(post_fec_ber)
-        if power_watts is not None:
-            self.power_watts.update(power_watts)
-        if drops < 0 or packets < 0:
-            raise ValueError("drops and packets must be >= 0")
-        self.drops += drops
-        self.packets += packets
-
-    @property
-    def drop_rate(self) -> float:
-        """Fraction of observed packets dropped on this link."""
-        if self.packets == 0:
-            return 0.0
-        return self.drops / self.packets
-
-    def snapshot(self) -> Dict[str, float]:
-        """Smoothed values with safe defaults, for the price-tag computation."""
-        return {
-            "latency": self.latency.value_or(0.0),
-            "utilisation": self.utilisation.value_or(0.0),
-            "queue_occupancy": self.queue_occupancy.value_or(0.0),
-            "post_fec_ber": self.post_fec_ber.value_or(0.0),
-            "power_watts": self.power_watts.value_or(0.0),
-            "drop_rate": self.drop_rate,
-        }

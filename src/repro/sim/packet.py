@@ -193,7 +193,6 @@ class PortState:
     bits_dropped: float = 0.0
     #: Packets that arrived to a backlog above the ECN threshold.
     ecn_marks: int = 0
-    queueing_seconds_total: float = 0.0
     max_backlog_bits: float = 0.0
 
 

@@ -33,11 +33,11 @@ comparisons), a callback dispatch with kwargs, and two reads of the
   injects all its segments as a single train at one instant rather than
   one calendar event per segment, and deliveries of consecutive segments
   ride one delivery train per epoch,
-* caches everything re-derivable per directed link -- the port, its
-  statistics stream, the switch's forwarding-latency function, buffer
-  thresholds -- in one context record, with the *live* link properties
-  (capacity, propagation, PHY latency) refreshed per mutation epoch
-  (see below) instead of re-derived from lane objects on every hop.
+* caches everything re-derivable per directed link -- the port, the
+  switch's forwarding-latency function, buffer thresholds -- in one
+  context record, with the *live* link properties (capacity,
+  propagation, PHY latency) refreshed per mutation epoch (see below)
+  instead of re-derived from lane objects on every hop.
 
 Why it is bit-exact
 -------------------
@@ -50,12 +50,12 @@ and before touching a segment it checks that nothing else -- the heap
 head, or the train's own just-computed continuations -- orders strictly
 before it.  If something does, the train is split and the remainder
 re-enqueued under its original times and seqs.  Every side effect
-(port counters, EWMA statistics observations, queueing samples, flow
-state transitions, retransmit timers) therefore happens in exactly the
-order the event engine produces, and every float is computed by the same
-sequence of IEEE-754 operations (the EWMA update is inlined operation
-for operation).  ``tests/test_packet_parity.py`` pins this
-across every small scenario x controller.
+(port counters, queueing samples, flow state transitions, retransmit
+timers) therefore happens in exactly the order the event engine
+produces, and every float is computed by the same sequence of IEEE-754
+operations.  ``tests/test_packet_parity.py`` pins this across every small
+scenario x controller.  Neither engine writes the fabric's statistics
+stream: a control tick reads port busy windows instead.
 
 Mutation epochs
 ---------------
@@ -138,13 +138,10 @@ _C_CAPACITY = 1
 _C_PROPAGATION = 2
 _C_PHY = 3
 _C_PORT = 4
-_C_STATS = 5
-_C_OCCUPANCY_EST = 6
-_C_FWD = 7
-_C_BUFFER = 8
-_C_ECN_BITS = 9
-_C_FINITE = 10
-_C_SWITCHING = 11
+_C_FWD = 5
+_C_BUFFER = 6
+_C_ECN_BITS = 7
+_C_SWITCHING = 8
 
 
 class _Path(list):
@@ -321,14 +318,12 @@ class BatchedPacketCore(FlowLedger, PortLedger):
         cache is only reused while no calendar callback has run and no
         facade mutation has happened -- nothing else can mutate links).
         The remaining slots hold objects that are stable for the life of
-        the run: the port, its statistics stream and occupancy estimator
-        (``Fabric.stats_for`` creates once and never replaces), buffer
+        the run: the port, the switch's forwarding-latency function, buffer
         thresholds, and the per-size switching-latency memo.
         """
         ctx = self._ctx.get(key)
         if ctx is None:
             port = self._port(key)
-            stats = self.fabric.stats_for(key[0], key[1])
             link = self.fabric.topology.link_between(key[0], key[1])
             buffer_bits = port.buffer_bits
             ctx = [
@@ -337,12 +332,9 @@ class BatchedPacketCore(FlowLedger, PortLedger):
                 link.propagation_delay,
                 link.phy_latency,
                 port,
-                stats,
-                stats.queue_occupancy,
                 None,  # forwarding-latency fn, resolved on first hop>0 use
                 buffer_bits,
                 self.ecn_threshold * buffer_bits,
-                math.isfinite(buffer_bits),
                 {},  # per-size switching latency memo
             ]
             self._ctx[key] = ctx
@@ -438,10 +430,9 @@ class BatchedPacketCore(FlowLedger, PortLedger):
         Segments are processed while nothing orders before them: the next
         heap entry, the *until* horizon, and the train's own continuation
         head (whose virtual seqs are all larger, so it goes first exactly
-        when its time is strictly smaller).  Port counters and the EWMA
-        occupancy stream are updated by the same operation sequence as
-        ``PacketLevelNetwork._forward``, with hot fields held in locals
-        and flushed on exit.
+        when its time is strictly smaller).  Port counters are updated by
+        the same operation sequence as ``PacketLevelNetwork._forward``,
+        with hot fields held in locals and flushed on exit.
         """
         path = train[_T_PATH]
         hop = train[_T_HOP]
@@ -454,11 +445,8 @@ class BatchedPacketCore(FlowLedger, PortLedger):
         propagation = ctx[_C_PROPAGATION]
         phy = ctx[_C_PHY]
         port = ctx[_C_PORT]
-        stats = ctx[_C_STATS]
-        est = ctx[_C_OCCUPANCY_EST]
         buffer_bits = ctx[_C_BUFFER]
         ecn_bits = ctx[_C_ECN_BITS]
-        buffer_finite = ctx[_C_FINITE]
         switch_cache = ctx[_C_SWITCHING]
         dl = self.disabled_links
         state = train[_T_STATE]
@@ -501,12 +489,9 @@ class BatchedPacketCore(FlowLedger, PortLedger):
         busy = port.busy_until
         sent = 0
         bits_sent = port.bits_sent
-        queueing_total = port.queueing_seconds_total
         max_backlog = port.max_backlog_bits
         marks = 0
         entered = 0
-        alpha = est.alpha
-        one_minus_alpha = 1 - alpha
 
         i = 0
         while i < n:
@@ -527,7 +512,7 @@ class BatchedPacketCore(FlowLedger, PortLedger):
                 entered += 1
             size = sizes[i]
             if not forwardable:
-                self._drop_segment(state, segs[i], size, port, stats)
+                self._drop_segment(state, segs[i], size, port)
                 i += 1
                 continue
             if hop:
@@ -545,7 +530,7 @@ class BatchedPacketCore(FlowLedger, PortLedger):
             if backlog > max_backlog:
                 max_backlog = backlog
             if backlog + size > buffer_bits:
-                self._drop_segment(state, segs[i], size, port, stats)
+                self._drop_segment(state, segs[i], size, port)
                 i += 1
                 continue
             if backlog > ecn_bits:
@@ -555,26 +540,8 @@ class BatchedPacketCore(FlowLedger, PortLedger):
             busy = start_tx + serialization
             sent += 1
             bits_sent += size
-            queueing_total += queueing
             q_acc = queue[i] + queueing
             queue[i] = q_acc
-            occupancy = backlog / buffer_bits if buffer_finite else 0.0
-            # Inlined ``stats.observe(packets=1, queue_occupancy=occupancy)``
-            # -- operation for operation, including the EWMA fold.
-            est.samples += 1
-            est.last_sample = occupancy
-            emin = est.minimum
-            if emin is None or occupancy < emin:
-                est.minimum = occupancy
-            emax = est.maximum
-            if emax is None or occupancy > emax:
-                est.maximum = occupancy
-            value = est._value
-            est._value = (
-                occupancy if value is None
-                else alpha * occupancy + one_minus_alpha * value
-            )
-            stats.packets += 1
             sq_new = self._seq
             self._seq += 1
             if last_hop:
@@ -589,7 +556,6 @@ class BatchedPacketCore(FlowLedger, PortLedger):
         port.busy_until = busy
         port.packets_sent += sent
         port.bits_sent = bits_sent
-        port.queueing_seconds_total = queueing_total
         port.max_backlog_bits = max_backlog
         if marks:
             port.ecn_marks += marks
@@ -750,13 +716,13 @@ class BatchedPacketCore(FlowLedger, PortLedger):
                 ctx = self._link_ctx((path[hop], path[hop + 1]))
                 path.ctx[hop] = ctx
             # One unpack of the whole record, in ``_C_*`` slot order.
-            (_, capacity, propagation, phy, port, stats, est, fwd_latency,
-             buffer_bits, ecn_bits, buffer_finite, switch_cache) = ctx
+            (_, capacity, propagation, phy, port, fwd_latency, buffer_bits,
+             ecn_bits, switch_cache) = ctx
             if hop == 0:
                 self.packets_entered += 1
                 self.in_flight += 1
             if capacity <= 0.0 or (dl and (path[hop], path[hop + 1]) in dl):
-                self._drop_segment(state, seg, size, port, stats)
+                self._drop_segment(state, seg, size, port)
                 return refills
             if capacity != port.capacity_bps:
                 remaining = port.busy_until - t
@@ -783,7 +749,7 @@ class BatchedPacketCore(FlowLedger, PortLedger):
             if backlog > port.max_backlog_bits:
                 port.max_backlog_bits = backlog
             if backlog + size > buffer_bits:
-                self._drop_segment(state, seg, size, port, stats)
+                self._drop_segment(state, seg, size, port)
                 return refills
             if backlog > ecn_bits:
                 port.ecn_marks += 1
@@ -792,23 +758,7 @@ class BatchedPacketCore(FlowLedger, PortLedger):
             port.busy_until = start_tx + serialization
             port.packets_sent += 1
             port.bits_sent += size
-            port.queueing_seconds_total += queueing
             q_acc += queueing
-            occupancy = backlog / buffer_bits if buffer_finite else 0.0
-            # Inlined ``stats.observe(packets=1, queue_occupancy=occupancy)``.
-            est.samples += 1
-            est.last_sample = occupancy
-            emin = est.minimum
-            if emin is None or occupancy < emin:
-                est.minimum = occupancy
-            emax = est.maximum
-            if emax is None or occupancy > emax:
-                est.maximum = occupancy
-            alpha = est.alpha
-            value = est._value
-            est._value = (occupancy if value is None
-                          else alpha * occupancy + (1 - alpha) * value)
-            stats.packets += 1
             sq = self._seq
             self._seq += 1
             hop += 1
@@ -821,13 +771,12 @@ class BatchedPacketCore(FlowLedger, PortLedger):
                                 q_acc))
                 return refills
 
-    def _drop_segment(self, state, seg, size, port, stats) -> None:
+    def _drop_segment(self, state, seg, size, port) -> None:
         """Mirror of ``PacketLevelNetwork._drop`` + ``_on_dropped`` fused."""
         port.packets_dropped += 1
         port.bits_dropped += size
         self.dropped_count += 1
         self.in_flight -= 1
-        stats.observe(drops=1, packets=1)
         # Transport reaction: retransmit with linear backoff, or abandon.
         state.outstanding -= 1
         if state.abandoned:

@@ -1,5 +1,6 @@
 """Tests for price tags and the PLP command set / executor."""
 
+import ast
 import math
 
 import pytest
@@ -223,9 +224,20 @@ def test_create_and_release_bypass(fabric, executor):
 
 
 def test_query_stats_returns_detail(fabric, executor):
-    result = executor.execute(PLPCommand(PLPCommandType.QUERY_STATS, ("n0x0", "n0x1")))
+    # The detail is the smoothed utilisation plus the live link fields.
+    smoothed = fabric.observe_links({("n0x0", "n0x1"): 0.4})
+    assert smoothed[("n0x0", "n0x1")] == 0.4
+    assert smoothed[("n1x1", "n1x2")] == 0.0
+    result = executor.execute(PLPCommand(PLPCommandType.QUERY_STATS, ("n0x1", "n0x0")))
     assert result.success
-    assert "capacity_bps" in result.detail
+    link = fabric.topology.link_between("n0x0", "n0x1")
+    assert ast.literal_eval(result.detail) == {
+        "utilisation": 0.4,
+        "capacity_bps": link.capacity_bps,
+        "one_way_latency": link.one_way_latency,
+        "post_fec_ber": link.post_fec_ber,
+        "power_watts": link.power_watts,
+    }
 
 
 def test_unknown_link_command_fails_gracefully(fabric, executor):

@@ -38,7 +38,7 @@ from repro.experiments.scenarios import (
 from repro.fabric.fabric import Fabric, FabricConfig
 from repro.fabric.packetsim import ENGINES, PacketBackend
 from repro.fabric.switch import SwitchModel
-from repro.fabric.topology import TopologyBuilder
+from repro.fabric.topology import TopologyBuilder, canonical_key
 from repro.sim.flow import Flow, reset_flow_ids
 from repro.sim.trace import TraceRecorder
 from repro.sim.transport import TransportConfig
@@ -179,7 +179,6 @@ def _backend_snapshot(backend, result=None):
                 port.packets_dropped,
                 port.bits_dropped,
                 port.busy_until,
-                port.queueing_seconds_total,
                 port.max_backlog_bits,
                 port.ecn_marks,
                 port.capacity_bps,
@@ -469,6 +468,29 @@ def test_lone_segment_buffer_overflow_retransmits_identically():
     )
     assert all(flow.completed for flow in flows)
     assert snapshots[-1]["transport"]["retransmissions"] > 0
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_packet_engines_write_nothing_into_the_stats_stream(engine):
+    # Only a control tick folds utilisation into the fabric's per-link
+    # stream.  A controller-less packet run -- tail drops included -- must
+    # leave every stream as it was built: no sample, and no stream for the
+    # n2-n3 link added after the fabric was, though every flow crosses it.
+    reset_flow_ids()
+    topology = TopologyBuilder(lanes_per_link=4).line(4)
+    late = topology.remove_link("n2", "n3")
+    fabric = Fabric(topology, FabricConfig(
+        switch_model=SwitchModel(buffer_bits=bits_from_bytes(4500))))
+    topology.add_link(late)
+    flows = [Flow(src, "n3", size_bits=60 * MTU_BITS) for src in ("n0", "n1", "n2")]
+    record = run_experiment(
+        ExperimentSpec(fabric=fabric, flows=flows, controller="none",
+                       backend="packet", engine=engine)
+    )
+    assert record.metrics["completion_fraction"] == 1.0
+    assert record.metrics["drop_fraction"] > 0.0
+    assert set(fabric.link_stats) == set(topology.link_keys()) - {canonical_key("n2", "n3")}
+    assert all(stats.utilisation.value is None for stats in fabric.link_stats.values())
 
 
 def test_unknown_engine_is_rejected():

@@ -92,18 +92,13 @@ def test_ewma_smooths_towards_new_samples():
     est.update(0.0)
     est.update(10.0)
     assert est.value == pytest.approx(5.0)
-    assert est.minimum == 0.0
-    assert est.maximum == 10.0
-    assert est.samples == 2
 
 
-def test_ewma_value_or_default_and_reset():
+def test_ewma_value_or_default():
     est = EwmaEstimator()
     assert est.value_or(7.0) == 7.0
-    est.update(1.0)
-    est.reset()
-    assert est.value is None
-    assert est.samples == 0
+    assert est.update(1.0) == 1.0
+    assert est.value_or(7.0) == 1.0
 
 
 def test_ewma_alpha_validation():
@@ -121,16 +116,12 @@ def test_lane_statistics_snapshot():
     assert snapshot["ber"] == pytest.approx(1e-9)
 
 
-def test_link_statistics_drop_rate_and_snapshot():
+def test_link_statistics_smooths_utilisation():
     stats = LinkStatistics(link_key=("a", "b"))
-    stats.observe(latency=1e-6, utilisation=0.5, drops=1, packets=10)
-    stats.observe(utilisation=0.7, packets=10)
-    assert stats.drop_rate == pytest.approx(1 / 20)
-    snapshot = stats.snapshot()
-    assert 0.5 < snapshot["utilisation"] <= 0.7
-    assert snapshot["latency"] == pytest.approx(1e-6)
-    with pytest.raises(ValueError):
-        stats.observe(drops=-1)
+    assert stats.utilisation.value is None
+    stats.utilisation.update(0.5)
+    stats.utilisation.update(0.7)
+    assert 0.5 < stats.utilisation.value <= 0.7
 
 
 # --------------------------------------------------------------------------- #
