@@ -6,6 +6,15 @@ checkout: per side, the median and interquartile range of every gated
 end-to-end metric (``BENCHMARK.json``'s ``end_to_end``) over the pairs,
 how many pairs the child won on each, the host, and both commits.
 
+Each pair also runs ``--trace 1`` once per side for a single
+untraced/traced sample on the pair's seed, and the record keeps each
+side's median over the pairs of every per-layer metric
+(``BENCHMARK.json``'s ``per_layer``) under ``layers``: which layer a
+saving came from, and that the work counts did not move.  One sample per
+run keeps the two sides on the same inputs; a timed traced run takes as
+many samples as fit, so a faster side would take its medians over more
+inputs.
+
 The child is this checkout as it stands.  Its immediate parent is the
 baseline: ``HEAD`` when the checkout has uncommitted changes, ``HEAD~1``
 when it is clean.  A dirty child is identified by ``child_diff_sha256``, the
@@ -32,6 +41,9 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: ``--seconds`` of a traced run: perfbench always takes one sample pair
+#: and stops once the next would not fit, so this yields exactly one.
+TRACED_SECONDS = 1.0
 
 
 def git(*args: str) -> str:
@@ -50,11 +62,11 @@ def export(rev: str, into: str) -> None:
     subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
 
 
-def run_side(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in *checkout*: its host line and result."""
+def run_side(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One perfbench run in *checkout*: its host line and result."""
     child = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         capture_output=True, text=True, cwd=checkout,
     )
     if child.returncode != 0:
@@ -99,12 +111,19 @@ def main(argv=None) -> int:
         export(parent_sha, scratch)
         sides = {"parent": scratch, "child": ROOT}
         runs = {"parent": [], "child": []}
+        traced = {"parent": [], "child": []}
         for index in range(args.pairs):
             order = ("parent", "child") if index % 2 == 0 else ("child", "parent")
             for side in order:
                 run = run_side(sides[side], args.workload, args.seed + index, args.seconds)
                 runs[side].append(run)
                 print(f"pair {index} {side}: " + json.dumps(run["metrics"]), file=sys.stderr)
+            for side in order:
+                run = run_side(sides[side], args.workload, args.seed + index, TRACED_SECONDS,
+                               trace=1)
+                traced[side].append(run)
+                print(f"pair {index} {side} traced: " + json.dumps(run["metrics"]),
+                      file=sys.stderr)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -136,9 +155,12 @@ def main(argv=None) -> int:
             "host_ref_s": statistics.median(
                 run["host_ref_s"] for side in runs.values() for run in side),
         },
-        "correct": all(run["correct"] for side in runs.values() for run in side),
+        "correct": all(run["correct"] for kind in (runs, traced)
+                       for side in kind.values() for run in side),
         "failed_frac": {side: max(run["failed_frac"] for run in runs[side]) for side in runs},
         "metrics": metrics,
+        "layers": {side: {name: statistics.median(run["metrics"][name] for run in traced[side])
+                          for name in traced[side][0]["metrics"]} for side in traced},
     }
     output = os.path.join(ROOT, f"BENCH_{args.workload.replace('-', '_')}.json")
     with open(output, "w") as handle:

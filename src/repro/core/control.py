@@ -24,7 +24,7 @@ Every tick the loop walks one lap of the ring:
 
 1. **observe** -- pull instantaneous link utilisation and per-flow state
    from the simulation backend, fold the utilisation into the fabric's
-   EWMA-smoothed :class:`~repro.phy.stats.LinkStatistics`, and record the
+   per-link :class:`~repro.phy.stats.EwmaEstimator`, and record the
    headline series into a
    :class:`~repro.telemetry.collector.TelemetryCollector`;
 2. **price** -- refresh the :class:`~repro.core.cost.LinkPriceTagger` tags

@@ -203,7 +203,7 @@ class LinkPriceTagger:
                     utilisation.get(key, 0.0),
                 )
             else:
-                observed = fabric.stats_for(*key).utilisation.value_or(0.0)
+                observed = fabric.utilisation_for(*key).value_or(0.0)
             prices[key] = self.price(link, utilisation=observed)
         return prices
 

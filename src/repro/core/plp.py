@@ -294,7 +294,7 @@ class PLPExecutor:
         for lane in lanes:
             lane.length_meters = float(length)
         self.fabric.topology.add_link(link)
-        self.fabric.stats_for(a, b)
+        self.fabric.utilisation_for(a, b)
         return f"created {a}<->{b} with {lanes_requested} lanes"
 
     @staticmethod
@@ -365,9 +365,8 @@ class PLPExecutor:
 
     def _query_stats(self, command: PLPCommand, now: float) -> str:
         link = self._link(command)
-        stats = self.fabric.stats_for(*command.endpoints)
         return str({
-            "utilisation": stats.utilisation.value_or(0.0),
+            "utilisation": self.fabric.utilisation_for(*command.endpoints).value_or(0.0),
             "capacity_bps": link.capacity_bps,
             "one_way_latency": link.one_way_latency,
             "post_fec_ber": link.post_fec_ber,

@@ -26,7 +26,10 @@ from repro.fabric.switch import CutThroughSwitch, StoreAndForwardSwitch, SwitchM
 from repro.fabric.topology import Topology, canonical_key
 from repro.phy.bypass import BypassManager
 from repro.phy.power import PowerBudget, PowerModel, PowerReport
-from repro.phy.stats import LinkStatistics
+from repro.phy.stats import EwmaEstimator
+
+#: Smoothing weight of the per-link utilisation stream a control tick folds.
+UTILISATION_ALPHA = 0.25
 
 
 @dataclass
@@ -61,8 +64,11 @@ class Fabric:
         }
         self.bypasses = BypassManager(max_circuits=self.config.max_bypass_circuits)
         self.power_budget = PowerBudget(cap_watts=self.config.power_cap_watts)
-        self.link_stats: Dict[Tuple[str, str], LinkStatistics] = {
-            key: LinkStatistics(link_key=key) for key in topology.link_keys()
+        #: Smoothed utilisation per canonical link key, folded once per
+        #: control tick (:meth:`observe_links`); the other price-tag terms
+        #: (latency, post-FEC BER, power) are read live from the link.
+        self.link_utilisation: Dict[Tuple[str, str], EwmaEstimator] = {
+            key: EwmaEstimator(alpha=UTILISATION_ALPHA) for key in topology.link_keys()
         }
         self.router = Router(
             topology, weight_fn=hop_weight, policy=self.config.routing_policy
@@ -79,15 +85,16 @@ class Fabric:
         """All switching elements keyed by node name."""
         return dict(self._switches)
 
-    def stats_for(self, a: str, b: str) -> LinkStatistics:
-        """The statistics stream of the link joining *a* and *b*.
+    def utilisation_for(self, a: str, b: str) -> EwmaEstimator:
+        """The smoothed-utilisation stream of the link joining *a* and *b*.
 
         Streams are created lazily for links added by reconfiguration.
         """
         key = canonical_key(a, b)
-        if key not in self.link_stats:
-            self.link_stats[key] = LinkStatistics(link_key=key)
-        return self.link_stats[key]
+        stream = self.link_utilisation.get(key)
+        if stream is None:
+            stream = self.link_utilisation[key] = EwmaEstimator(alpha=UTILISATION_ALPHA)
+        return stream
 
     def observe_links(
         self, utilisation: Mapping[Tuple[str, str], float]
@@ -98,9 +105,9 @@ class Fabric:
         are observed as idle.  Returns the smoothed utilisation of every
         link, keyed the same way.
         """
-        stats_for = self.stats_for
+        utilisation_for = self.utilisation_for
         return {
-            key: stats_for(*key).utilisation.update(utilisation.get(key, 0.0))
+            key: utilisation_for(*key).update(utilisation.get(key, 0.0))
             for key in self.topology.link_keys()
         }
 

@@ -61,7 +61,7 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         name="packet-forward-path",
         primary="src/repro/sim/packet_batch.py::BatchedPacketCore._process_train",
         oracle="src/repro/fabric/packetsim.py::PacketLevelNetwork._forward",
-        primary_fingerprint="f3d82a0e42998020",
+        primary_fingerprint="c0273545d82515d9",
         oracle_fingerprint="19ee21f939f90759",
         rationale=(
             "the per-hop float pipeline (queueing, tail-drop, ECN, "
@@ -72,15 +72,16 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
     ),
     ParityPair(
         name="packet-lean-hop",
-        primary="src/repro/sim/packet_batch.py::BatchedPacketCore._hop",
+        primary="src/repro/sim/packet_batch.py::BatchedPacketCore.drive",
         oracle="src/repro/fabric/packetsim.py::PacketLevelNetwork._forward",
-        primary_fingerprint="ae0ba5367463081a",
+        primary_fingerprint="e9aca16198d63aba",
         oracle_fingerprint="19ee21f939f90759",
         rationale=(
-            "the flat lone-segment loop replays the per-hop float pipeline "
-            "(queueing, tail-drop, ECN, serialization) and the delivery "
-            "reaction without the train lists; its inline continuations "
-            "and refills must run exactly when the calendar would pop them"
+            "drive's flat lone-segment loop replays the per-hop float "
+            "pipeline (queueing, tail-drop, ECN, serialization) and the "
+            "delivery reaction without the train lists; a continuation the "
+            "calendar's heappushpop hands straight back, and an inline "
+            "refill, must run exactly when the calendar would pop them"
         ),
     ),
 )

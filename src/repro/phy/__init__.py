@@ -32,7 +32,7 @@ from repro.phy.media import (
     propagation_delay,
 )
 from repro.phy.power import PowerBudget, PowerModel, PowerReport
-from repro.phy.stats import EwmaEstimator, LaneStatistics, LinkStatistics
+from repro.phy.stats import EwmaEstimator, LaneStatistics
 
 __all__ = [
     "BypassCircuit",
@@ -62,5 +62,4 @@ __all__ = [
     "PowerReport",
     "EwmaEstimator",
     "LaneStatistics",
-    "LinkStatistics",
 ]

@@ -74,16 +74,3 @@ class LaneStatistics:
             "latency": self.latency.value,
             "effective_bandwidth_bps": self.effective_bandwidth_bps.value,
         }
-
-
-@dataclass
-class LinkStatistics:
-    """Statistics stream for a link (bundle), as consumed by the CRC.
-
-    The stream keeps the one signal a price or a plan reads: smoothed
-    utilisation, folded once per control tick.  The other price-tag terms
-    (latency, post-FEC BER, power) are read live from the link.
-    """
-
-    link_key: object
-    utilisation: EwmaEstimator = field(default_factory=lambda: EwmaEstimator(alpha=0.25))

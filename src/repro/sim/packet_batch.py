@@ -23,12 +23,16 @@ comparisons), a callback dispatch with kwargs, and two reads of the
   port in one tight scalar pass,
 * moves a *lone* segment -- most calendar pops carry one, because the
   global order interleaves concurrent flows -- as a flat heap entry with
-  no per-segment lists, and keeps advancing it hop after hop, through its
-  delivery, for as long as each continuation is still the calendar
-  minimum (eliding the heap round trips the event engine pays per hop),
-* injects the window refill a delivery triggers *inline* when that
-  refill is the next calendar entry anyway, so a steady-state flow chains
-  delivery -> refill -> hops without touching the heap,
+  no per-segment lists, advanced in ``drive``'s own frame (no call per
+  hop); each next hop costs one ``heappushpop``, which hands the
+  continuation straight back when it is still the calendar minimum and
+  otherwise returns the entry due next.  On the 256-flow four-island
+  workload at seed 0, 25 of 435,650 continuations came straight back
+  (the calendar holds ~3,100 entries), so the round trip is the common
+  case and is one heap operation instead of a push and a pop,
+* injects the one-segment window refill a delivery triggers *inline*
+  when that refill is the next calendar entry anyway (125,659 of the same
+  run's 624,719 calendar entries),
 * coalesces same-port same-instant work by construction: a window fill
   injects all its segments as a single train at one instant rather than
   one calendar event per segment, and deliveries of consecutive segments
@@ -80,7 +84,8 @@ runs, so those answers cannot drift apart.
 Differences from the event engine (documented, not observable in
 metrics): ``events_executed`` counts processed calendar *entries*
 (trains, lone segments, deliveries, callbacks -- and each inline window
-refill, as the entry it stands in for), not per-packet events, so
+refill, as the entry it stands in for; a continuation the calendar hands
+straight back runs uncounted), not per-packet events, so
 ``max_events`` budgets truncate at different points.  The core is
 lean-only: it materialises no per-packet objects (no
 :class:`~repro.sim.packet.Packet`, no per-hop records), records no trace
@@ -91,7 +96,7 @@ and keeps no drop reasons, so per-packet records, hand-built packet
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.sim.engine import SimulationError
@@ -267,46 +272,190 @@ class BatchedPacketCore(FlowLedger, PortLedger):
         then advances to *until* even if the calendar drained earlier.
         External code may have mutated the fabric since the last drive, so
         link-property caches are dropped on entry.
+
+        One calendar rule: a continuation (a lone segment's next hop, a
+        train's survivors) goes through one ``heappushpop``.  Its seq is
+        the largest allocated, so it comes straight back exactly when
+        nothing queued is due at or before it; then it runs at once,
+        uncounted.  Otherwise the entry returned is the next pop.  The
+        lone-segment hop runs here, through delivery and the one-segment
+        refill it triggers.  An entry held when the loop stops goes back.
         """
         self._epoch += 1
+        epoch = self._epoch
         heap = self._heap
-        hop = self._hop
-        process_train = self._process_train
-        process_deliveries = self._process_deliveries
+        link_ctx = self._link_ctx
+        settle = self._settle
+        drop = self._drop_segment
+        dl = self.disabled_links
+        window = self.config.window_packets
+        samples = self.queueing_samples
         executed = self._events_executed
         bounded = until is not None
+        horizon = until if bounded else math.inf
+        entry = None
         try:
-            while heap:
+            while True:
+                if entry is None:
+                    if not heap:
+                        break
+                    entry = heappop(heap)
                 if bounded:
-                    if heap[0][0] > until:
+                    if entry[0] > until:
                         break
                 elif self._unfinished == 0:
                     break
                 if executed >= max_events:
                     self._truncated = True
                     return True
-                entry = heappop(heap)
                 executed += 1
                 kind = entry[2]
                 if kind == _HOP:
-                    executed += hop(entry, until, max_events - executed)
+                    t, _, _, state, path, hop, size, seg, q_acc = entry
+                    entry = None
+                    last = len(path) - 1
+                    while True:
+                        self._now = t
+                        if hop == last:
+                            # ``PacketLevelNetwork._deliver`` + the
+                            # transport's reaction.
+                            self.delivered_count += 1
+                            self.in_flight -= 1
+                            self.bits_delivered += size
+                            samples.append(q_acc)
+                            flow = state.flow
+                            state.outstanding -= 1
+                            state.delivered_segments += 1
+                            state.delivered_bits += size
+                            flow.sync_remaining(flow.size_bits - state.delivered_bits)
+                            total = state.total_segments
+                            if state.delivered_segments >= total:
+                                flow.complete(t)
+                                settle(state)
+                                break
+                            seg = state.next_segment
+                            free = window - (state.outstanding + state.pending_retransmits)
+                            if (executed < max_events and not state.abandoned
+                                    and seg < total
+                                    and (free == 1 or (free > 1 and seg == total - 1))
+                                    and (not heap or heap[0][0] > t)):
+                                # ``_fill_window``'s one-segment branch,
+                                # inline: the refill's fresh seq makes it
+                                # the calendar minimum, and it counts as
+                                # the entry it stands in for.
+                                executed += 1
+                                state.next_segment = seg + 1
+                                size = (state.last_segment_bits if seg == total - 1
+                                        else state.segment_bits)
+                                self._packet_counter += 1
+                                state.outstanding += 1
+                                self.packets_injected += 1
+                                # The refill's own seq: allocated to keep
+                                # the counter in step, never compared.
+                                self._seq += 1
+                                path = state.path
+                                last = len(path) - 1
+                                hop = 0
+                                q_acc = 0.0
+                                continue
+                            self._fill_window(state)
+                            settle(state)
+                            break
+
+                        ctx = path.ctx[hop]
+                        if ctx is None or ctx[0] != epoch:
+                            ctx = link_ctx((path[hop], path[hop + 1]))
+                            path.ctx[hop] = ctx
+                        # One unpack of the whole record, in ``_C_*`` slot
+                        # order.
+                        (_, capacity, propagation, phy, port, fwd_latency,
+                         buffer_bits, ecn_bits, switch_cache) = ctx
+                        if hop == 0:
+                            self.packets_entered += 1
+                            self.in_flight += 1
+                        if capacity <= 0.0 or (dl and (path[hop], path[hop + 1]) in dl):
+                            drop(state, seg, size, port)
+                            break
+                        if capacity != port.capacity_bps:
+                            remaining = port.busy_until - t
+                            if remaining > 0.0 and port.capacity_bps > 0.0:
+                                port.busy_until = (
+                                    t + remaining * (port.capacity_bps / capacity))
+                            port.capacity_bps = capacity
+                        if hop:
+                            switching = switch_cache.get(size)
+                            if switching is None:
+                                if fwd_latency is None:
+                                    fwd_latency = (
+                                        self.fabric.switch(path[hop]).forwarding_latency)
+                                    ctx[_C_FWD] = fwd_latency
+                                switching = fwd_latency(size)
+                                switch_cache[size] = switching
+                            ready = t + switching
+                        else:
+                            ready = t
+                        queueing = port.busy_until - ready
+                        if queueing <= 0.0:
+                            queueing = 0.0
+                        backlog = queueing * capacity
+                        if backlog > port.max_backlog_bits:
+                            port.max_backlog_bits = backlog
+                        if backlog + size > buffer_bits:
+                            drop(state, seg, size, port)
+                            break
+                        if backlog > ecn_bits:
+                            port.ecn_marks += 1
+                        serialization = size / capacity
+                        start_tx = ready + queueing
+                        port.busy_until = start_tx + serialization
+                        port.packets_sent += 1
+                        port.bits_sent += size
+                        q_acc += queueing
+                        sq = self._seq
+                        self._seq += 1
+                        hop += 1
+                        if hop == last:
+                            t = start_tx + serialization + propagation + phy
+                        else:
+                            t = start_tx + propagation + phy
+                        cont = (t, sq, _HOP, state, path, hop, size, seg, q_acc)
+                        entry = heappushpop(heap, cont)
+                        if entry is not cont or t > horizon:
+                            break
+                        entry = None
                 elif kind == _TRAIN:
-                    process_train(entry[3], until)
+                    train = entry[3]
+                    entry = None
+                    cont = self._process_train(train, until)
+                    if cont is not None:
+                        entry = heappushpop(heap, cont)
+                        if entry is cont:
+                            # Runs next, uncounted: hand back the count the
+                            # loop top takes.  Its flow still has segments
+                            # in flight, so only the horizon can stop it.
+                            executed -= 1
                 elif kind == _DELIVER:
-                    process_deliveries(entry[3], until)
+                    train = entry[3]
+                    entry = None
+                    self._process_deliveries(train, until)
                 else:
                     self._now = entry[0]
-                    entry[3](*entry[4], **entry[5])
+                    fn, args, kwargs = entry[3], entry[4], entry[5]
+                    entry = None
+                    fn(*args, **kwargs)
                     if kind == _CALL:
                         # The callback may have mutated the fabric
                         # (controller ticks, failure plans): re-read link
                         # properties next use.
                         self._epoch += 1
+                        epoch = self._epoch
             if bounded and self._now < until and not self._truncated:
                 self._now = until
             return False
         finally:
             self._events_executed = executed
+            if entry is not None:
+                heappush(heap, entry)
 
     # ------------------------------------------------------------------ #
     # Per-link context
@@ -424,7 +573,8 @@ class BatchedPacketCore(FlowLedger, PortLedger):
     # ------------------------------------------------------------------ #
     # Forwarding
     # ------------------------------------------------------------------ #
-    def _process_train(self, train: tuple, until: Optional[float]) -> None:
+    def _process_train(self, train: tuple,
+                       until: Optional[float]) -> Optional[tuple]:
         """Advance one forward train at its port, splitting on interleave.
 
         Segments are processed while nothing orders before them: the next
@@ -432,7 +582,8 @@ class BatchedPacketCore(FlowLedger, PortLedger):
         head (whose virtual seqs are all larger, so it goes first exactly
         when its time is strictly smaller).  Port counters are updated by
         the same operation sequence as ``PacketLevelNetwork._forward``,
-        with hot fields held in locals and flushed on exit.
+        with hot fields held in locals and flushed on exit.  Returns the
+        continuation entry for :meth:`drive` to hand to the calendar.
         """
         path = train[_T_PATH]
         hop = train[_T_HOP]
@@ -566,8 +717,8 @@ class BatchedPacketCore(FlowLedger, PortLedger):
             # Interleave or horizon: re-enqueue the tail under its original
             # keys, plus whatever continuation has accumulated so far.
             self._requeue(train, i, _TRAIN)
-        self._finish_train(train, last_hop, c_times, c_seqs, c_queue,
-                           c_keep, until)
+        return self._finish_train(train, last_hop, c_times, c_seqs, c_queue,
+                                  c_keep)
 
     def _requeue(self, train: tuple, i: int, kind: int) -> None:
         """Re-enqueue a train's unprocessed tail from segment *i*, keeping
@@ -589,187 +740,34 @@ class BatchedPacketCore(FlowLedger, PortLedger):
         heappush(self._heap, (times[i], seqs[i], kind, tail))
 
     def _finish_train(self, train, last_hop, c_times, c_seqs, c_queue,
-                      c_keep, until) -> None:
-        """Dispatch the continuation train built for the processed prefix.
+                      c_keep) -> Optional[tuple]:
+        """The continuation entry for the processed prefix, or ``None``.
 
         ``c_keep`` indexes the surviving segments (drops fall out), used to
         gather their sizes and segment ids from the parent; a lone survivor
-        continues as a flat ``_HOP`` entry.  If the continuation would be
-        the very next calendar pop anyway -- nothing on the heap orders
-        before it (the caller has already re-enqueued any unprocessed
-        tail) and the horizon reaches it -- it is processed inline,
-        eliding the heap round trip; otherwise it is enqueued.
+        continues as a flat ``_HOP`` entry.  :meth:`drive` takes it from
+        here, through the calendar rule every continuation follows.
         """
         if not c_times:
-            return
+            return None
         state = train[_T_STATE]
         path = train[_T_PATH]
         hop = train[_T_HOP] + 1
         sizes = train[_T_SIZES]
         segs = train[_T_SEGS]
-        c0 = c_times[0]
-        s0 = c_seqs[0]
         if len(c_keep) == 1:
             j = c_keep[0]
-            entry = (c0, s0, _HOP, state, path, hop, sizes[j], segs[j],
-                     c_queue[0])
+            return (c_times[0], c_seqs[0], _HOP, state, path, hop, sizes[j],
+                    segs[j], c_queue[0])
+        if len(c_keep) == len(sizes):
+            c_sizes = sizes
+            c_segs = segs
         else:
-            if len(c_keep) == len(sizes):
-                c_sizes = sizes
-                c_segs = segs
-            else:
-                c_sizes = [sizes[j] for j in c_keep]
-                c_segs = [segs[j] for j in c_keep]
-            entry = (c0, s0, _DELIVER if last_hop else _TRAIN, (
-                state, path, hop, c_times, c_seqs, c_sizes, c_segs, c_queue,
-            ))
-        if until is None or c0 <= until:
-            heap = self._heap
-            if not heap or c0 < heap[0][0] or (c0 == heap[0][0]
-                                               and s0 < heap[0][1]):
-                # Recursion is bounded by the path length: each inline
-                # level advances the continuation one hop (or delivers).
-                kind = entry[2]
-                if kind == _HOP:
-                    self._hop(entry, until, 0)
-                elif kind == _TRAIN:
-                    self._process_train(entry[3], until)
-                else:
-                    self._process_deliveries(entry[3], until)
-                return
-        heappush(self._heap, entry)
-
-    def _hop(self, entry: tuple, until: Optional[float], budget: int) -> int:
-        """Advance a lone segment hop by hop, through delivery.
-
-        The popped *entry* is the calendar minimum.  Each hop replays
-        ``PacketLevelNetwork._forward`` operation for operation, and the
-        continuation is taken inline for as long as it is still the
-        calendar minimum: its fresh seq is the largest allocated, so that
-        is exactly when the horizon reaches it and nothing queued is due
-        at or before it.  Otherwise it is enqueued flat.
-
-        A delivery that frees exactly one window slot (the steady state)
-        injects its refill inline under the same rule -- the refill's seq
-        is fresh too -- and keeps looping, so a flow chains delivery ->
-        refill -> hops without recursing.  Each inline refill counts as
-        the calendar entry it replaces, at most *budget* of them; any other
-        refill goes through :meth:`_fill_window`.  Returns the number of
-        inline refills.
-        """
-        t, sq, _, state, path, hop, size, seg, q_acc = entry
-        heap = self._heap
-        if until is not None and t > until:
-            heappush(heap, entry)
-            return 0
-        dl = self.disabled_links
-        epoch = self._epoch
-        window = self.config.window_packets
-        samples = self.queueing_samples
-        last = len(path) - 1
-        refills = 0
-        while True:
-            self._now = t
-            if hop == last:
-                # ``PacketLevelNetwork._deliver`` + the transport's reaction.
-                self.delivered_count += 1
-                self.in_flight -= 1
-                self.bits_delivered += size
-                samples.append(q_acc)
-                flow = state.flow
-                state.outstanding -= 1
-                state.delivered_segments += 1
-                state.delivered_bits += size
-                flow.sync_remaining(flow.size_bits - state.delivered_bits)
-                total = state.total_segments
-                if state.delivered_segments >= total:
-                    flow.complete(t)
-                    self._settle(state)
-                    return refills
-                seg = state.next_segment
-                free = window - (state.outstanding + state.pending_retransmits)
-                if (refills < budget and not state.abandoned and seg < total
-                        and (free == 1 or (free > 1 and seg == total - 1))
-                        and (not heap or heap[0][0] > t)):
-                    # ``_fill_window``'s one-segment branch, inline.
-                    refills += 1
-                    state.next_segment = seg + 1
-                    size = (state.last_segment_bits if seg == total - 1
-                            else state.segment_bits)
-                    self._packet_counter += 1
-                    state.outstanding += 1
-                    self.packets_injected += 1
-                    # The refill's own seq: allocated to keep the counter in
-                    # step, never compared, since it runs at once.
-                    self._seq += 1
-                    path = state.path
-                    last = len(path) - 1
-                    hop = 0
-                    q_acc = 0.0
-                    continue
-                self._fill_window(state)
-                self._settle(state)
-                return refills
-
-            ctx = path.ctx[hop]
-            if ctx is None or ctx[0] != epoch:
-                ctx = self._link_ctx((path[hop], path[hop + 1]))
-                path.ctx[hop] = ctx
-            # One unpack of the whole record, in ``_C_*`` slot order.
-            (_, capacity, propagation, phy, port, fwd_latency, buffer_bits,
-             ecn_bits, switch_cache) = ctx
-            if hop == 0:
-                self.packets_entered += 1
-                self.in_flight += 1
-            if capacity <= 0.0 or (dl and (path[hop], path[hop + 1]) in dl):
-                self._drop_segment(state, seg, size, port)
-                return refills
-            if capacity != port.capacity_bps:
-                remaining = port.busy_until - t
-                if remaining > 0.0 and port.capacity_bps > 0.0:
-                    port.busy_until = (
-                        t + remaining * (port.capacity_bps / capacity))
-                port.capacity_bps = capacity
-            if hop:
-                switching = switch_cache.get(size)
-                if switching is None:
-                    if fwd_latency is None:
-                        fwd_latency = (
-                            self.fabric.switch(path[hop]).forwarding_latency)
-                        ctx[_C_FWD] = fwd_latency
-                    switching = fwd_latency(size)
-                    switch_cache[size] = switching
-                ready = t + switching
-            else:
-                ready = t
-            queueing = port.busy_until - ready
-            if queueing <= 0.0:
-                queueing = 0.0
-            backlog = queueing * capacity
-            if backlog > port.max_backlog_bits:
-                port.max_backlog_bits = backlog
-            if backlog + size > buffer_bits:
-                self._drop_segment(state, seg, size, port)
-                return refills
-            if backlog > ecn_bits:
-                port.ecn_marks += 1
-            serialization = size / capacity
-            start_tx = ready + queueing
-            port.busy_until = start_tx + serialization
-            port.packets_sent += 1
-            port.bits_sent += size
-            q_acc += queueing
-            sq = self._seq
-            self._seq += 1
-            hop += 1
-            if hop == last:
-                t = start_tx + serialization + propagation + phy
-            else:
-                t = start_tx + propagation + phy
-            if (until is not None and t > until) or (heap and heap[0][0] <= t):
-                heappush(heap, (t, sq, _HOP, state, path, hop, size, seg,
-                                q_acc))
-                return refills
+            c_sizes = [sizes[j] for j in c_keep]
+            c_segs = [segs[j] for j in c_keep]
+        return (c_times[0], c_seqs[0], _DELIVER if last_hop else _TRAIN, (
+            state, path, hop, c_times, c_seqs, c_sizes, c_segs, c_queue,
+        ))
 
     def _drop_segment(self, state, seg, size, port) -> None:
         """Mirror of ``PacketLevelNetwork._drop`` + ``_on_dropped`` fused."""

@@ -31,8 +31,8 @@ def test_fabric_creates_switch_per_node(grid_fabric):
 
 
 def test_fabric_stats_created_lazily(grid_fabric):
-    stats = grid_fabric.stats_for("n0x0", "n0x1")
-    assert stats is grid_fabric.stats_for("n0x1", "n0x0")
+    stream = grid_fabric.utilisation_for("n0x0", "n0x1")
+    assert stream is grid_fabric.utilisation_for("n0x1", "n0x0")
 
 
 def test_path_latency_breakdown_components(line_fabric):

@@ -200,10 +200,13 @@ def _backend_snapshot(backend, result=None):
 
 
 def test_resume_cuts_are_bit_identical():
-    # Arbitrary horizon cuts -- mid-burst, between bursts, past the end --
-    # must leave both engines in bit-identical states at every cut, and
-    # the final completion must match a single uncut run.
-    cuts = (9e-5, 2.1e-4, 3.6e-4, None)
+    # Arbitrary horizon cuts -- a dense grid through the whole workload,
+    # then past the end -- must leave both engines in bit-identical states
+    # at every cut, and the final completion must match a single uncut
+    # run.  Most cuts stop the batched engine while it holds the next
+    # calendar entry outside the heap, so each one checks that the entry
+    # goes back.
+    cuts = tuple(k * 1.9e-5 + 3e-6 for k in range(1, 25)) + (None,)
     snapshots = {}
     for engine in ENGINES:
         backend, _, _ = _build_backend(engine)
@@ -217,10 +220,17 @@ def test_resume_cuts_are_bit_identical():
                     "not being exercised"
                 )
         snapshots[engine] = stages
+        if engine == "batched":
+            staged_events = backend.simulator.events_executed
     assert snapshots["event"] == snapshots["batched"]
 
     uncut, _, _ = _build_backend("batched")
     final = _backend_snapshot(uncut, uncut.run())
+    # The calendar entries ``max_events`` budgets, with 300 drops and
+    # retransmits among 48 windowed flows: no cut and no hand-off between
+    # a continuation and the calendar may add or lose one.
+    assert uncut.simulator.events_executed == 27608
+    assert staged_events == 27608
     # Horizon bookkeeping (clock parked at `until`, capacity integrated to
     # it) legitimately differs between a staged and an uncut run; the
     # packet-visible state must not.
@@ -371,7 +381,8 @@ def _window_one_run(engine, flows, buffer_bytes=None, stages=(None,), between=No
 
     *flows* is a list of ``(src, dst, segments, start_time)``; *between*
     is called with ``(fabric, stage_index)`` after every stage but the
-    last.  Returns one snapshot per stage and the flows.
+    last.  Returns one snapshot per stage, the flows, and the calendar
+    entries the engine processed.
     """
     reset_flow_ids()
     fabric = _line_fabric(buffer_bytes)
@@ -388,7 +399,7 @@ def _window_one_run(engine, flows, buffer_bytes=None, stages=(None,), between=No
             assert not backend.transport.finished, f"cut {cut} is past the workload"
             if between is not None:
                 between(fabric, index)
-    return snapshots, built
+    return snapshots, built, backend.simulator.events_executed
 
 
 def _assert_engines_agree(**kwargs):
@@ -403,9 +414,13 @@ def test_long_window_one_chain_is_bit_identical():
     # Every delivery of a lone window-1 flow refills inline: the batched
     # engine runs all 5,000 segments from one calendar pop, and must do
     # so without recursing.
-    snapshots, flows = _assert_engines_agree(flows=[("n0", "n3", 5000, 0.0)])
+    snapshots, flows, events = _assert_engines_agree(flows=[("n0", "n3", 5000, 0.0)])
     assert flows[0].completed
     assert snapshots[-1]["transport"]["packets_sent"] == 5000.0
+    # The flow start, then one entry per segment: the first is popped,
+    # the other 4,999 are inline refills, each counted as the entry it
+    # stands in for.  ``max_events`` budgets this count.
+    assert events == 5001
 
 
 def test_refill_is_not_inlined_past_a_queued_tie():
@@ -419,7 +434,7 @@ def test_refill_is_not_inlined_past_a_queued_tie():
     )
     solo.run()
     tie = sorted(packet.delivered_at for packet in solo.network.delivered)[10]
-    _, flows = _assert_engines_agree(
+    _, flows, _ = _assert_engines_agree(
         flows=[("n0", "n3", 40, 0.0), ("n0", "n1", 4, tie)],
     )
     assert all(flow.completed for flow in flows)
@@ -427,10 +442,10 @@ def test_refill_is_not_inlined_past_a_queued_tie():
 
 def test_resume_cuts_inside_lone_segment_chains_are_bit_identical():
     flows = [("n0", "n3", 300, 0.0), ("n3", "n1", 200, 1e-6), ("n1", "n2", 150, 2e-6)]
-    reference, _ = _window_one_run("event", flows)
+    reference, _, _ = _window_one_run("event", flows)
     end = reference[-1]["end_time"]
     stages = (end * 0.137, end * 0.5, end * 0.771, None)
-    snapshots, built = _assert_engines_agree(flows=flows, stages=stages)
+    snapshots, built, _ = _assert_engines_agree(flows=flows, stages=stages)
     assert all(flow.completed for flow in built)
     # Staged and uncut runs reach the same packet-visible state.
     final = dict(snapshots[-1])
@@ -451,7 +466,7 @@ def test_lone_segment_drop_on_a_dead_link_retransmits_identically():
         else:
             link.enable()
 
-    snapshots, flows = _assert_engines_agree(
+    snapshots, flows, _ = _assert_engines_agree(
         flows=[("n0", "n3", 200, 0.0)], stages=(2e-5, 8e-5, None), between=between,
     )
     assert flows[0].completed
@@ -462,7 +477,7 @@ def test_lone_segment_buffer_overflow_retransmits_identically():
     # Three packets of buffer at every port: segments converging on the
     # shared n2->n3 port overflow it, some with the backlog alone still
     # inside the buffer, and retransmit.
-    snapshots, flows = _assert_engines_agree(
+    snapshots, flows, _ = _assert_engines_agree(
         flows=[("n0", "n3", 60, 0.0), ("n1", "n3", 60, 0.0), ("n2", "n3", 60, 0.0)],
         buffer_bytes=4500,
     )
@@ -489,8 +504,9 @@ def test_packet_engines_write_nothing_into_the_stats_stream(engine):
     )
     assert record.metrics["completion_fraction"] == 1.0
     assert record.metrics["drop_fraction"] > 0.0
-    assert set(fabric.link_stats) == set(topology.link_keys()) - {canonical_key("n2", "n3")}
-    assert all(stats.utilisation.value is None for stats in fabric.link_stats.values())
+    assert set(fabric.link_utilisation) == (
+        set(topology.link_keys()) - {canonical_key("n2", "n3")})
+    assert all(stream.value is None for stream in fabric.link_utilisation.values())
 
 
 def test_unknown_engine_is_rejected():

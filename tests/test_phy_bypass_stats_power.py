@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.fabric.fabric import Fabric
+from repro.fabric.topology import TopologyBuilder
 from repro.phy.bypass import BypassCircuit, BypassManager
 from repro.phy.link import Link
 from repro.phy.power import PowerBudget, PowerModel, PowerReport, fabric_link_power
-from repro.phy.stats import EwmaEstimator, LaneStatistics, LinkStatistics
+from repro.phy.stats import EwmaEstimator, LaneStatistics
 
 
 # --------------------------------------------------------------------------- #
@@ -117,11 +119,12 @@ def test_lane_statistics_snapshot():
 
 
 def test_link_statistics_smooths_utilisation():
-    stats = LinkStatistics(link_key=("a", "b"))
-    assert stats.utilisation.value is None
-    stats.utilisation.update(0.5)
-    stats.utilisation.update(0.7)
-    assert 0.5 < stats.utilisation.value <= 0.7
+    # A fabric's per-link stream is a bare EWMA at weight 0.25.
+    fabric = Fabric(TopologyBuilder().line(2))
+    stream = fabric.utilisation_for("n0", "n1")
+    assert stream.value is None
+    stream.update(0.5)
+    assert stream.update(0.7) == 0.25 * 0.7 + 0.75 * 0.5
 
 
 # --------------------------------------------------------------------------- #
