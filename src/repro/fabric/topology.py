@@ -201,7 +201,7 @@ class Topology:
             self._graph, self._graph_version = graph, self.version
         return self._graph
 
-    def _distances_from(self, start: str) -> Dict[str, int]:
+    def _hops_from(self, start: str) -> Dict[str, int]:
         """Hop distance from *start* to every node it reaches (BFS)."""
         hops = {start: 0}
         frontier = [start]
@@ -222,7 +222,7 @@ class Topology:
         if not self._adjacency:
             raise ValueError(f"topology {self.name!r} has no nodes, so no paths")
         for name in self._adjacency:
-            hops = self._distances_from(name)
+            hops = self._hops_from(name)
             if len(hops) != len(self._adjacency):
                 raise ValueError(f"topology {self.name!r} is not connected")
             yield hops
@@ -231,7 +231,7 @@ class Topology:
         """Whether every node can reach every other node."""
         if not self._adjacency:
             return True
-        return len(self._distances_from(next(iter(self._adjacency)))) == len(self._adjacency)
+        return len(self._hops_from(next(iter(self._adjacency)))) == len(self._adjacency)
 
     def diameter(self) -> int:
         """Longest shortest path (in hops) between any node pair."""

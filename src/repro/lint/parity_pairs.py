@@ -74,7 +74,7 @@ PARITY_PAIRS: Tuple[ParityPair, ...] = (
         name="packet-lean-hop",
         primary="src/repro/sim/packet_batch.py::BatchedPacketCore.drive",
         oracle="src/repro/fabric/packetsim.py::PacketLevelNetwork._forward",
-        primary_fingerprint="e9aca16198d63aba",
+        primary_fingerprint="401c48692c3b046f",
         oracle_fingerprint="19ee21f939f90759",
         rationale=(
             "drive's flat lone-segment loop replays the per-hop float "

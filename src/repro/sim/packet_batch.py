@@ -277,9 +277,11 @@ class BatchedPacketCore(FlowLedger, PortLedger):
         train's survivors) goes through one ``heappushpop``.  Its seq is
         the largest allocated, so it comes straight back exactly when
         nothing queued is due at or before it; then it runs at once,
-        uncounted.  Otherwise the entry returned is the next pop.  The
-        lone-segment hop runs here, through delivery and the one-segment
-        refill it triggers.  An entry held when the loop stops goes back.
+        uncounted -- unless it lies past *until*: then it goes back, and
+        counts when a later drive pops it.  Otherwise the entry returned
+        is the next pop.  The lone-segment hop runs here, through delivery
+        and the one-segment refill it triggers.  An entry held when the
+        loop stops goes back.
         """
         self._epoch += 1
         epoch = self._epoch
@@ -429,10 +431,11 @@ class BatchedPacketCore(FlowLedger, PortLedger):
                     cont = self._process_train(train, until)
                     if cont is not None:
                         entry = heappushpop(heap, cont)
-                        if entry is cont:
+                        if entry is cont and cont[0] <= horizon:
                             # Runs next, uncounted: hand back the count the
                             # loop top takes.  Its flow still has segments
-                            # in flight, so only the horizon can stop it.
+                            # in flight, so only the horizon can stop it,
+                            # and that case is excluded here.
                             executed -= 1
                 elif kind == _DELIVER:
                     train = entry[3]
