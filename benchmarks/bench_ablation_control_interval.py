@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.crc import CRCConfig
 from repro.experiments.api import ExperimentSpec, run_experiment
-from repro.experiments.harness import build_grid_fabric
+from repro.experiments.harness import build_fabric
 from repro.sim.units import megabytes, microseconds, milliseconds
 from repro.telemetry.report import format_table
 from repro.workloads.base import WorkloadSpec
@@ -27,7 +27,7 @@ PERIODS = {
 
 def _run_with_period(label):
     period = PERIODS[label]
-    fabric = build_grid_fabric(3, 3, lanes_per_link=2)
+    fabric = build_fabric("grid", 3, 3, lanes_per_link=2)
     names = fabric.topology.endpoints()
     spec = WorkloadSpec(nodes=names, mean_flow_size_bits=megabytes(2), seed=21)
     flows = HotspotWorkload(

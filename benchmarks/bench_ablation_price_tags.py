@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.cost import LinkPriceTagger, PriceWeights
 from repro.experiments.api import ExperimentSpec, run_experiment
-from repro.experiments.harness import build_grid_fabric
+from repro.experiments.harness import build_fabric
 from repro.sim.units import megabytes
 from repro.telemetry.report import format_table
 from repro.workloads.base import WorkloadSpec
@@ -26,7 +26,7 @@ WEIGHTINGS = {
 
 def _run_with_weights(name):
     weights = WEIGHTINGS[name]
-    fabric = build_grid_fabric(3, 3, lanes_per_link=2)
+    fabric = build_fabric("grid", 3, 3, lanes_per_link=2)
     names = fabric.topology.endpoints()
     spec = WorkloadSpec(nodes=names, mean_flow_size_bits=megabytes(2), seed=13)
     flows = HotspotWorkload(

@@ -24,8 +24,6 @@ import pytest
 
 from repro.experiments.harness import (
     build_fabric,
-    build_grid_fabric,
-    build_torus_fabric,
     fabric_state_row,
 )
 from repro.fabric.fabric import Fabric
@@ -36,9 +34,9 @@ from repro.sim.units import bits_from_bytes
 @pytest.mark.parametrize(
     "fabric_factory",
     [
-        lambda: build_grid_fabric(3, 3, lanes_per_link=2),
-        lambda: build_grid_fabric(4, 4, lanes_per_link=2),
-        lambda: build_torus_fabric(3, 3, lanes_per_link=1),
+        lambda: build_fabric("grid", 3, 3, lanes_per_link=2),
+        lambda: build_fabric("grid", 4, 4, lanes_per_link=2),
+        lambda: build_fabric("torus", 3, 3, lanes_per_link=1),
         lambda: build_fabric("fat-tree", pods=4),
         lambda: build_fabric("dragonfly", groups=2, routers_per_group=2, hosts_per_router=2),
         lambda: Fabric(TopologyBuilder(lanes_per_link=2).star(6)),
@@ -89,8 +87,8 @@ def test_fabric_state_row_ignores_router_price_weights():
     # The statistics are topological by contract: a weight function left on
     # the router by a finished control-loop run (prices reflect the *loaded*
     # fabric) must not contaminate the idle-fabric hop/latency columns.
-    baseline = fabric_state_row(build_grid_fabric(3, 3, lanes_per_link=2))
-    weighted = build_grid_fabric(3, 3, lanes_per_link=2)
+    baseline = fabric_state_row(build_fabric("grid", 3, 3, lanes_per_link=2))
+    weighted = build_fabric("grid", 3, 3, lanes_per_link=2)
     weighted.set_router_weight(lambda link: 1.0 if link.a.startswith("n0") else 100.0)
     assert fabric_state_row(weighted) == baseline
 
@@ -98,7 +96,7 @@ def test_fabric_state_row_ignores_router_price_weights():
 def test_fabric_state_row_never_queries_the_router(benchmark):
     # 64 endpoints = 2016 pairs; the old implementation issued one router
     # query per pair.  The BFS version must leave the router cache cold.
-    fabric = build_grid_fabric(8, 8, lanes_per_link=2)
+    fabric = build_fabric("grid", 8, 8, lanes_per_link=2)
     row = benchmark.pedantic(fabric_state_row, args=(fabric,), rounds=1, iterations=1)
     assert fabric.router.cache_misses == 0
     assert fabric.router.cache_hits == 0
@@ -106,7 +104,7 @@ def test_fabric_state_row_never_queries_the_router(benchmark):
 
 
 def test_fabric_state_row_scales_to_a_big_rack():
-    fabric = build_grid_fabric(12, 12, lanes_per_link=2)
+    fabric = build_fabric("grid", 12, 12, lanes_per_link=2)
     start = time.perf_counter()
     row = fabric_state_row(fabric)
     elapsed = time.perf_counter() - start

@@ -37,7 +37,7 @@ import json
 import sys
 import time
 
-from repro.experiments.harness import build_grid_fabric
+from repro.experiments.harness import build_fabric
 from repro.sim.flow import reset_flow_ids
 from repro.sim.fluid import FluidFlowSimulator
 from repro.sim.units import GBPS, megabytes
@@ -69,7 +69,7 @@ def build_simulator(allocator, num_flows, rows=16, columns=16, seed=11):
     inputs (flow ids are reset, the fabric is rebuilt, routes re-derived).
     """
     reset_flow_ids()
-    fabric = build_grid_fabric(rows, columns, lanes_per_link=2)
+    fabric = build_fabric("grid", rows, columns, lanes_per_link=2)
     spec = WorkloadSpec(
         nodes=fabric.topology.endpoints(),
         mean_flow_size_bits=megabytes(0.5),

@@ -54,7 +54,7 @@ import re
 import sys
 import time
 
-from repro.experiments.harness import build_grid_fabric
+from repro.experiments.harness import build_fabric
 from repro.experiments.scenarios import run_scenario
 from repro.fabric.packetsim import PacketBackend
 from repro.sim.flow import reset_flow_ids
@@ -123,7 +123,7 @@ REPORT_PATH = "BENCH_packet_scale.json"
 def run_packetised(num_flows, mean_mb, rows=GRID[0], columns=GRID[1], seed=13):
     """Packetise a uniform burst end to end; returns (elapsed, backend, flows)."""
     reset_flow_ids()
-    fabric = build_grid_fabric(rows, columns, lanes_per_link=2)
+    fabric = build_fabric("grid", rows, columns, lanes_per_link=2)
     spec = WorkloadSpec(
         nodes=fabric.topology.endpoints(),
         mean_flow_size_bits=megabytes(mean_mb),
@@ -170,7 +170,7 @@ def check_scale(num_flows, mean_mb, budget_seconds):
 def _timed_engine_run(engine):
     """One speedup-gate run; returns (cpu seconds of backend.run, metrics)."""
     reset_flow_ids()
-    fabric = build_grid_fabric(GRID[0], GRID[1], lanes_per_link=2)
+    fabric = build_fabric("grid", GRID[0], GRID[1], lanes_per_link=2)
     spec = WorkloadSpec(
         nodes=fabric.topology.endpoints(),
         mean_flow_size_bits=megabytes(SPEEDUP_MEAN_MB),
@@ -222,7 +222,7 @@ def _island_workload():
     """Four quadrant-local islands on the 8x8 grid; (fabric, flows)."""
     reset_flow_ids()
     rows, columns = GRID
-    fabric = build_grid_fabric(rows, columns, lanes_per_link=2)
+    fabric = build_fabric("grid", rows, columns, lanes_per_link=2)
     quadrants = {}
     for name in fabric.topology.endpoints():
         # endpoint names embed the switch's RxC coordinates

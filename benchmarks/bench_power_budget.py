@@ -11,7 +11,7 @@ import pytest
 from repro.analysis.power import lane_power_sweep, rack_power_estimate
 from repro.core.crc import CRCConfig
 from repro.experiments.api import ExperimentSpec, run_experiment
-from repro.experiments.harness import build_grid_fabric
+from repro.experiments.harness import build_fabric
 from repro.sim.units import megabytes, microseconds
 from repro.telemetry.report import format_table
 from repro.workloads.base import WorkloadSpec
@@ -19,7 +19,7 @@ from repro.workloads.uniform import UniformRandomWorkload
 
 
 def test_lane_power_sweep(benchmark):
-    fabric = build_grid_fabric(4, 4, lanes_per_link=4)
+    fabric = build_fabric("grid", 4, 4, lanes_per_link=4)
     fractions = [1.0, 0.75, 0.5, 0.25]
     rows = benchmark.pedantic(lane_power_sweep, args=(fabric, fractions), rounds=1, iterations=1)
     watts = [row["total_watts"] for row in rows]
@@ -58,7 +58,7 @@ def test_rack_power_estimate_scaling(benchmark):
 
 
 def _run_capped(cap_fraction):
-    fabric = build_grid_fabric(3, 3, lanes_per_link=2)
+    fabric = build_fabric("grid", 3, 3, lanes_per_link=2)
     uncapped = fabric.power_report().total_watts
     cap = uncapped * cap_fraction
     names = fabric.topology.endpoints()

@@ -16,10 +16,13 @@ many samples as fit, so a faster side would take its medians over more
 inputs.
 
 The child is this checkout as it stands.  Its immediate parent is the
-baseline: ``HEAD`` when the checkout has uncommitted changes, ``HEAD~1``
-when it is clean.  A dirty child is identified by ``child_diff_sha256``, the
-SHA-256 of ``git diff HEAD -- src perfbench`` (the program the runs
-execute; trailing newline stripped).  The parent is exported with
+baseline: ``HEAD`` when the program the runs execute (``src`` and
+``perfbench``) has uncommitted changes, untracked files included, and
+``HEAD~1`` when it is clean -- edits elsewhere (docs, tests) do not make
+the child differ from ``HEAD``.  A dirty child is identified by
+``child_diff_sha256``, the SHA-256 of ``git diff HEAD -- src perfbench``
+(trailing newline stripped) followed by the path and bytes of every
+untracked file there, which that diff omits.  The parent is exported with
 ``git archive`` into a temporary directory, so the repository's ``.git``
 is never written.
 Pair *i* runs both sides on seed ``--seed + i``, and the side that goes
@@ -41,6 +44,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: The directories whose contents the runs execute.
+PROGRAM = ("src", "perfbench")
 #: ``--seconds`` of a traced run: perfbench always takes one sample pair
 #: and stops once the next would not fit, so this yields exactly one.
 TRACED_SECONDS = 1.0
@@ -51,6 +56,17 @@ def git(*args: str) -> str:
     return subprocess.run(
         ["git", "-C", ROOT, *args], capture_output=True, text=True, check=True
     ).stdout.strip()
+
+
+def child_program() -> bytes:
+    """What a dirty child runs beyond ``HEAD``: the tracked diff of
+    :data:`PROGRAM` plus the path and bytes of each untracked file in it."""
+    program = git("diff", "HEAD", "--", *PROGRAM).encode()
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", *PROGRAM)
+    for path in untracked.splitlines():
+        with open(os.path.join(ROOT, path), "rb") as handle:
+            program += b"\n" + path.encode() + b"\n" + handle.read()
+    return program
 
 
 def export(rev: str, into: str) -> None:
@@ -101,10 +117,10 @@ def main(argv=None) -> int:
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         gated = json.load(handle)["end_to_end"]
-    dirty = bool(git("status", "--porcelain"))
+    dirty = bool(git("status", "--porcelain", "--", *PROGRAM))
     child_sha = git("rev-parse", "HEAD")
     parent_sha = git("rev-parse", "HEAD" if dirty else "HEAD~1")
-    child_diff = git("diff", "HEAD", "--", "src", "perfbench") if dirty else ""
+    child_diff = child_program() if dirty else b""
 
     scratch = tempfile.mkdtemp(prefix="ledger-parent-")
     try:
@@ -147,7 +163,7 @@ def main(argv=None) -> int:
         "git_sha": child_sha,
         "dirty": dirty,
         "child_diff_sha256": (
-            hashlib.sha256(child_diff.encode()).hexdigest() if child_diff else None),
+            hashlib.sha256(child_diff).hexdigest() if child_diff else None),
         "parent_sha": parent_sha,
         "host": {
             "cpus": os.cpu_count(),

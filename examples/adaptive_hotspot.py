@@ -12,7 +12,7 @@ from repro import (
     ControlLoopConfig,
     ExperimentSpec,
     WorkloadSpec,
-    build_grid_fabric,
+    build_fabric,
     run_experiment,
 )
 from repro.fabric.topology import TopologyBuilder
@@ -28,7 +28,7 @@ DIAGONALS = [(NAME(0, 0), NAME(2, 2)), (NAME(0, 2), NAME(2, 0))]
 def fabric_and_flows(phase_gap=microseconds(800.0)):
     """Fresh 3x3 grid plus two hotspot phases, one per diagonal."""
     reset_flow_ids()
-    fabric = build_grid_fabric(ROWS, COLUMNS, lanes_per_link=2)
+    fabric = build_fabric("grid", ROWS, COLUMNS, lanes_per_link=2)
     flows = []
     for phase, pair in enumerate(DIAGONALS):
         spec = WorkloadSpec(
@@ -56,11 +56,8 @@ if __name__ == "__main__":
             flows=flows,
             label="adaptive",
             controller="loop",
-            controller_config={
-                "config": ControlLoopConfig(interval=microseconds(100.0)),
-                "grid_rows": ROWS,
-                "grid_columns": COLUMNS,
-            },
+            # The loop derives its grid-to-torus move from the fabric.
+            controller_config={"config": ControlLoopConfig(interval=microseconds(100.0))},
         )
     )
     loop = adaptive.controller_instance.loop

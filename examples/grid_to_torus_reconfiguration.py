@@ -19,7 +19,7 @@ from repro import (
     GridToTorusPlan,
     HotspotWorkload,
     WorkloadSpec,
-    build_grid_fabric,
+    build_fabric,
     run_experiment,
 )
 from repro.sim.units import bits_from_bytes, megabytes
@@ -47,7 +47,7 @@ def describe_fabric(fabric, label: str) -> list:
 
 
 def main() -> None:
-    fabric = build_grid_fabric(ROWS, COLUMNS, lanes_per_link=2)
+    fabric = build_fabric("grid", ROWS, COLUMNS, lanes_per_link=2)
     rows = [describe_fabric(fabric, "grid (before)")]
 
     # Show the reconfiguration plan the CRC will consider.

@@ -18,7 +18,7 @@ from repro import (
     MapReduceShuffleWorkload,
     OracleCircuitBaseline,
     WorkloadSpec,
-    build_grid_fabric,
+    build_fabric,
     run_experiment,
 )
 from repro.sim.units import GBPS, megabytes
@@ -47,7 +47,7 @@ def main() -> None:
     # Static grid, no control loop.
     static = run_experiment(
         ExperimentSpec(
-            fabric=build_grid_fabric(ROWS, COLUMNS, lanes_per_link=2),
+            fabric=build_fabric("grid", ROWS, COLUMNS, lanes_per_link=2),
             flows=make_flows(2),
             label="grid-static",
             controller="static",
@@ -58,7 +58,7 @@ def main() -> None:
     # Adaptive fabric under the CRC.
     adaptive = run_experiment(
         ExperimentSpec(
-            fabric=build_grid_fabric(ROWS, COLUMNS, lanes_per_link=2),
+            fabric=build_fabric("grid", ROWS, COLUMNS, lanes_per_link=2),
             flows=make_flows(2),
             label="adaptive-crc",
             controller="crc",

@@ -15,7 +15,7 @@ from repro import (
     CRCConfig,
     ExperimentSpec,
     WorkloadSpec,
-    build_grid_fabric,
+    build_fabric,
     run_experiment,
 )
 from repro.sim.units import megabytes, microseconds
@@ -26,7 +26,7 @@ ROWS, COLUMNS = 4, 4
 
 
 def run_with_cap(cap_fraction: float):
-    fabric = build_grid_fabric(ROWS, COLUMNS, lanes_per_link=2)
+    fabric = build_fabric("grid", ROWS, COLUMNS, lanes_per_link=2)
     uncapped_watts = fabric.power_report().total_watts
     cap = uncapped_watts * cap_fraction
     spec = WorkloadSpec(

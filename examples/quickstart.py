@@ -15,7 +15,7 @@ from repro import (
     ExperimentSpec,
     MapReduceShuffleWorkload,
     WorkloadSpec,
-    build_grid_fabric,
+    build_fabric,
     run_experiment,
 )
 from repro.sim.units import megabytes
@@ -26,7 +26,7 @@ ROWS, COLUMNS = 4, 4
 
 def main() -> None:
     # 1. The fabric: a 4x4 grid, two 25G lanes per link.
-    fabric = build_grid_fabric(ROWS, COLUMNS, lanes_per_link=2)
+    fabric = build_fabric("grid", ROWS, COLUMNS, lanes_per_link=2)
     print(f"fabric: {fabric.topology!r}")
     print(f"initial diameter: {fabric.topology.diameter()} hops, "
           f"power: {fabric.power_report().total_watts:.1f} W")

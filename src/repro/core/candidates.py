@@ -17,11 +17,12 @@ topology family name to its **legal** moves:
 
 Moves register with the :func:`register_candidate` decorator, keyed by the
 family name a built topology carries in :attr:`Topology.kind`; the control
-loop resolves candidates through :func:`candidates_for_topology` instead of
-hard-coding :class:`GridToTorusCandidate`.  Every candidate *refuses* a
-fabric from a different family with a ``ValueError`` naming both families
--- proposing a grid move against a dragonfly would silently emit geometric
-nonsense otherwise.
+loop resolves its moves from the fabric it controls, through
+:func:`candidates_for_topology` on the topology's stamped family and
+dimensions, instead of hard-coding :class:`GridToTorusCandidate`.  Every
+candidate *refuses* a fabric from a different family with a ``ValueError``
+naming both families -- proposing a grid move against a dragonfly would
+silently emit geometric nonsense otherwise.
 
 This module sits below :mod:`repro.core.control` (which re-exports the
 candidate classes for backward compatibility) and must not import it.
@@ -448,20 +449,20 @@ def candidate_moves(topology: str) -> List[str]:
 
 
 def candidates_for_topology(
-    topology: str, params: Mapping[str, object]
+    kind: str, dimensions: Mapping[str, object]
 ) -> List[PlanCandidate]:
-    """Fresh candidate instances for every registered move of *topology*.
+    """Fresh candidate instances for every registered move of family *kind*.
 
-    *params* is the flat scenario parameter mapping; the topology family
-    extracts and validates its own dimensions from it, so factories see
-    exactly the ints the builder saw.  Families with no registered moves
-    (e.g. ``torus``, already the paper's target shape) yield an empty list.
+    *kind* and *dimensions* are what a built topology carries in
+    :attr:`Topology.kind`/:attr:`Topology.dimensions`; the family
+    re-validates the dimensions, so factories see exactly the ints the
+    builder saw.  Families with no registered moves (e.g. ``torus``,
+    already the paper's target shape) yield an empty list.
     """
     from repro.fabric.topologies import get_topology
 
-    family = get_topology(topology)
-    dims = family.dimensions(params)
-    return [factory(dims) for _, factory in _CANDIDATES.get(topology, [])]
+    dims = get_topology(kind).dimensions(dimensions)
+    return [factory(dims) for _, factory in _CANDIDATES.get(kind, [])]
 
 
 @register_candidate("grid", "grid-to-torus")

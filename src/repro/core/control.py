@@ -27,9 +27,10 @@ Every tick the loop walks one lap of the ring:
    per-link :class:`~repro.phy.stats.EwmaEstimator`, and record the
    headline series into a
    :class:`~repro.telemetry.collector.TelemetryCollector`;
-2. **price** -- refresh the :class:`~repro.core.cost.LinkPriceTagger` tags
-   from the smoothed utilisation and install them as the fabric's routing
-   weight;
+2. **price** -- sync the :class:`~repro.core.scheduler.FlowScheduler`'s
+   view of the observed per-link load, from which its
+   :class:`~repro.core.cost.LinkPriceTagger` prices links (the fabric's own
+   router, which routed every flow at admission, is left untouched);
 3. **schedule** -- re-price every active flow through the
    :class:`~repro.core.scheduler.FlowScheduler` and reroute the ones whose
    current path has become expensive enough to justify moving;
@@ -202,7 +203,7 @@ class ControlLoop:
     Typical use (the fluid backend; a
     :class:`~repro.fabric.packetsim.PacketBackend` binds identically)::
 
-        fabric = build_grid_fabric(3, 3, lanes_per_link=2)
+        fabric = build_fabric("grid", 3, 3, lanes_per_link=2)
         fluid = FluidFlowSimulator()
         # ... add links and flows ...
         loop = ControlLoop(fabric, candidates=[GridToTorusCandidate(3, 3)])
@@ -270,17 +271,17 @@ class ControlLoop:
         """The event engine driving the loop's ticks (after :meth:`bind`)."""
         return self._engine
 
-    def bind(self, simulator: SimulationBackend, engine: Optional[Simulator] = None) -> None:
-        """Attach the loop to *simulator*, scheduling its ticks on *engine*.
+    def bind(self, simulator: SimulationBackend) -> None:
+        """Attach the loop to *simulator*, scheduling its ticks on a fresh
+        :class:`~repro.sim.engine.Simulator`.
 
-        A fresh :class:`~repro.sim.engine.Simulator` is created when
-        *engine* is omitted.  The first tick fires one interval in -- the
-        loop observes traffic, it does not precede it.
+        The first tick fires one interval in -- the loop observes traffic,
+        it does not precede it.
         """
         if self._sim is not None:
             raise RuntimeError("ControlLoop is already bound")
         self._sim = simulator
-        self._engine = engine if engine is not None else Simulator()
+        self._engine = Simulator()
         self._process = PeriodicProcess(
             self._engine,
             "control-loop",
@@ -373,7 +374,6 @@ class ControlLoop:
 
         # 2. price ------------------------------------------------------ #
         self.scheduler.sync_observed_load(sim.instantaneous_link_load())
-        self.fabric.set_router_weight(self.tagger.weight_fn(smoothed))
 
         # 3. schedule (re-price active flows) --------------------------- #
         # A transition never ends on a tick: its completion runs as its own

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
+from repro.core.candidates import candidates_for_topology
 from repro.core.control import ControlLoop, ControlLoopConfig, PlanCandidate
 from repro.core.crc import ClosedRingControl, CRCConfig
 from repro.fabric.fabric import Fabric
@@ -230,27 +231,9 @@ class CrcController(Controller):
 
     name = "crc"
 
-    def __init__(
-        self,
-        config: Optional[CRCConfig] = None,
-        control_period: Optional[float] = None,
-        **kwargs: object,
-    ) -> None:
-        """Configure via a :class:`CRCConfig` (``config=``) or loose
-        :class:`CRCConfig` keyword arguments.
-        """
+    def __init__(self, config: Optional[CRCConfig] = None) -> None:
         super().__init__()
-        if config is not None and kwargs:
-            raise ControllerError(
-                "controller 'crc': pass either config= or CRCConfig kwargs, not both"
-            )
-        if kwargs:
-            try:
-                config = CRCConfig(**kwargs)  # type: ignore[arg-type]
-            except TypeError as error:
-                raise ControllerError(f"controller 'crc': {error}") from None
         self._config = config
-        self.control_period = control_period
         self.crc: Optional[ClosedRingControl] = None
 
     def prepare(self, fabric: Fabric) -> None:
@@ -262,7 +245,7 @@ class CrcController(Controller):
         """Register the CRC as a periodic controller of the fluid model."""
         super().attach(simulator)
         assert self.crc is not None
-        self.crc.attach(simulator, period=self.control_period)
+        self.crc.attach(simulator)
 
     def summary(self) -> ControllerSummary:
         if self.crc is None:
@@ -280,37 +263,16 @@ class LoopController(Controller):
         self,
         config: Optional[ControlLoopConfig] = None,
         candidates: Optional[Sequence[PlanCandidate]] = None,
-        grid_rows: Optional[int] = None,
-        grid_columns: Optional[int] = None,
-        topology: Optional[str] = None,
-        topology_params: Optional[Mapping[str, object]] = None,
         telemetry: Optional[TelemetryCollector] = None,
-        **kwargs: object,
     ) -> None:
-        """Configure via a :class:`ControlLoopConfig` (``config=``) or loose
-        :class:`ControlLoopConfig` keyword arguments.  With no explicit
-        *candidates*, ``topology``/``topology_params`` resolve the standing
-        candidates through the per-family registry in
-        :mod:`repro.core.candidates`; ``grid_rows``/``grid_columns`` remain
-        as the legacy spelling of ``topology="grid"``.
+        """With no explicit *candidates*, the loop's moves are those the
+        candidate registry (:mod:`repro.core.candidates`) holds for the
+        family the controlled fabric was built as; ``candidates=()`` runs a
+        reroute-only loop.
         """
         super().__init__()
-        if config is not None and kwargs:
-            raise ControllerError(
-                "controller 'loop': pass either config= or ControlLoopConfig "
-                "kwargs, not both"
-            )
-        if kwargs:
-            try:
-                config = ControlLoopConfig(**kwargs)  # type: ignore[arg-type]
-            except TypeError as error:
-                raise ControllerError(f"controller 'loop': {error}") from None
         self._config = config if config is not None else ControlLoopConfig()
         self._candidates = candidates
-        self._grid_rows = grid_rows
-        self._grid_columns = grid_columns
-        self._topology = topology
-        self._topology_params = dict(topology_params) if topology_params else {}
         self._telemetry = telemetry
         self.loop: Optional[ControlLoop] = None
 
@@ -331,25 +293,14 @@ class LoopController(Controller):
         """
         super().attach(simulator)
         assert self._fabric is not None, "prepare() must run before attach()"
-        from repro.core.candidates import candidates_for_topology
-
         candidates = self._candidates
         if candidates is None:
-            topology = self._topology
-            params = dict(self._topology_params)
-            if topology is None and (
-                self._grid_rows is not None and self._grid_columns is not None
-            ):
-                # Legacy spelling: grid dimensions imply the grid family.
-                topology = "grid"
-                params = {"rows": self._grid_rows, "columns": self._grid_columns}
-            if topology is not None:
-                try:
-                    candidates = candidates_for_topology(topology, params)
-                except ValueError as error:
-                    raise ControllerError(f"controller 'loop': {error}") from None
-            else:
-                candidates = []
+            topology = self._fabric.topology
+            candidates = (
+                candidates_for_topology(topology.kind, topology.dimensions)
+                if topology.kind is not None
+                else []
+            )
         self.loop = ControlLoop(
             self._fabric,
             candidates=candidates,

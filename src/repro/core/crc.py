@@ -247,8 +247,9 @@ class ClosedRingControl:
     # ------------------------------------------------------------------ #
     # Fluid-simulation attachment
     # ------------------------------------------------------------------ #
-    def attach(self, simulator: FluidFlowSimulator, period: Optional[float] = None) -> None:
-        """Register the CRC as a periodic controller of *simulator*.
+    def attach(self, simulator: FluidFlowSimulator) -> None:
+        """Register the CRC as a periodic controller of *simulator*, ticking
+        every :attr:`CRCConfig.control_period`.
 
         On every tick the controller reads the live utilisation and the
         active flows, runs :meth:`control_step`, and -- when any command
@@ -256,8 +257,6 @@ class ClosedRingControl:
         with the fabric topology and re-routes every active flow onto the
         cheapest path of the updated fabric.
         """
-        interval = period if period is not None else self.config.control_period
-
         def callback(sim: FluidFlowSimulator, now: float) -> None:
             utilisation = merge_directed_values(sim.instantaneous_link_utilisation())
             active = sim.active_flows()
@@ -287,7 +286,8 @@ class ClosedRingControl:
                 self.sync_fluid_links(sim)
                 self.reroute_active_flows(sim)
 
-        simulator.add_controller(interval, callback, start_offset=interval)
+        period = self.config.control_period
+        simulator.add_controller(period, callback, start_offset=period)
 
     def sync_fluid_links(self, simulator: FluidFlowSimulator) -> None:
         """Push the fabric's current per-direction capacities into the fluid sim."""

@@ -2,10 +2,11 @@
 
 The layers, bottom up:
 
-* :mod:`repro.experiments.harness` -- fabric builders and fabric-state
+* :mod:`repro.experiments.harness` -- the fabric constructor
+  (:func:`~repro.experiments.harness.build_fabric`) and fabric-state
   statistics,
 * :mod:`repro.experiments.api` -- the single experiment entrypoint:
-  :func:`~repro.experiments.api.run_experiment` over a declarative
+  :func:`~repro.experiments.api.run_experiment` over an
   :class:`~repro.experiments.api.ExperimentSpec`, returning a typed
   :class:`~repro.experiments.api.RunRecord`,
 * :mod:`repro.experiments.scenarios` -- the declarative scenario registry
@@ -20,15 +21,12 @@ one scenario under static / ECMP / adaptive control on identical flows.
 
 from repro.experiments.api import (
     ExperimentSpec,
-    FabricSpec,
     RunRecord,
     run_experiment,
 )
 from repro.experiments.comparison import COMPARISON_LABELS, adaptive_vs_static
 from repro.experiments.harness import (
     build_fabric,
-    build_grid_fabric,
-    build_torus_fabric,
     fabric_state_row,
 )
 from repro.experiments.figures import (
@@ -60,14 +58,11 @@ from repro.experiments.sweep import (
 
 __all__ = [
     "ExperimentSpec",
-    "FabricSpec",
     "RunRecord",
     "run_experiment",
     "COMPARISON_LABELS",
     "adaptive_vs_static",
     "build_fabric",
-    "build_grid_fabric",
-    "build_torus_fabric",
     "fabric_state_row",
     "figure1_rows",
     "figure2_rows",

@@ -21,21 +21,19 @@ scenarios, sweeps, the CLI -- without a bespoke runner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.controllers import (
     Controller,
     ControllerSummary,
     create_controller,
 )
-from repro.experiments.harness import build_fabric
-from repro.fabric.fabric import Fabric, FabricConfig
+from repro.fabric.fabric import Fabric
 from repro.fabric.failures import FailureEvent, FailureInjector
 from repro.fabric.packetsim import ENGINES, PacketBackend
 from repro.sim.flow import Flow, FlowSet
 from repro.sim.fluid import FluidFlowSimulator, FluidResult
 from repro.sim.transport import TransportConfig
-from repro.sim.units import GBPS
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.metrics import straggler_ratio
 
@@ -60,68 +58,15 @@ def _jsonable(value: object) -> object:
 
 
 @dataclass(frozen=True)
-class FabricSpec:
-    """Declarative fabric description, buildable anywhere (e.g. in a sweep
-    worker process) and serialisable into a run's provenance."""
-
-    topology: str = "grid"
-    rows: int = 3
-    columns: int = 3
-    pods: int = 4
-    groups: int = 4
-    routers_per_group: int = 4
-    hosts_per_router: int = 2
-    lanes_per_link: int = 2
-    lane_rate_bps: float = 25 * GBPS
-    config: Optional[FabricConfig] = None
-
-    def build(self) -> Fabric:
-        """Materialise the fabric this spec describes.
-
-        Every registered family's dimensions are carried along; the family
-        named by :attr:`topology` picks the ones it declares (``rows`` /
-        ``columns`` for the meshes, ``pods`` for fat-tree, ``groups`` /
-        ``routers_per_group`` / ``hosts_per_router`` for dragonfly).
-        """
-        return build_fabric(
-            self.topology,
-            self.rows,
-            self.columns,
-            lanes_per_link=self.lanes_per_link,
-            lane_rate_bps=self.lane_rate_bps,
-            config=self.config,
-            pods=self.pods,
-            groups=self.groups,
-            routers_per_group=self.routers_per_group,
-            hosts_per_router=self.hosts_per_router,
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable provenance form."""
-        return {
-            "topology": self.topology,
-            "rows": self.rows,
-            "columns": self.columns,
-            "pods": self.pods,
-            "groups": self.groups,
-            "routers_per_group": self.routers_per_group,
-            "hosts_per_router": self.hosts_per_router,
-            "lanes_per_link": self.lanes_per_link,
-            "lane_rate_bps": self.lane_rate_bps,
-            "config": _jsonable(self.config) if self.config is not None else None,
-        }
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
     """Everything :func:`run_experiment` needs, as data.
 
     Attributes
     ----------
     fabric:
-        The fabric under test: a declarative :class:`FabricSpec` (built
-        fresh per run) or a pre-built :class:`~repro.fabric.fabric.Fabric`
-        (when the caller wants to inspect it afterwards).
+        The fabric under test, built with
+        :func:`~repro.experiments.harness.build_fabric`; the run mutates
+        it in place, so the caller can inspect its final state afterwards.
     flows:
         The workload.  Flows are routed on the fabric's router at
         admission time, *after* the controller's ``prepare`` step.
@@ -184,7 +129,7 @@ class ExperimentSpec:
         Free-form tag carried into the record (report tables key on it).
     """
 
-    fabric: Union[Fabric, FabricSpec]
+    fabric: Fabric
     flows: Sequence[Flow]
     label: str = "run"
     controller: str = "none"
@@ -202,15 +147,11 @@ class ExperimentSpec:
 
     def provenance(self) -> Dict[str, object]:
         """JSON-serialisable description of this spec (sans flow payload)."""
-        if isinstance(self.fabric, FabricSpec):
-            fabric_info: object = self.fabric.to_dict()
-        else:
-            fabric_info = repr(self.fabric)
         return {
             "label": self.label,
             "controller": self.controller,
             "controller_config": _jsonable(dict(self.controller_config)),
-            "fabric": fabric_info,
+            "fabric": repr(self.fabric),
             "num_flows": len(self.flows),
             "num_failure_events": len(self.failures),
             "failure_period": self.failure_period,
@@ -364,13 +305,12 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
     The steps, in order (the order is part of the determinism contract the
     parity tests pin):
 
-    1. build the fabric (when *spec.fabric* is declarative),
-    2. instantiate the named controller and let it ``prepare`` the fabric,
-    3. load links, flows (routed on the fabric's router) and the failure
+    1. instantiate the named controller and let it ``prepare`` the fabric,
+    2. load links, flows (routed on the fabric's router) and the failure
        plan into a fresh simulation backend (fluid or packet, per
        ``spec.backend``),
-    4. ``attach`` the controller and let it ``run`` the simulation,
-    5. summarise flows, power and the controller into a :class:`RunRecord`.
+    3. ``attach`` the controller and let it ``run`` the simulation,
+    4. summarise flows, power and the controller into a :class:`RunRecord`.
 
     Both backends produce the same metrics schema;
     ``tests/test_backend_fidelity.py`` pins how far their headline numbers
@@ -391,7 +331,7 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
             f"shards is fixed at 1, got {spec.shards!r}: the sharded packet "
             "engine was removed; use engine='batched'"
         )
-    fabric = spec.fabric.build() if isinstance(spec.fabric, FabricSpec) else spec.fabric
+    fabric = spec.fabric
     controller = create_controller(spec.controller, spec.controller_config)
     controller.prepare(fabric)
     if spec.backend == "packet":

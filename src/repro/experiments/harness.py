@@ -1,11 +1,11 @@
-"""Fabric builders and fabric-state statistics.
+"""The fabric constructor and fabric-state statistics.
 
 The experiment entrypoint itself lives in :mod:`repro.experiments.api`
 (:func:`~repro.experiments.api.run_experiment` over an
-:class:`~repro.experiments.api.ExperimentSpec`).  This module keeps the
-fabric construction helpers the specs and scenarios build on, and
-:func:`fabric_state_row`, the closed-form hop/latency/power statistics
-column set shared by every sweep row.
+:class:`~repro.experiments.api.ExperimentSpec`).  This module keeps
+:func:`build_fabric`, the one fabric constructor the specs and scenarios
+build on, and :func:`fabric_state_row`, the closed-form hop/latency/power
+statistics column set shared by every sweep row.
 """
 
 from __future__ import annotations
@@ -13,39 +13,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.fabric.fabric import Fabric, FabricConfig
-from repro.fabric.topology import TopologyBuilder
 from repro.sim.units import GBPS
 
 
 # --------------------------------------------------------------------------- #
-# Fabric construction helpers
+# Fabric construction
 # --------------------------------------------------------------------------- #
-def build_grid_fabric(
-    rows: int,
-    columns: int,
-    lanes_per_link: int = 2,
-    lane_rate_bps: float = 25 * GBPS,
-    config: Optional[FabricConfig] = None,
-) -> Fabric:
-    """The paper's initial configuration: a grid at ``lanes_per_link`` lanes."""
-    builder = TopologyBuilder(lanes_per_link=lanes_per_link, lane_rate_bps=lane_rate_bps)
-    topology = builder.grid(rows, columns)
-    return Fabric(topology, config if config is not None else FabricConfig())
-
-
-def build_torus_fabric(
-    rows: int,
-    columns: int,
-    lanes_per_link: int = 1,
-    lane_rate_bps: float = 25 * GBPS,
-    config: Optional[FabricConfig] = None,
-) -> Fabric:
-    """The paper's reconfigured target: a torus at ``lanes_per_link`` lanes."""
-    builder = TopologyBuilder(lanes_per_link=lanes_per_link, lane_rate_bps=lane_rate_bps)
-    topology = builder.torus(rows, columns)
-    return Fabric(topology, config if config is not None else FabricConfig())
-
-
 def build_fabric(
     topology: str,
     rows: int = 3,
@@ -57,12 +30,11 @@ def build_fabric(
 ) -> Fabric:
     """Build a fabric by registered topology-family name.
 
-    The scenario registry and :class:`~repro.experiments.api.FabricSpec`
-    store the topology as data, so they need a single dispatch point rather
-    than a function per shape; dispatch goes through the topology-family
-    registry (:mod:`repro.fabric.topologies`), so any registered family --
-    ``grid``, ``torus``, ``fat-tree``, ``dragonfly`` or a third-party
-    registration -- resolves here.  Each family picks the dimensions it
+    Scenarios store the topology as data, so they need a single dispatch
+    point rather than a function per shape; dispatch goes through the
+    topology-family registry (:mod:`repro.fabric.topologies`), so any
+    registered family -- ``grid``, ``torus``, ``fat-tree``, ``dragonfly``
+    or a third-party registration -- resolves here.  Each family picks the dimensions it
     declares (``rows``/``columns`` for the meshes, ``pods`` for fat-tree,
     ``groups``/``routers_per_group``/``hosts_per_router`` for dragonfly)
     out of the keyword arguments; raises :class:`ValueError`

@@ -414,24 +414,8 @@ def controller_config_from_params(
             )
         }
     if controller == "loop":
-        # The loop resolves its standing candidates from the per-family
-        # registry (repro.core.candidates); every family's dimensions ride
-        # along and the family picks the ones it declares.
-        return {
-            "config": loop_config_from_params(params),
-            "topology": str(params["topology"]),
-            "topology_params": {
-                key: int(params[key])
-                for key in (
-                    "rows",
-                    "columns",
-                    "pods",
-                    "groups",
-                    "routers_per_group",
-                    "hosts_per_router",
-                )
-            },
-        }
+        # The loop derives its moves from the fabric it controls.
+        return {"config": loop_config_from_params(params)}
     return {}
 
 

@@ -15,9 +15,10 @@ decorator (mirroring the controller registry in
   Hypothesis suite in ``tests/test_topologies.py`` pins the built graph to
   every declared number, and
 * a **family tag** stamped onto the built topology
-  (:attr:`Topology.kind`/:attr:`Topology.dimensions`), which is what lets
-  the reconfiguration-candidate registry (:mod:`repro.core.candidates`)
-  refuse moves on fabrics they do not apply to.
+  (:attr:`Topology.kind`/:attr:`Topology.dimensions`), from which the
+  control loop derives its moves through the reconfiguration-candidate
+  registry (:mod:`repro.core.candidates`), and which lets each move refuse
+  fabrics it does not apply to.
 
 A third-party family plugs in without touching this package::
 
@@ -135,6 +136,7 @@ class TopologyFamily:
         )
         topology = self.build_topology(builder, **dict(dims))
         topology.kind = self.name
+        topology.dimensions = dict(dims)
         return Fabric(topology, config if config is not None else FabricConfig())
 
 
@@ -185,8 +187,8 @@ def build_topology_fabric(
     """Build a fabric by topology name from a flat parameter mapping.
 
     This is the single dispatch point behind
-    :func:`repro.experiments.harness.build_fabric`,
-    :class:`~repro.experiments.api.FabricSpec` and the scenario registry.
+    :func:`repro.experiments.harness.build_fabric` and the scenario
+    registry.
     """
     family = get_topology(name)
     dims = family.dimensions(params)

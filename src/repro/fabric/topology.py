@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.fabric.node import Node, NodeType
 from repro.phy.fec import FEC_RS528, FecScheme
@@ -69,9 +69,9 @@ class Topology:
         self._graph_version = -1
         #: Registered topology-family name this graph was built as (e.g.
         #: ``"grid"``, ``"fat-tree"``) and the dimensions it was built with.
-        #: ``None``/empty for hand-assembled topologies.  Reconfiguration
-        #: candidates consult these to refuse fabrics they do not apply to;
-        #: the tags record how the fabric was *built*, so they deliberately
+        #: ``None``/empty for hand-assembled topologies.  The control loop
+        #: derives its reconfiguration moves from these, and candidates
+        #: consult them to refuse fabrics they do not apply to; the tags record how the fabric was *built*, so they deliberately
         #: survive runtime reconfiguration (a grid that grew wrap-around
         #: links is still the grid family's fabric).
         self.kind: Optional[str] = None
@@ -654,23 +654,3 @@ class TopologyBuilder:
                 )
             )
         return pairs
-
-    # ------------------------------------------------------------------ #
-    # Named registry (used by the CLI and experiment configs)
-    # ------------------------------------------------------------------ #
-    def by_name(self, kind: str, **kwargs) -> Topology:
-        """Build a topology by its string name (``grid``, ``torus``, ...)."""
-        builders: Dict[str, Callable[..., Topology]] = {
-            "line": self.line,
-            "ring": self.ring,
-            "grid": self.grid,
-            "torus": self.torus,
-            "mesh": self.full_mesh,
-            "star": self.star,
-            "hypercube": self.hypercube,
-            "fat-tree": self.fat_tree,
-            "dragonfly": self.dragonfly,
-        }
-        if kind not in builders:
-            raise KeyError(f"unknown topology kind {kind!r}; known: {sorted(builders)}")
-        return builders[kind](**kwargs)

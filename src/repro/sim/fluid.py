@@ -54,8 +54,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.flow import Flow, FlowSet
 from repro.sim.trace import NullTrace, TraceRecorder
@@ -115,7 +115,7 @@ class FluidResult:
     link_capacities: Dict[LinkKey, float]
     trace: TraceRecorder
     #: Per-link integral of effective capacity over [0, end_time] (bits).
-    link_capacity_seconds: Dict[LinkKey, float] = field(default_factory=dict)
+    link_capacity_seconds: Dict[LinkKey, float]
     #: True when any ``run()`` call on the producing simulator exhausted its
     #: ``max_events`` budget with traffic still in flight -- the metrics
     #: then describe a *prefix* of the workload, not the workload.
@@ -123,34 +123,18 @@ class FluidResult:
     #: Which allocation engine produced this result.
     allocator: str = "incremental"
 
-    def link_utilisation(self, duration: Optional[float] = None) -> Dict[LinkKey, float]:
+    def link_utilisation(self) -> Dict[LinkKey, float]:
         """Average utilisation of each link.
 
-        With the default ``duration=None`` the denominator is the per-link
-        *time-weighted capacity integral*, so runs whose controller changed
-        capacities mid-flight (``set_capacity``/``set_enabled``) report
-        honest averages -- dividing by the final capacity, as the pre-1.x
-        implementation did, over- or under-stated utilisation after every
-        reconfiguration.  Passing an explicit *duration* keeps the legacy
-        fixed-horizon semantics (bits over final capacity times duration)
-        for callers that want a like-for-like window comparison.
+        The denominator is the per-link *time-weighted capacity integral*,
+        so runs whose controller changed capacities mid-flight
+        (``set_capacity``/``set_enabled``) report honest averages --
+        dividing by the final capacity, as the pre-1.x implementation did,
+        over- or under-stated utilisation after every reconfiguration.
         """
-        if duration is not None:
-            if duration <= 0:
-                return {key: 0.0 for key in self.link_bits_carried}
-            utilisation = {}
-            for key, bits in self.link_bits_carried.items():
-                capacity = self.link_capacities.get(key, 0.0)
-                utilisation[key] = bits / (capacity * duration) if capacity > 0 else 0.0
-            return utilisation
         utilisation = {}
         for key, bits in self.link_bits_carried.items():
-            integral = self.link_capacity_seconds.get(key)
-            if integral is None:
-                # Result built without integrals (hand-constructed): fall
-                # back to the fixed-capacity denominator.
-                capacity = self.link_capacities.get(key, 0.0)
-                integral = capacity * self.end_time
+            integral = self.link_capacity_seconds[key]
             utilisation[key] = bits / integral if integral > 0 else 0.0
         return utilisation
 
@@ -993,19 +977,3 @@ class FluidFlowSimulator:
         # the clock is O(1); see _set_rate/_integrate_link.
         self._now = time
 
-
-def simulate_static_flows(
-    link_capacities: Dict[LinkKey, float],
-    flows_and_paths: Iterable[Tuple[Flow, Sequence[LinkKey]]],
-    flow_rate_limit_bps: Optional[float] = None,
-    allocator: str = "incremental",
-) -> FluidResult:
-    """Convenience wrapper: build a simulator, add everything, run to completion."""
-    simulator = FluidFlowSimulator(
-        flow_rate_limit_bps=flow_rate_limit_bps, allocator=allocator
-    )
-    for key, capacity in link_capacities.items():
-        simulator.add_link(key, capacity)
-    for flow, path in flows_and_paths:
-        simulator.add_flow(flow, path)
-    return simulator.run()

@@ -340,7 +340,11 @@ def test_loop_controller_is_accepted_on_the_packet_backend():
     fabric, flows, _ = materialize_run(scenario, params, seed)
     record = run_experiment(
         ExperimentSpec(
-            fabric=fabric, flows=flows, controller="loop", backend="packet"
+            fabric=fabric,
+            flows=flows,
+            controller="loop",
+            controller_config={"candidates": ()},
+            backend="packet",
         )
     )
     assert record.metrics["backend"] == "packet"

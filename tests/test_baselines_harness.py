@@ -6,7 +6,7 @@ from repro.baselines.circuit import OracleCircuitBaseline
 from repro.core.crc import CRCConfig
 from repro.experiments.api import ExperimentSpec, run_experiment
 from repro.experiments.figures import figure1_rows, figure2_rows, mapreduce_comparison_rows
-from repro.experiments.harness import build_grid_fabric, build_torus_fabric
+from repro.experiments.harness import build_fabric
 from repro.fabric.fabric import Fabric
 from repro.fabric.topology import TopologyBuilder
 from repro.sim.flow import Flow
@@ -23,8 +23,8 @@ def grid_names(rows, columns):
 # Harness
 # --------------------------------------------------------------------------- #
 def test_build_grid_and_torus_fabrics():
-    grid = build_grid_fabric(3, 3, lanes_per_link=2)
-    torus = build_torus_fabric(3, 3, lanes_per_link=1)
+    grid = build_fabric("grid", 3, 3, lanes_per_link=2)
+    torus = build_fabric("torus", 3, 3, lanes_per_link=1)
     assert len(grid.topology.links()) == 12
     assert len(torus.topology.links()) == 18
     assert grid.topology.total_lanes() == 24
@@ -32,7 +32,7 @@ def test_build_grid_and_torus_fabrics():
 
 
 def test_run_experiment_completes_flows():
-    fabric = build_grid_fabric(3, 3)
+    fabric = build_fabric("grid", 3, 3)
     flows = [Flow("n0x0", "n2x2", megabytes(1)), Flow("n0x2", "n2x0", megabytes(1))]
     record = run_experiment(ExperimentSpec(fabric=fabric, flows=flows, label="smoke"))
     assert record.label == "smoke"
@@ -48,7 +48,7 @@ def test_run_experiment_with_crc_controller_reconfigures():
     flows = MapReduceShuffleWorkload(spec).generate()
     record = run_experiment(
         ExperimentSpec(
-            fabric=build_grid_fabric(3, 3),
+            fabric=build_fabric("grid", 3, 3),
             flows=flows,
             label="adaptive",
             controller="crc",
@@ -70,7 +70,7 @@ def test_run_experiment_with_crc_controller_reconfigures():
 # Baselines
 # --------------------------------------------------------------------------- #
 def test_static_baseline_runs_without_control():
-    fabric = build_grid_fabric(3, 3)
+    fabric = build_fabric("grid", 3, 3)
     flows = [Flow("n0x0", "n2x2", megabytes(1))]
     record = run_experiment(
         ExperimentSpec(fabric=fabric, flows=flows, controller="static")

@@ -5,7 +5,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.crc import CRCConfig
 from repro.experiments.api import ExperimentSpec, run_experiment
-from repro.experiments.harness import build_grid_fabric
+from repro.experiments.harness import build_fabric
 from repro.sim.flow import Flow
 from repro.sim.units import megabytes, microseconds
 from repro.workloads.base import WorkloadSpec
@@ -137,7 +137,7 @@ def test_cli_sweep_parallel_output_matches_serial(tmp_path, capsys):
 # Integration: incast on a star vs a mesh
 # --------------------------------------------------------------------------- #
 def test_incast_receiver_link_is_the_bottleneck():
-    fabric = build_grid_fabric(3, 3, lanes_per_link=2)
+    fabric = build_fabric("grid", 3, 3, lanes_per_link=2)
     names = fabric.topology.endpoints()
     spec = WorkloadSpec(nodes=names, mean_flow_size_bits=megabytes(1), seed=4)
     workload = IncastWorkload(spec, receiver="n1x1")
@@ -159,7 +159,7 @@ def test_incast_receiver_link_is_the_bottleneck():
 # Integration: storage traffic with a power-capped CRC
 # --------------------------------------------------------------------------- #
 def test_power_capped_crc_keeps_fabric_under_budget_while_serving_storage():
-    fabric = build_grid_fabric(3, 3, lanes_per_link=2)
+    fabric = build_fabric("grid", 3, 3, lanes_per_link=2)
     initial_power = fabric.power_report().total_watts
     cap = initial_power * 0.9
     names = fabric.topology.endpoints()
@@ -193,7 +193,7 @@ def test_power_capped_crc_keeps_fabric_under_budget_while_serving_storage():
 # --------------------------------------------------------------------------- #
 def test_full_adaptive_run_conserves_lane_budget_and_completes():
     rows = columns = 3
-    fabric = build_grid_fabric(rows, columns, lanes_per_link=2)
+    fabric = build_fabric("grid", rows, columns, lanes_per_link=2)
     lanes_before = fabric.topology.total_lanes()
     flows = [
         Flow("n0x0", "n2x2", megabytes(4)),

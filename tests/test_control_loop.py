@@ -18,7 +18,7 @@ from repro.core.plp import ReconfigurationDelays
 from repro.core.reconfiguration import ReconfigurationPlanner
 from repro.experiments.api import ExperimentSpec, run_experiment
 from repro.experiments.comparison import adaptive_vs_static
-from repro.experiments.harness import build_grid_fabric
+from repro.experiments.harness import build_fabric
 from repro.fabric.topology import TopologyBuilder
 from repro.sim.engine import Simulator
 from repro.sim.flow import Flow, FlowSet, reset_flow_ids
@@ -39,7 +39,7 @@ def _corner_pairs(rows, columns):
 
 def _hotspot_flows(rows=3, columns=3, num_flows=18, seed=7):
     reset_flow_ids()
-    fabric = build_grid_fabric(rows, columns, lanes_per_link=2)
+    fabric = build_fabric("grid", rows, columns, lanes_per_link=2)
     spec = WorkloadSpec(
         nodes=fabric.topology.endpoints(),
         mean_flow_size_bits=megabytes(1.0),
@@ -61,7 +61,7 @@ def _run_loop(fabric, flows, **config_kwargs):
             fabric=fabric,
             flows=flows,
             controller="loop",
-            controller_config={"config": config, "grid_rows": 3, "grid_columns": 3},
+            controller_config={"config": config},
         )
     )
     return record, record.controller_instance.loop
@@ -153,7 +153,7 @@ def test_planner_min_interval_prevents_flapping():
     delays = ReconfigurationDelays()
     planner = ReconfigurationPlanner(delays=delays, min_interval=1.0)
     candidate = GridToTorusCandidate(3, 3)
-    fabric = build_grid_fabric(3, 3, lanes_per_link=2)
+    fabric = build_fabric("grid", 3, 3, lanes_per_link=2)
     proposal = candidate.propose(fabric, delays)
     assert planner.should_apply(
         proposal.plan,
@@ -186,7 +186,7 @@ def test_smoothed_demand_blocks_one_tick_spike():
     delays = ReconfigurationDelays()
     planner = ReconfigurationPlanner(delays=delays)
     candidate = GridToTorusCandidate(3, 3)
-    fabric = build_grid_fabric(3, 3, lanes_per_link=2)
+    fabric = build_fabric("grid", 3, 3, lanes_per_link=2)
     proposal = candidate.propose(fabric, delays)
     spike = 1e12
     # Instantaneous-only view: the spike clears the break-even test.
@@ -281,7 +281,6 @@ def test_loop_stops_driving_a_truncated_fluid_simulation():
             fabric=fabric,
             flows=flows,
             controller="loop",
-            controller_config={"grid_rows": 3, "grid_columns": 3},
             max_events=5,
         )
     )

@@ -20,11 +20,12 @@ from repro.core.controllers import (
 )
 from repro.core.control import ControlLoopConfig
 from repro.core.crc import CRCConfig
-from repro.experiments.api import ExperimentSpec, FabricSpec, run_experiment
-from repro.experiments.harness import build_grid_fabric
+from repro.experiments.api import ExperimentSpec, run_experiment
+from repro.experiments.harness import build_fabric
 from repro.experiments.scenarios import ScenarioError, get_scenario, resolve_params
 from repro.experiments.sweep import run_sweep, strip_timing
 from repro.fabric.fabric import Fabric
+from repro.fabric.routing import hop_weight
 from repro.sim.flow import Flow, FlowSet, reset_flow_ids
 from repro.sim.units import megabytes
 from repro.workloads.base import WorkloadSpec
@@ -38,7 +39,7 @@ REMOVED_ENGINE = 'sharded'
 def _hotspot_flows(seed=7, num_flows=12):
     """Deterministic hotspot workload on a fresh 3x3 grid."""
     reset_flow_ids()
-    fabric = build_grid_fabric(3, 3, lanes_per_link=2)
+    fabric = build_fabric("grid", 3, 3, lanes_per_link=2)
     spec = WorkloadSpec(
         nodes=fabric.topology.endpoints(),
         mean_flow_size_bits=megabytes(1.0),
@@ -76,16 +77,22 @@ def test_register_duplicate_controller_raises():
 
 
 def test_bad_controller_config_raises_controller_error():
-    with pytest.raises(ControllerError, match="bad configuration"):
-        create_controller("ecmp", {"no_such_knob": 1})
-    with pytest.raises(ControllerError, match="not both"):
-        create_controller(
-            "crc", {"config": CRCConfig(), "utilisation_threshold": 0.5}
-        )
-    with pytest.raises(ControllerError, match="not both"):
-        create_controller(
-            "loop", {"config": ControlLoopConfig(), "utilisation_threshold": 0.5}
-        )
+    bad = [
+        ("ecmp", {"no_such_knob": 1}),
+        # Config objects are the one form: loose fields are not accepted,
+        # with or without a config= beside them.
+        ("crc", {"config": CRCConfig(), "utilisation_threshold": 0.5}),
+        ("crc", {"utilisation_threshold": 0.5}),
+        ("crc", {"control_period": 1e-4}),
+        ("loop", {"config": ControlLoopConfig(), "utilisation_threshold": 0.5}),
+        ("loop", {"interval": 1e-4}),
+        # The loop reads its topology off the fabric it controls.
+        ("loop", {"topology": "grid"}),
+        ("loop", {"grid_rows": 3, "grid_columns": 3}),
+    ]
+    for name, config in bad:
+        with pytest.raises(ControllerError, match="bad configuration"):
+            create_controller(name, config)
 
 
 def test_third_party_controller_reaches_run_experiment_and_scenarios():
@@ -133,14 +140,12 @@ def test_third_party_controller_reaches_run_experiment_and_scenarios():
 @pytest.mark.parametrize("controller", BUILTIN_CONTROLLERS)
 def test_every_controller_round_trips_through_run_experiment(controller):
     fabric, flows = _hotspot_flows()
-    config = {"grid_rows": 3, "grid_columns": 3} if controller == "loop" else {}
     record = run_experiment(
         ExperimentSpec(
             fabric=fabric,
             flows=flows,
             label=f"round-trip-{controller}",
             controller=controller,
-            controller_config=config,
         )
     )
     assert record.controller == controller
@@ -154,18 +159,16 @@ def test_every_controller_round_trips_through_run_experiment(controller):
     assert as_dict["provenance"]["controller"] == controller
 
 
-def test_fabric_spec_builds_and_serialises():
-    spec = FabricSpec(topology="torus", rows=3, columns=3, lanes_per_link=1)
-    fabric = spec.build()
+def test_torus_fabric_builds_and_serialises():
+    fabric = build_fabric("torus", 3, 3, lanes_per_link=1)
     assert isinstance(fabric, Fabric)
     assert len(fabric.topology.links()) == 18
-    assert json.loads(json.dumps(spec.to_dict()))["topology"] == "torus"
     reset_flow_ids()
     record = run_experiment(
-        ExperimentSpec(fabric=spec, flows=[Flow("n0x0", "n2x2", megabytes(1))])
+        ExperimentSpec(fabric=fabric, flows=[Flow("n0x0", "n2x2", megabytes(1))])
     )
     assert record.metrics["completion_fraction"] == 1.0
-    assert record.provenance["fabric"]["rows"] == 3
+    assert json.loads(json.dumps(record.provenance))["fabric"] == repr(fabric)
 
 
 def test_run_experiment_exposes_runtime_handles():
@@ -175,10 +178,12 @@ def test_run_experiment_exposes_runtime_handles():
             fabric=fabric,
             flows=flows,
             controller="loop",
-            controller_config={"grid_rows": 3, "grid_columns": 3},
         )
     )
     assert record.fabric is fabric
+    # The loop prices links inside its own scheduler; the fabric's router,
+    # which routed every flow at admission, keeps its hop weight.
+    assert record.fabric.router.weight_fn is hop_weight
     assert isinstance(record.flows, FlowSet)
     loop = record.controller_instance.loop
     assert loop is not None and len(loop.ticks) >= 1

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.cost import LinkPriceTagger
 from repro.core.policy import AdaptiveFecPolicy, Observation
-from repro.experiments.harness import build_grid_fabric
+from repro.experiments.harness import build_fabric
 from repro.fabric.failures import (
     FailureEvent,
     FailureInjector,
@@ -19,7 +19,7 @@ from repro.sim.units import megabytes, microseconds
 
 @pytest.fixture
 def fabric():
-    return build_grid_fabric(3, 3, lanes_per_link=2)
+    return build_fabric("grid", 3, 3, lanes_per_link=2)
 
 
 def test_failure_event_validation():

@@ -4,7 +4,7 @@
 import pytest
 
 from repro.sim.flow import Flow
-from repro.sim.fluid import FluidFlowSimulator, simulate_static_flows
+from repro.sim.fluid import FluidFlowSimulator
 from repro.sim.trace import TraceRecorder
 
 
@@ -218,13 +218,6 @@ def test_controller_only_ticks_do_not_hang_after_work_done():
     assert len(ticks) <= 3
 
 
-def test_simulate_static_flows_helper():
-    flows = [Flow("a", "b", 100.0), Flow("a", "b", 100.0)]
-    result = simulate_static_flows({"ab": 100.0}, [(flows[0], ["ab"]), (flows[1], ["ab"])])
-    assert all(flow.completed for flow in flows)
-    assert result.flows.makespan() == pytest.approx(2.0)
-
-
 def test_zero_capacity_link_gives_zero_rate():
     sim = FluidFlowSimulator()
     sim.add_link("dead", 0.0)
@@ -262,9 +255,6 @@ def test_utilisation_honest_after_mid_run_capacity_change(allocator):
     assert flow.fct == pytest.approx(10.0)  # 500 bits @ 100, 1000 bits @ 200
     assert result.link_bits_carried["ab"] == pytest.approx(1500.0)
     assert result.link_utilisation()["ab"] == pytest.approx(1.0)
-    # The explicit-duration variant keeps the legacy fixed-horizon meaning.
-    legacy = result.link_utilisation(duration=result.end_time)
-    assert legacy["ab"] == pytest.approx(1500.0 / (200.0 * 10.0))
 
 
 @pytest.mark.parametrize("allocator", ["incremental", "reference"])

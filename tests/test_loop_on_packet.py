@@ -19,7 +19,7 @@ and each is pinned here:
 import pytest
 
 from repro.core.crc import ClosedRingControl, CRCConfig
-from repro.experiments.harness import build_grid_fabric
+from repro.experiments.harness import build_fabric
 from repro.fabric.fabric import Fabric, FabricConfig
 from repro.fabric.packetsim import PacketBackend
 from repro.fabric.switch import SwitchModel
@@ -73,14 +73,16 @@ def test_crc_on_packet_observes_instantaneous_rates():
     """The CRC's recorded per-tick max utilisation on the packet backend is
     the occupancy indicator -- exactly 0.0 or 1.0 -- not a fractional
     window average."""
-    fabric = build_grid_fabric(2, 2)
+    fabric = build_fabric("grid", 2, 2)
     flows = [
         Flow("n0x0", "n1x1", size_bits=400 * MTU_BITS),
         Flow("n1x0", "n0x1", size_bits=400 * MTU_BITS),
     ]
     backend = PacketBackend(fabric, flows)
-    crc = ClosedRingControl(fabric, CRCConfig(grid_rows=2, grid_columns=2))
-    crc.attach(backend, period=1e-5)
+    crc = ClosedRingControl(
+        fabric, CRCConfig(grid_rows=2, grid_columns=2, control_period=1e-5)
+    )
+    crc.attach(backend)
     backend.run()
     assert all(flow.completed for flow in flows)
     observed = [iteration.max_utilisation for iteration in crc.iterations]

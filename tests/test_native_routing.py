@@ -83,14 +83,14 @@ def test_a_split_topology_strands_flows_without_raising():
 RUN_WITHOUT_NETWORKX = """
 import sys
 
-from repro.experiments.api import ExperimentSpec, FabricSpec, run_experiment
-from repro.experiments.harness import fabric_state_row
+from repro.experiments.api import ExperimentSpec, run_experiment
+from repro.experiments.harness import build_fabric, fabric_state_row
 from repro.fabric.routing import RoutingPolicy
 from repro.sim.units import megabytes
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.uniform import UniformRandomWorkload
 
-fabric = FabricSpec(topology="grid", rows=4, columns=4).build()
+fabric = build_fabric("grid", 4, 4)
 assert fabric.router.policy is RoutingPolicy.SHORTEST
 spec = WorkloadSpec(
     nodes=fabric.topology.endpoints(), mean_flow_size_bits=megabytes(0.1), seed=3

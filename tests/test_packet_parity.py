@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.api import ExperimentSpec, run_experiment
-from repro.experiments.harness import build_grid_fabric
+from repro.experiments.harness import build_fabric
 from repro.experiments.scenarios import (
     ScenarioError,
     controller_config_from_params,
@@ -149,7 +149,7 @@ def test_scenario_metrics_bit_identical_across_engines(scenario):
 def _build_backend(engine, n_flows=48, seed=3, **kwargs):
     reset_flow_ids()
     rng = random.Random(seed)
-    fabric = build_grid_fabric(3, 3)
+    fabric = build_fabric("grid", 3, 3)
     names = [getattr(node, "name", node) for node in fabric.topology.nodes()]
     flows = []
     for _ in range(n_flows):

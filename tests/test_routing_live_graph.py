@@ -245,21 +245,26 @@ def test_a_meet_node_reached_again_one_ulp_shorter_keeps_the_networkx_path():
 
 
 BUILDER_CASES = [
-    ("line", {"num_nodes": 5}),
-    ("ring", {"num_nodes": 6}),
-    ("grid", {"rows": 3, "columns": 4}),
-    ("torus", {"rows": 3, "columns": 4}),
-    ("mesh", {"num_nodes": 5}),
-    ("star", {"num_hosts": 5}),
-    ("hypercube", {"dimension": 3}),
-    ("fat-tree", {"pods": 4}),
-    ("dragonfly", {"groups": 3, "routers_per_group": 2, "hosts_per_router": 2}),
+    ("line", TopologyBuilder.line, {"num_nodes": 5}),
+    ("ring", TopologyBuilder.ring, {"num_nodes": 6}),
+    ("grid", TopologyBuilder.grid, {"rows": 3, "columns": 4}),
+    ("torus", TopologyBuilder.torus, {"rows": 3, "columns": 4}),
+    ("mesh", TopologyBuilder.full_mesh, {"num_nodes": 5}),
+    ("star", TopologyBuilder.star, {"num_hosts": 5}),
+    ("hypercube", TopologyBuilder.hypercube, {"dimension": 3}),
+    ("fat-tree", TopologyBuilder.fat_tree, {"pods": 4}),
+    (
+        "dragonfly",
+        TopologyBuilder.dragonfly,
+        {"groups": 3, "routers_per_group": 2, "hosts_per_router": 2},
+    ),
 ]
 
 
-@pytest.mark.parametrize("kind,kwargs", BUILDER_CASES, ids=[c[0] for c in BUILDER_CASES])
-def test_graph_queries_match_networkx_on_every_builder(kind, kwargs):
-    topology = TopologyBuilder().by_name(kind, **kwargs)
+@pytest.mark.parametrize("build,kwargs", [c[1:] for c in BUILDER_CASES],
+                         ids=[c[0] for c in BUILDER_CASES])
+def test_graph_queries_match_networkx_on_every_builder(build, kwargs):
+    topology = build(TopologyBuilder(), **kwargs)
     graph = _weighted_copy(topology)
     assert topology.is_connected() is nx.is_connected(graph) is True
     assert topology.diameter() == nx.diameter(graph)

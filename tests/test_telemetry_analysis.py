@@ -9,7 +9,7 @@ from repro.analysis.validation import (
     validate_against_analytical,
     validation_summary,
 )
-from repro.experiments.harness import build_grid_fabric
+from repro.experiments.harness import build_fabric
 from repro.sim.flow import Flow, FlowSet
 from repro.telemetry.collector import TelemetryCollector, TimeSeries
 from repro.telemetry.metrics import (
@@ -227,7 +227,7 @@ def test_rack_power_estimate_scales_with_lanes():
 
 
 def test_lane_power_sweep_restores_fabric():
-    fabric = build_grid_fabric(3, 3, lanes_per_link=2)
+    fabric = build_fabric("grid", 3, 3, lanes_per_link=2)
     rows = lane_power_sweep(fabric, [1.0, 0.5])
     assert rows[1]["total_watts"] < rows[0]["total_watts"]
     # The sweep restores full activation afterwards.

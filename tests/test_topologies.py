@@ -30,7 +30,9 @@ from repro.core.candidates import (
 )
 from repro.core.plp import PLPExecutor, ReconfigurationDelays
 from repro.experiments.api import ExperimentSpec, run_experiment
+from repro.experiments.harness import build_fabric
 from repro.experiments.scenarios import get_scenario, run_scenario
+from repro.fabric.fabric import Fabric
 from repro.fabric.topologies import (
     TopologyError,
     TopologyFamily,
@@ -41,9 +43,10 @@ from repro.fabric.topologies import (
     topology_metadata,
     topology_names,
 )
+from repro.fabric.topologies import registry as topology_registry
 from repro.fabric.topology import TopologyBuilder
 from repro.phy.fec import FEC_RS528
-from repro.sim.flow import reset_flow_ids
+from repro.sim.flow import Flow, reset_flow_ids
 from repro.sim.units import GBPS, megabytes, microseconds
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.uniform import UniformRandomWorkload
@@ -166,6 +169,25 @@ def test_unnamed_topology_registration_is_rejected():
         @register_topology
         class Nameless(TopologyFamily):
             pass
+
+
+def test_registry_stamps_family_and_dimensions_on_every_fabric():
+    """A family whose builder stamps nothing still yields a fabric the
+    control loop can read its moves off."""
+
+    @register_topology
+    class RingFamily(TopologyFamily):
+        name = "test-ring"
+        parameters = ("nodes",)
+
+        def build_topology(self, builder, nodes):
+            return builder.ring(nodes)
+
+    try:
+        topology = build_topology_fabric("test-ring", {"nodes": 5}).topology
+        assert (topology.kind, topology.dimensions) == ("test-ring", {"nodes": 5})
+    finally:
+        topology_registry._REGISTRY.pop("test-ring", None)
 
 
 def test_catalog_lists_the_built_ins_in_registration_order():
@@ -403,8 +425,6 @@ def test_loop_controller_applies_pod_uplink_rebalance():
                     break_even_margin=1.0,
                     min_reconfiguration_interval=microseconds(100.0),
                 ),
-                "topology": "fat-tree",
-                "topology_params": {"pods": 4},
             },
         )
     )
@@ -413,6 +433,48 @@ def test_loop_controller_applies_pod_uplink_rebalance():
     assert record.metrics["completion_fraction"] == 1.0
     assert fabric.topology.link_between("agg0_0", "core0").num_lanes == 3
     assert fabric.topology.link_between("agg0_0", "edge0_0").num_lanes == 1
+
+
+# --------------------------------------------------------------------------- #
+# The loop reads its moves off the fabric it controls
+# --------------------------------------------------------------------------- #
+#: A small instance of every registered family (the catalog test above
+#: pins the family list).
+SMALL_INSTANCES = {
+    "grid": {"rows": 3, "columns": 3},
+    "torus": {"rows": 3, "columns": 3},
+    "fat-tree": {"pods": 4},
+    "dragonfly": {"groups": 3, "routers_per_group": 3, "hosts_per_router": 1},
+}
+
+
+def _loop_moves(fabric, **controller_config):
+    """Names of the standing candidates a ``controller="loop"`` run held."""
+    reset_flow_ids()
+    endpoints = fabric.topology.endpoints()
+    record = run_experiment(
+        ExperimentSpec(
+            fabric=fabric,
+            flows=[Flow(endpoints[0], endpoints[-1], megabytes(0.01))],
+            controller="loop",
+            controller_config=controller_config,
+        )
+    )
+    return [candidate.name for candidate in record.controller_instance.loop.candidates]
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_INSTANCES))
+def test_loop_moves_are_the_fabric_family_moves(kind):
+    fabric = build_fabric(kind, **SMALL_INSTANCES[kind])
+    assert _loop_moves(fabric) == candidate_moves(kind)
+
+
+def test_loop_on_a_hand_built_fabric_has_no_moves():
+    assert _loop_moves(Fabric(TopologyBuilder().line(4))) == []
+
+
+def test_loop_with_empty_candidates_is_reroute_only():
+    assert _loop_moves(build_fabric("grid", 3, 3), candidates=()) == []
 
 
 # --------------------------------------------------------------------------- #

@@ -206,13 +206,6 @@ def test_grid_node_name_helper():
     assert TopologyBuilder.grid_node_name(2, 3) == "n2x3"
 
 
-def test_by_name_registry():
-    topo = builder().by_name("ring", num_nodes=5)
-    assert len(topo.links()) == 5
-    with pytest.raises(KeyError):
-        builder().by_name("nonsense")
-
-
 def test_builder_validation():
     with pytest.raises(ValueError):
         TopologyBuilder(lanes_per_link=0)
