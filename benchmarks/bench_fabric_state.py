@@ -46,7 +46,9 @@ from repro.sim.units import bits_from_bytes
 def test_fabric_state_row_matches_pairwise_shortest_paths(fabric_factory):
     fabric = fabric_factory()
     row = fabric_state_row(fabric)
-    graph = fabric.topology.graph
+    graph = nx.Graph()
+    graph.add_nodes_from(fabric.topology.node_names())
+    graph.add_edges_from(fabric.topology.link_keys())
     endpoints = fabric.topology.endpoints()
     hops = [
         nx.shortest_path_length(graph, src, dst)

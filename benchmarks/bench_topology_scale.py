@@ -9,30 +9,37 @@ stay cheap at that size -- this guard pins the declared shapes and holds
 build + state-row + first-route inside a deliberately loose CI budget
 (the measured cost is well under a second per family).
 
-It also records what the native SHORTEST search buys over its immediate
-baseline, networkx's ``bidirectional_dijkstra`` with a per-edge link
-lookup (what the router ran before): 256 seeded endpoint pairs under
-``hop_weight`` on the 1,024-host fat-tree and the 16x16 grid, identical
-paths asserted, fastest-of-three CPU seconds compared.  The fat-tree row
-is held to its floor in ``ROUTING_CASES``; the grid row is recorded with
-no floor.  Run directly to write the record:
+It also records what native routing buys over its immediate baseline,
+networkx with a per-edge link lookup (what the router ran before), on 256
+seeded endpoint pairs under ``hop_weight``, identical paths asserted,
+fastest-of-three CPU seconds compared:
+
+* SHORTEST against ``bidirectional_dijkstra``, on the 1,024-host fat-tree
+  (held to its floor in ``ROUTING_CASES``) and the 16x16 grid (no floor);
+* K_SHORTEST (``ROUTING_K`` candidates, as the control loop's scheduler
+  asks for) against ``shortest_simple_paths`` on the fat-tree (no floor).
+
+The networkx graph is built from ``node_names()`` then ``link_keys()``,
+outside the timing.  Run directly to write the record:
 
     python benchmarks/bench_topology_scale.py
 
-which writes ``BENCH_routing.json`` (per topology: pairs, both sides' CPU
-seconds, the speedup and its floor) for CI to archive.
+which writes ``BENCH_routing.json`` (per policy and topology: pairs, both
+sides' CPU seconds, the speedup and its floor) for CI to archive.
 """
 
 import argparse
+import itertools
 import json
 import random
 import sys
 import time
 
+import networkx as nx
 import pytest
 
 from repro.experiments.harness import build_fabric, fabric_state_row
-from repro.fabric.routing import hop_weight, shortest_path
+from repro.fabric.routing import hop_weight, k_shortest_paths, shortest_path
 from repro.fabric.topologies import topology_metadata
 
 #: (topology name, builder dimensions) for the two 1k-endpoint defaults.
@@ -81,29 +88,49 @@ def test_state_row_reflects_declared_shape(name, dims):
     )
 
 
-#: (topology name, builder dimensions, CPU speedup floor or None) for the
-#: native-vs-networkx SHORTEST row.
+#: (policy, topology name, builder dimensions, CPU speedup floor or None)
+#: for the native-vs-networkx rows.
 ROUTING_CASES = [
-    ("fat-tree", {"pods": 16}, 3.0),
-    ("grid", {"rows": 16, "columns": 16}, None),
+    ("shortest", "fat-tree", {"pods": 16}, 3.0),
+    ("shortest", "grid", {"rows": 16, "columns": 16}, None),
+    ("k-shortest", "fat-tree", {"pods": 16}, None),
 ]
 ROUTING_PAIRS = 256
 ROUTING_SEED = 1024
+#: Candidates per pair in the K_SHORTEST row.
+ROUTING_K = 3
 #: Each side is timed this many times; the fastest pass counts.
 ROUTING_REPEATS = 3
 
 REPORT_PATH = "BENCH_routing.json"
 
 
-def networkx_shortest_path(topology, graph, src, dst):
-    """The immediate baseline: networkx's bidirectional Dijkstra on *graph*
-    (the topology's snapshot), weighing every edge through a link lookup."""
-    import networkx as nx
+def networkx_graph(topology):
+    """A structure-only copy with the topology's node and neighbour order."""
+    graph = nx.Graph()
+    graph.add_nodes_from(topology.node_names())
+    graph.add_edges_from(topology.link_keys())
+    return graph
+
+
+def networkx_paths(policy, topology, graph, src, dst):
+    """The immediate baseline on *graph*, weighing every edge through a link
+    lookup: ``bidirectional_dijkstra``'s path for SHORTEST, the first
+    ``ROUTING_K`` of ``shortest_simple_paths`` for K_SHORTEST."""
 
     def weight(u, v, _data):
         return hop_weight(topology.link_between(u, v))
 
-    return nx.bidirectional_dijkstra(graph, src, dst, weight=weight)[1]
+    if policy == "shortest":
+        return nx.bidirectional_dijkstra(graph, src, dst, weight=weight)[1]
+    generator = nx.shortest_simple_paths(graph, src, dst, weight=weight)
+    return list(itertools.islice(generator, ROUTING_K))
+
+
+def native_paths(policy, topology, src, dst):
+    if policy == "shortest":
+        return shortest_path(topology, src, dst)
+    return k_shortest_paths(topology, src, dst, ROUTING_K)
 
 
 def _fastest(query, pairs):
@@ -116,19 +143,22 @@ def _fastest(query, pairs):
     return paths, best
 
 
-def measure_routing(name, dims, floor):
-    """Native vs networkx SHORTEST over seeded endpoint pairs, same paths."""
+def measure_routing(policy, name, dims, floor):
+    """Native vs networkx *policy* over seeded endpoint pairs, same paths."""
     topology = build_fabric(name, **dims).topology
     rng = random.Random(ROUTING_SEED)
     endpoints = topology.endpoints()
     pairs = [tuple(rng.sample(endpoints, 2)) for _ in range(ROUTING_PAIRS)]
-    native, native_s = _fastest(lambda src, dst: shortest_path(topology, src, dst), pairs)
-    graph = topology.graph  # built outside the baseline's timing
-    baseline, networkx_s = _fastest(
-        lambda src, dst: networkx_shortest_path(topology, graph, src, dst), pairs
+    native, native_s = _fastest(
+        lambda src, dst: native_paths(policy, topology, src, dst), pairs
     )
-    assert native == baseline, f"native SHORTEST diverged from networkx on {name}"
+    graph = networkx_graph(topology)
+    baseline, networkx_s = _fastest(
+        lambda src, dst: networkx_paths(policy, topology, graph, src, dst), pairs
+    )
+    assert native == baseline, f"native {policy} diverged from networkx on {name}"
     return {
+        "policy": policy,
         "topology": name,
         "dimensions": dims,
         "pairs": len(pairs),
@@ -140,24 +170,25 @@ def measure_routing(name, dims, floor):
 
 
 @pytest.mark.parametrize(
-    "name,dims,floor", ROUTING_CASES, ids=[case[0] for case in ROUTING_CASES]
+    "policy,name,dims,floor", ROUTING_CASES, ids=[f"{case[0]}-{case[1]}" for case in ROUTING_CASES]
 )
-def test_native_shortest_path_beats_networkx(name, dims, floor):
-    row = measure_routing(name, dims, floor)
+def test_native_routing_matches_networkx(policy, name, dims, floor):
+    row = measure_routing(policy, name, dims, floor)
     if floor is not None:
         assert row["speedup"] >= floor, (
-            f"native SHORTEST only {row['speedup']:.2f}x networkx on {name} (floor {floor}x)"
+            f"native {policy} only {row['speedup']:.2f}x networkx on {name} (floor {floor}x)"
         )
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description="Native vs networkx SHORTEST routing record")
+    parser = argparse.ArgumentParser(description="Native vs networkx routing record")
     parser.parse_args(argv)
-    rows = [measure_routing(name, dims, floor) for name, dims, floor in ROUTING_CASES]
+    rows = [measure_routing(*case) for case in ROUTING_CASES]
     failed = False
     for row in rows:
         print(
-            f"{row['topology']}: {row['pairs']} pairs, native {row['native_cpu_s'] * 1e3:.1f} ms, "
+            f"{row['policy']} {row['topology']}: {row['pairs']} pairs, "
+            f"native {row['native_cpu_s'] * 1e3:.1f} ms, "
             f"networkx {row['networkx_cpu_s'] * 1e3:.1f} ms -> {row['speedup']:.2f}x "
             f"(floor {row['floor']})"
         )

@@ -15,6 +15,14 @@ run keeps the two sides on the same inputs; a timed traced run takes as
 many samples as fit, so a faster side would take its medians over more
 inputs.
 
+Each pair also times one cold ``python -m repro.cli run hotspot_migration
+--set rows=4 --set columns=4`` process per side, with ``PYTHONPATH``
+pointing at that side's ``src``, and the record keeps each side's median
+and IQR of its wall time under ``cold``: the interpreter start, the
+imports and the set-up that perfbench's warm in-process timer never sees.
+The two sides must print the same row once ``strip_timing`` has removed
+its timing, or the record is not correct.
+
 The child is this checkout as it stands.  Its immediate parent is the
 baseline: ``HEAD`` when the program the runs execute (``src`` and
 ``perfbench``) has uncommitted changes, untracked files included, and
@@ -42,6 +50,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: The directories whose contents the runs execute.
@@ -49,6 +58,11 @@ PROGRAM = ("src", "perfbench")
 #: ``--seconds`` of a traced run: perfbench always takes one sample pair
 #: and stops once the next would not fit, so this yields exactly one.
 TRACED_SECONDS = 1.0
+#: The cold process: one small control-loop run through the CLI.
+COLD_ARGS = ("-m", "repro.cli", "run", "hotspot_migration", "--set", "rows=4", "--set", "columns=4")
+
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from repro.experiments.sweep import strip_timing  # noqa: E402
 
 
 def git(*args: str) -> str:
@@ -98,6 +112,20 @@ def run_side(checkout: str, workload: str, seed: int, seconds: float, trace: int
     }
 
 
+def run_cold(checkout: str):
+    """Wall seconds of one cold :data:`COLD_ARGS` process in *checkout*, and
+    its row without timing."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    start = time.perf_counter()
+    child = subprocess.run([sys.executable, *COLD_ARGS], capture_output=True, text=True,
+                           cwd=checkout, env=env)
+    elapsed = time.perf_counter() - start
+    if child.returncode != 0:
+        sys.stderr.write(child.stderr)
+        sys.exit(f"error: cold run in {checkout} exited with code {child.returncode}")
+    return elapsed, strip_timing(json.loads(child.stdout))
+
+
 def spread(values) -> dict:
     """Median and quartiles of one side's per-pair values."""
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
@@ -128,6 +156,8 @@ def main(argv=None) -> int:
         sides = {"parent": scratch, "child": ROOT}
         runs = {"parent": [], "child": []}
         traced = {"parent": [], "child": []}
+        cold = {"parent": [], "child": []}
+        cold_rows = {"parent": [], "child": []}
         for index in range(args.pairs):
             order = ("parent", "child") if index % 2 == 0 else ("child", "parent")
             for side in order:
@@ -140,6 +170,11 @@ def main(argv=None) -> int:
                 traced[side].append(run)
                 print(f"pair {index} {side} traced: " + json.dumps(run["metrics"]),
                       file=sys.stderr)
+            for side in order:
+                elapsed, row = run_cold(sides[side])
+                cold[side].append(elapsed)
+                cold_rows[side].append(row)
+                print(f"pair {index} {side} cold: {elapsed:.3f} s", file=sys.stderr)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -155,6 +190,9 @@ def main(argv=None) -> int:
             "parent": spread(parent), "child": spread(child),
             "pairs_won": won, "pairs": args.pairs,
         }
+    rows_match = cold_rows["parent"] == cold_rows["child"]
+    if not rows_match:
+        print("error: the cold runs' rows differ between parent and child", file=sys.stderr)
     record = {
         "workload": args.workload,
         "pairs": args.pairs,
@@ -171,10 +209,18 @@ def main(argv=None) -> int:
             "host_ref_s": statistics.median(
                 run["host_ref_s"] for side in runs.values() for run in side),
         },
-        "correct": all(run["correct"] for kind in (runs, traced)
-                       for side in kind.values() for run in side),
+        "correct": rows_match and all(run["correct"] for kind in (runs, traced)
+                                      for side in kind.values() for run in side),
         "failed_frac": {side: max(run["failed_frac"] for run in runs[side]) for side in runs},
         "metrics": metrics,
+        "cold": {
+            "command": " ".join(("python",) + COLD_ARGS),
+            "unit": "s", "better": "lower",
+            "parent": spread(cold["parent"]), "child": spread(cold["child"]),
+            "pairs_won": sum(c < p for p, c in zip(cold["parent"], cold["child"])),
+            "pairs": args.pairs,
+            "rows_match": rows_match,
+        },
         "layers": {side: {name: statistics.median(run["metrics"][name] for run in traced[side])
                           for name in traced[side][0]["metrics"]} for side in traced},
     }
@@ -183,7 +229,7 @@ def main(argv=None) -> int:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(json.dumps({name: (m["parent"]["median"], m["child"]["median"], m["pairs_won"])
-                      for name, m in metrics.items()}))
+                      for name, m in {**metrics, "cold": record["cold"]}.items()}))
     return 0 if record["correct"] else 1
 
 

@@ -532,28 +532,17 @@ class PacketBackend:
         rate while it holds backlog (``busy_until > now``) and at zero
         otherwise -- there is no in-between at a single instant.  This is
         the packet-level ground truth behind the fluid model's
-        ``instantaneous_link_load`` (the sum of flow rates crossing the
-        link), derived from in-flight packet occupancy rather than a
-        since-last-observation window.
+        ``instantaneous_link_load``: the capacity times
+        :meth:`instantaneous_link_utilisation`, exactly 1.0 or 0.0.
         """
-        now = self.simulator.now
-        ports = self.network._ports
-        disabled = self.network.disabled_links
-        load: Dict[DirectedKey, float] = {}
-        for key, capacity in self._capacities.items():
-            if capacity <= 0.0 or key in disabled:
-                load[key] = 0.0
-                continue
-            port = ports.get(key)
-            load[key] = capacity if port is not None and port.busy_until > now else 0.0
-        return load
+        utilisation = self.instantaneous_link_utilisation()
+        return {key: self._capacities[key] * busy for key, busy in utilisation.items()}
 
     def instantaneous_link_utilisation(self) -> Dict[DirectedKey, float]:
         """True instantaneous utilisation: 1.0 while a port holds backlog.
 
         Derived from in-flight packet occupancy at the current instant
-        (``busy_until > now``), exactly like
-        :meth:`instantaneous_link_load`; controllers EWMA-smooth these
+        (``busy_until > now``); controllers EWMA-smooth these
         samples into a duty-cycle estimate, the same way they smooth the
         fluid model's instantaneous rates.
         """

@@ -8,22 +8,21 @@ plus a :class:`Router` that caches paths per :attr:`Topology.version
 <repro.fabric.topology.Topology.version>` and is also invalidated whenever
 the CRC changes the routing weights.
 
-The single shortest path is a native bidirectional search over
-:attr:`Topology.adjacency <repro.fabric.topology.Topology.adjacency>` that
-mirrors ``networkx.bidirectional_dijkstra`` push for push and pop for pop,
-so equal-cost ties break exactly as networkx breaks them.  Only the
-k-shortest and ECMP sets still run networkx (Yen's algorithm, through
-``shortest_simple_paths``), on the topology's structure-only snapshot.
+Every query runs on :attr:`Topology.adjacency
+<repro.fabric.topology.Topology.adjacency>`.  The single shortest path is
+a bidirectional search that mirrors ``networkx.bidirectional_dijkstra``
+push for push and pop for pop, so equal-cost ties break exactly as networkx
+breaks them; the k-shortest and ECMP sets are Yen's algorithm as
+``networkx.shortest_simple_paths`` runs it, on the same searches.
 """
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import itertools
 from collections import deque
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.fabric.topology import Topology
 from repro.phy.link import Link
@@ -62,11 +61,6 @@ class NoPathError(Exception):
     """No route joins the pair: it is disconnected, or a node is unknown."""
 
 
-def _edge_weight(topology: Topology, weight_fn: WeightFn):
-    """A networkx edge-weight callable: *weight_fn* of the live link."""
-    return lambda u, v, _data: weight_fn(topology.link_between(u, v))
-
-
 def shortest_path(
     topology: Topology,
     src: str,
@@ -80,19 +74,23 @@ def shortest_path(
     when the nodes are disconnected (callers treat that as "the CRC must
     repair the topology first") or either node is unknown.
     """
-    adjacency = topology.adjacency
+    return _search(topology, topology.adjacency, src, dst, weight_fn)[1]
+
+
+def _search(topology, adjacency, src, dst, weight_fn, frozen=False) -> Tuple[float, PathType]:
+    """``(length, path)`` over *adjacency* by the search *weight_fn* calls for."""
     for node in (src, dst):
         if node not in adjacency:
             raise NoPathError(f"node {node!r} is not in {topology.name!r}")
     if src == dst:
-        return [src]
+        return 0, [src]
     if weight_fn is hop_weight:
-        path = _bidirectional_bfs(adjacency, src, dst)
+        found = _bidirectional_bfs(adjacency, src, dst)
     else:
-        path = _bidirectional_dijkstra(adjacency, src, dst, weight_fn)
-    if path is None:
+        found = _bidirectional_dijkstra(adjacency, src, dst, weight_fn, frozen)
+    if found is None:
         raise NoPathError(f"no path between {src!r} and {dst!r}")
-    return path
+    return found
 
 
 def _join(forward: Dict[str, Optional[str]], backward: Dict[str, Optional[str]], meet: str):
@@ -110,7 +108,7 @@ def _join(forward: Dict[str, Optional[str]], backward: Dict[str, Optional[str]],
     return path
 
 
-def _bidirectional_dijkstra(adjacency, src, dst, weight_fn) -> Optional[PathType]:
+def _bidirectional_dijkstra(adjacency, src, dst, weight_fn, frozen=False):
     """``networkx.bidirectional_dijkstra``, step for step, on *adjacency*.
 
     Same ``(dist, count, node)`` heaps, the same alternation starting
@@ -119,15 +117,15 @@ def _bidirectional_dijkstra(adjacency, src, dst, weight_fn) -> Optional[PathType
     Like networkx 3.6, the path through ``meetnode`` is read from the live
     predecessor maps when the search stops, not copied when ``finaldist``
     drops: a later relaxation whose total rounds to ``finaldist`` still
-    moves the meet node's predecessor.
+    moves the meet node's predecessor.  *frozen* copies it, as the search
+    inside ``shortest_simple_paths`` does.
     """
     dists: Tuple[Dict[str, float], Dict[str, float]] = ({}, {})
     preds: Tuple[Dict[str, Optional[str]], ...] = ({src: None}, {dst: None})
     seen: Tuple[Dict[str, float], Dict[str, float]] = ({src: 0}, {dst: 0})
     counter = itertools.count()
     fringe = ([(0, next(counter), src)], [(0, next(counter), dst)])
-    finaldist = None
-    meetnode = None
+    finaldist = meetnode = meetpath = None
     direction = 1
     while fringe[0] and fringe[1]:
         direction = 1 - direction
@@ -137,7 +135,7 @@ def _bidirectional_dijkstra(adjacency, src, dst, weight_fn) -> Optional[PathType
             continue
         done[node] = dist
         if node in dists[1 - direction]:
-            return _join(preds[0], preds[1], meetnode)
+            return finaldist, meetpath if frozen else _join(preds[0], preds[1], meetnode)
         reached, other = seen[direction], seen[1 - direction]
         pred, heap = preds[direction], fringe[direction]
         for neighbour, link in adjacency[node].items():
@@ -154,31 +152,33 @@ def _bidirectional_dijkstra(adjacency, src, dst, weight_fn) -> Optional[PathType
                     total = length + other[neighbour]
                     if finaldist is None or finaldist > total:
                         finaldist, meetnode = total, neighbour
+                        if frozen:
+                            meetpath = _join(preds[0], preds[1], meetnode)
     return None
 
 
-def _bidirectional_bfs(adjacency, src, dst) -> Optional[PathType]:
+def _bidirectional_bfs(adjacency, src, dst):
     """:func:`_bidirectional_dijkstra` under ``hop_weight``, on two FIFO queues.
 
     With unit weights each heap pops in push order (distances are pushed
     non-decreasing, and the counter breaks ties) and never holds a node
     twice (a node is first seen at its final distance), so a FIFO queue
     pops the same nodes in the same order and only unseen neighbours are
-    pushed.  Integer hop sums equal the exact sums of ``1.0``.
+    pushed.  Integer hop sums equal the exact sums of ``1.0``.  A
+    predecessor never moves, so both meet rules give the same path.
     """
     done: Tuple[set, set] = (set(), set())
     preds: Tuple[Dict[str, Optional[str]], ...] = ({src: None}, {dst: None})
     seen: Tuple[Dict[str, int], Dict[str, int]] = ({src: 0}, {dst: 0})
     fringe = (deque([src]), deque([dst]))
-    finaldist = None
-    meetnode = None
+    finaldist = meetnode = None
     direction = 1
     while fringe[0] and fringe[1]:
         direction = 1 - direction
         node = fringe[direction].popleft()
         done[direction].add(node)
         if node in done[1 - direction]:
-            return _join(preds[0], preds[1], meetnode)
+            return finaldist, _join(preds[0], preds[1], meetnode)
         reached, other = seen[direction], seen[1 - direction]
         pred, queue = preds[direction], fringe[direction]
         length = reached[node] + 1
@@ -194,16 +194,59 @@ def _bidirectional_bfs(adjacency, src, dst) -> Optional[PathType]:
     return None
 
 
-@contextlib.contextmanager
-def _networkx():
-    """networkx, for Yen's algorithm; its no-path and missing-node errors
-    re-raised as :class:`NoPathError`."""
-    import networkx as nx
+def _path_cost(topology: Topology, path: Sequence[str], weight_fn: WeightFn) -> float:
+    """*path*'s weight summed link by link from its first node, with builtin ``sum``."""
+    return sum(weight_fn(link) for link in path_links(topology, path))
 
-    try:
-        yield nx
-    except (nx.NetworkXNoPath, nx.NodeNotFound) as error:
-        raise NoPathError(str(error)) from error
+
+def _cut(adjacency, node: str, neighbour: str) -> None:
+    """Drop *neighbour* from a copy of *node*'s entry in *adjacency*, order kept."""
+    adjacency[node] = {n: link for n, link in adjacency[node].items() if n != neighbour}
+
+
+def _simple_paths(
+    topology: Topology, src: str, dst: str, weight_fn: WeightFn
+) -> Iterator[PathType]:
+    """Loop-free paths from *src* to *dst*, cheapest first: Yen's algorithm.
+
+    ``networkx.shortest_simple_paths`` step for step, ties included.  A
+    path's spur searches run when the next path is asked for, on a copy of
+    the adjacency with the root's other nodes and each accepted path's edge
+    out of ``root[-1]`` cut out, so the searches carry no filter.  A
+    candidate costs its root's ``sum()`` plus the spur's search length and
+    waits once on a ``(cost, counter, path)`` heap.
+    """
+    adjacency = topology.adjacency
+    length, path = _search(topology, adjacency, src, dst, weight_fn, frozen=True)
+    counter = itertools.count()
+    candidates = [(length, next(counter), path)]
+    queued = {tuple(path)}
+    accepted: List[PathType] = []
+    while candidates:
+        path = heappop(candidates)[2]
+        queued.remove(tuple(path))
+        yield path
+        accepted.append(path)
+        pruned = dict(adjacency)
+        for i in range(1, len(path)):
+            root = path[:i]
+            spur_node = root[-1]
+            root_length = _path_cost(topology, root, weight_fn)
+            for other in accepted:
+                if other[:i] == root:
+                    _cut(pruned, spur_node, other[i])
+                    _cut(pruned, other[i], spur_node)
+            try:
+                length, spur = _search(topology, pruned, spur_node, dst, weight_fn, frozen=True)
+            except NoPathError:
+                pass
+            else:
+                candidate = root[:-1] + spur
+                if tuple(candidate) not in queued:
+                    heappush(candidates, (root_length + length, next(counter), candidate))
+                    queued.add(tuple(candidate))
+            for neighbour in pruned[spur_node]:
+                _cut(pruned, neighbour, spur_node)
 
 
 def k_shortest_paths(
@@ -215,16 +258,12 @@ def k_shortest_paths(
 ) -> List[PathType]:
     """Up to *k* loop-free shortest paths in non-decreasing cost order.
 
-    Yen's algorithm (``networkx.shortest_simple_paths``) on
-    :attr:`Topology.graph`; raises :class:`NoPathError` like
-    :func:`shortest_path`.
+    The first *k* of Yen's paths, as ``networkx.shortest_simple_paths``
+    lists them; raises :class:`NoPathError` like :func:`shortest_path`.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k!r}")
-    weight = _edge_weight(topology, weight_fn)
-    with _networkx() as nx:
-        generator = nx.shortest_simple_paths(topology.graph, src, dst, weight=weight)
-        return list(itertools.islice(generator, k))
+    return list(itertools.islice(_simple_paths(topology, src, dst, weight_fn), k))
 
 
 def ecmp_paths(
@@ -235,20 +274,19 @@ def ecmp_paths(
 ) -> List[PathType]:
     """All equal-minimum-cost paths between *src* and *dst*.
 
-    Costs within a relative ``1e-12`` of the minimum count as equal, so the
-    tolerance holds whatever the scale of the weights (``1 / capacity`` costs
-    are ~1e-11 per link, hop counts are exact integers).  Runs networkx on
-    :attr:`Topology.graph` like :func:`k_shortest_paths`.
+    Yen's paths in order, for as long as each one's ``sum()`` cost stays
+    within a relative ``1e-12`` of the first one's, so the tolerance holds
+    whatever the scale of the weights (``1 / capacity`` costs are ~1e-11 per
+    link, hop counts are exact integers).  Raises :class:`NoPathError` like
+    :func:`shortest_path`.
     """
-    weight = _edge_weight(topology, weight_fn)
-    paths: List[PathType] = []
-    with _networkx() as nx:
-        best_cost = nx.shortest_path_length(topology.graph, src, dst, weight=weight)
-        for path in nx.shortest_simple_paths(topology.graph, src, dst, weight=weight):
-            cost = sum(weight_fn(link) for link in path_links(topology, path))
-            if cost > best_cost + 1e-12 * abs(best_cost):
-                break
-            paths.append(path)
+    generator = _simple_paths(topology, src, dst, weight_fn)
+    paths = [next(generator)]
+    best_cost = _path_cost(topology, paths[0], weight_fn)
+    for path in generator:
+        if _path_cost(topology, path, weight_fn) > best_cost + 1e-12 * abs(best_cost):
+            break
+        paths.append(path)
     return paths
 
 
@@ -352,8 +390,4 @@ class Router:
 
     def path_cost(self, path: Sequence[str]) -> float:
         """Total weight of *path* under the current weight function."""
-        return sum(self.weight_fn(link) for link in path_links(self.topology, path))
-
-    def hop_count(self, src: str, dst: str) -> int:
-        """Number of links on the selected path for the pair."""
-        return len(self.path(src, dst)) - 1
+        return _path_cost(self.topology, path, self.weight_fn)

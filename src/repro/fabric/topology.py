@@ -17,16 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.fabric.node import Node, NodeType
 from repro.phy.fec import FEC_RS528, FecScheme
 from repro.phy.link import Link
 from repro.phy.media import COPPER_DAC, Media
 from repro.sim.units import GBPS
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 #: Default spacing between adjacent switching elements, from the paper's
 #: Figure 1 caption ("we assume a switch every 2 meters").
@@ -64,9 +61,6 @@ class Topology:
         self._links: Dict[LinkKey, Link] = {}
         #: node -> {neighbour: link}, both levels in insertion order.
         self._adjacency: Dict[str, Dict[str, Link]] = {}
-        #: Yen's algorithm runs on a networkx snapshot, rebuilt per version.
-        self._graph: Optional["nx.Graph"] = None
-        self._graph_version = -1
         #: Registered topology-family name this graph was built as (e.g.
         #: ``"grid"``, ``"fat-tree"``) and the dimensions it was built with.
         #: ``None``/empty for hand-assembled topologies.  The control loop
@@ -182,24 +176,6 @@ class Topology:
         ties by this order.
         """
         return self._adjacency
-
-    @property
-    def graph(self) -> "nx.Graph":
-        """A structure-only networkx snapshot of the current graph.
-
-        Built on first use after the version moves, by replaying
-        :meth:`node_names` and then :meth:`link_keys`, so its node and
-        neighbour orders equal :attr:`adjacency`'s.  Only Yen's algorithm
-        (``k_shortest_paths``, ``ecmp_paths``) needs it; do not mutate it.
-        """
-        if self._graph_version != self.version:
-            import networkx
-
-            graph = networkx.Graph()
-            graph.add_nodes_from(self._nodes)
-            graph.add_edges_from(self._links)
-            self._graph, self._graph_version = graph, self.version
-        return self._graph
 
     def _hops_from(self, start: str) -> Dict[str, int]:
         """Hop distance from *start* to every node it reaches (BFS)."""

@@ -1,8 +1,8 @@
 """Native routing: one no-path error for every query, and no networkx at runtime.
 
-SHORTEST routes and the hop-count graph queries run on the topology's own
-adjacency, so a SHORTEST-routed experiment never imports networkx; only the
-k-shortest and ECMP sets (Yen's algorithm) still load it.  Every path query
+SHORTEST routes, the k-shortest and ECMP sets (Yen's algorithm) and the
+hop-count graph queries all run on the topology's own adjacency, so no
+experiment imports networkx, whatever its controller.  Every path query
 reports a disconnected pair or an unknown node as
 :class:`~repro.fabric.routing.NoPathError`, which is the one exception the
 control plane catches.
@@ -83,6 +83,8 @@ def test_a_split_topology_strands_flows_without_raising():
 RUN_WITHOUT_NETWORKX = """
 import sys
 
+controller, backend = sys.argv[1:]
+
 from repro.experiments.api import ExperimentSpec, run_experiment
 from repro.experiments.harness import build_fabric, fabric_state_row
 from repro.fabric.routing import RoutingPolicy
@@ -96,7 +98,11 @@ spec = WorkloadSpec(
     nodes=fabric.topology.endpoints(), mean_flow_size_bits=megabytes(0.1), seed=3
 )
 flows = UniformRandomWorkload(spec, num_flows=32).generate()
-record = run_experiment(ExperimentSpec(fabric=fabric, flows=flows, backend="fluid"))
+record = run_experiment(
+    ExperimentSpec(
+        fabric=fabric, flows=flows, controller=controller, backend=backend, engine="batched"
+    )
+)
 assert record.metrics["completion_fraction"] == 1.0
 assert fabric.router.cache_misses > 0
 fabric_state_row(fabric)
@@ -105,10 +111,21 @@ assert not loaded, f"networkx modules loaded: {loaded[:5]}"
 """
 
 
-def test_a_shortest_routed_fluid_run_never_imports_networkx():
+#: ``(controller, backend)``: SHORTEST alone, the loop's k-shortest
+#: candidates on both backends (packet on the batched engine), ECMP sets.
+NO_NETWORKX_RUNS = {
+    "shortest-fluid": ("none", "fluid"),
+    "loop-fluid": ("loop", "fluid"),
+    "loop-packet": ("loop", "packet"),
+    "ecmp-fluid": ("ecmp", "fluid"),
+}
+
+
+@pytest.mark.parametrize("controller,backend", NO_NETWORKX_RUNS.values(), ids=NO_NETWORKX_RUNS)
+def test_a_run_never_imports_networkx(controller, backend):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run(
-        [sys.executable, "-c", RUN_WITHOUT_NETWORKX],
+        [sys.executable, "-c", RUN_WITHOUT_NETWORKX, controller, backend],
         capture_output=True,
         text=True,
         env=env,
