@@ -5,7 +5,7 @@ validate it against a NetFPGA SUME hardware proof of concept, then trust the
 large-scale simulation.  We have no NetFPGA, so the validation step becomes:
 the packet-level simulator and the closed-form analytical latency model must
 agree on small topologies to within a tight tolerance.  The same check runs
-as a test (continuously) and as benchmark E6 (reported in EXPERIMENTS.md).
+as a test (continuously) and as ``benchmarks/bench_poc_validation.py``.
 """
 
 from __future__ import annotations

@@ -24,8 +24,7 @@ candidate *refuses* a fabric from a different family with a ``ValueError``
 naming both families -- proposing a grid move against a dragonfly would
 silently emit geometric nonsense otherwise.
 
-This module sits below :mod:`repro.core.control` (which re-exports the
-candidate classes for backward compatibility) and must not import it.
+This module sits below :mod:`repro.core.control` and must not import it.
 """
 
 from __future__ import annotations

@@ -24,9 +24,8 @@ Every tick the loop walks one lap of the ring:
 
 1. **observe** -- pull instantaneous link utilisation and per-flow state
    from the simulation backend, fold the utilisation into the fabric's
-   per-link :class:`~repro.phy.stats.EwmaEstimator`, and record the
-   headline series into a
-   :class:`~repro.telemetry.collector.TelemetryCollector`;
+   per-link :class:`~repro.phy.stats.EwmaEstimator`, and record the tick's
+   power sample into the fabric's power budget;
 2. **price** -- sync the :class:`~repro.core.scheduler.FlowScheduler`'s
    view of the observed per-link load, from which its
    :class:`~repro.core.cost.LinkPriceTagger` prices links (the fabric's own
@@ -57,11 +56,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from repro.core.candidates import (
-    GridToTorusCandidate,
-    PlanCandidate,
-    PlanProposal,
-)
+from repro.core.candidates import PlanCandidate
 from repro.core.cost import LinkPriceTagger, PriceWeights
 from repro.core.plp import PLPExecutor, PLPResult, ReconfigurationDelays
 from repro.core.reconfiguration import (
@@ -76,9 +71,7 @@ from repro.phy.stats import EwmaEstimator
 from repro.sim.engine import Simulator
 from repro.sim.fluid import FluidFlowSimulator, FluidResult
 from repro.sim.process import PeriodicProcess
-from repro.sim.trace import NullTrace, TraceRecorder
 from repro.sim.units import microseconds
-from repro.telemetry.collector import TelemetryCollector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.fabric.packetsim import PacketBackend
@@ -190,9 +183,6 @@ __all__ = [
     "ControlLoop",
     "ControlLoopConfig",
     "ControlTick",
-    "GridToTorusCandidate",
-    "PlanCandidate",
-    "PlanProposal",
     "SimulationBackend",
 ]
 
@@ -219,11 +209,6 @@ class ControlLoop:
         fabric looks congested.
     config:
         Loop knobs; defaults are the ``docs/control-loop.md`` values.
-    telemetry:
-        Collector the loop records its time series into; a private one is
-        created when omitted (exposed as :attr:`telemetry`).
-    trace:
-        Optional event trace recorder.
     """
 
     def __init__(
@@ -231,13 +216,9 @@ class ControlLoop:
         fabric: Fabric,
         candidates: Sequence[PlanCandidate] = (),
         config: Optional[ControlLoopConfig] = None,
-        telemetry: Optional[TelemetryCollector] = None,
-        trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.fabric = fabric
         self.config = config if config is not None else ControlLoopConfig()
-        self.telemetry = telemetry if telemetry is not None else TelemetryCollector()
-        self.trace = trace if trace is not None else NullTrace()
         self.tagger = LinkPriceTagger(weights=self.config.price_weights)
         self.scheduler = FlowScheduler(
             fabric,
@@ -254,6 +235,10 @@ class ControlLoop:
         self.ticks: List[ControlTick] = []
         self.reconfiguration_times: List[float] = []
         self.flows_rerouted_total = 0
+        #: Approved plans whose PLP batch failed entirely (nothing changed)
+        #: or in part (the fabric changed; the transition still ran).
+        self.plans_rejected = 0
+        self.plans_partial = 0
         # Seeded at zero: an EWMA that adopts its first sample wholesale
         # would let a spike on the very first tick pass the spike filter.
         self.demand_ewma = EwmaEstimator(alpha=self.config.telemetry_alpha, initial=0.0)
@@ -366,11 +351,6 @@ class ControlLoop:
         self.demand_ewma.update(pending_bits)
         power = self.fabric.power_report().total_watts
         self.fabric.power_budget.record(now, power)
-        self.telemetry.record("max_utilisation", now, raw_max)
-        self.telemetry.record("smoothed_max_utilisation", now, smoothed_max)
-        self.telemetry.record("active_flows", now, float(len(active)))
-        self.telemetry.record("pending_demand_bits", now, pending_bits)
-        self.telemetry.record("fabric_power_watts", now, power)
 
         # 2. price ------------------------------------------------------ #
         self.scheduler.sync_observed_load(sim.instantaneous_link_load())
@@ -422,14 +402,6 @@ class ControlLoop:
         )
         self.ticks.append(record)
         self.flows_rerouted_total += rerouted
-        self.trace.record(
-            now,
-            "control_tick",
-            index=record.index,
-            max_utilisation=smoothed_max,
-            rerouted=rerouted,
-            reconfigured=reconfigured,
-        )
 
     # ------------------------------------------------------------------ #
     # Observation helpers
@@ -513,17 +485,15 @@ class ControlLoop:
         A batch may partially fail (e.g. a command targeting a link that a
         concurrent failure just took down).  The fabric has still changed,
         so the reconfiguration is recorded and the transition proceeds, but
-        the failures are traced and counted; only a batch that failed
-        *entirely* is treated as a no-op (nothing changed, the candidate
-        stays live for the next tick).
+        the plan is counted in :attr:`plans_partial`; only a batch that
+        failed *entirely* is treated as a no-op (nothing changed, the
+        candidate stays live for the next tick), counted in
+        :attr:`plans_rejected`.
         """
         results = self.executor.execute_batch(plan.commands, now=now)
         failed = [result for result in results if result.failed]
         if len(failed) == len(results):
-            self.trace.record(
-                now, "reconfiguration_rejected", plan=plan.name,
-                detail=failed[0].detail if failed else "",
-            )
+            self.plans_rejected += 1
             return results
         completion = PLPExecutor.batch_completion_time(results)
         self.planner.commit(now)
@@ -531,13 +501,7 @@ class ControlLoop:
         self.reconfiguration_times.append(now)
         self.fabric.invalidate_routes()
         if failed:
-            self.trace.record(
-                now,
-                "reconfiguration_partial",
-                plan=plan.name,
-                failed=len(failed),
-                detail="; ".join(result.detail for result in failed),
-            )
+            self.plans_partial += 1
 
         # Push new capacities into the fluid model.  Links that shrank take
         # effect immediately (the lanes are gone); links created by the plan
@@ -576,21 +540,11 @@ class ControlLoop:
                 completion, self._on_transition_complete, priority=-1
             )
         elif completion <= now:
-            self._finish_transition(now)
-
-        self.telemetry.record("reconfigurations", now, float(len(self.reconfiguration_times)))
-        self.trace.record(
-            now,
-            "reconfiguration_started",
-            plan=plan.name,
-            commands=plan.command_count,
-            completes_at=completion,
-        )
+            self._finish_transition()
         return results
 
     def _on_transition_complete(self) -> None:
-        assert self._engine is not None
-        self._finish_transition(self._engine.now)
+        self._finish_transition()
         if self._sim is not None:
             # The forced wave onto the freshly trained links counts toward
             # the loop's reroute total (it is usually the largest move of
@@ -599,7 +553,7 @@ class ControlLoop:
                 self._sim, frozenset(), force_all=True
             )
 
-    def _finish_transition(self, now: float) -> None:
+    def _finish_transition(self) -> None:
         """Enable trained links and close the transition window."""
         if self._sim is None or self._transition_until is None:
             return
@@ -613,7 +567,6 @@ class ControlLoop:
             if self._sim.has_link(key):
                 self._sim.set_capacity(key, capacity)
         self.fabric.invalidate_routes()
-        self.trace.record(now, "reconfiguration_complete")
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -625,6 +578,8 @@ class ControlLoop:
             "commands_executed": float(self.executor.commands_executed),
             "commands_failed": float(self.executor.commands_failed),
             "reconfigurations": float(len(self.reconfiguration_times)),
+            "plans_rejected": float(self.plans_rejected),
+            "plans_partial": float(self.plans_partial),
             "flows_rerouted": float(self.flows_rerouted_total),
             "total_reconfiguration_time": self.executor.total_reconfiguration_time,
             "peak_power_watts": self.fabric.power_budget.peak_watts(),

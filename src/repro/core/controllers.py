@@ -35,13 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro.core.candidates import candidates_for_topology
-from repro.core.control import ControlLoop, ControlLoopConfig, PlanCandidate
+from repro.core.candidates import PlanCandidate, candidates_for_topology
+from repro.core.control import ControlLoop, ControlLoopConfig
 from repro.core.crc import ClosedRingControl, CRCConfig
 from repro.fabric.fabric import Fabric
 from repro.fabric.routing import Router, RoutingPolicy
 from repro.sim.fluid import FluidFlowSimulator, FluidResult
-from repro.telemetry.collector import TelemetryCollector
 
 
 class ControllerError(ValueError):
@@ -103,11 +102,6 @@ class Controller:
     def simulator(self) -> Optional[FluidFlowSimulator]:
         """The attached fluid simulator (after :meth:`attach`)."""
         return self._simulator
-
-    @property
-    def telemetry(self) -> Optional[TelemetryCollector]:
-        """Per-tick telemetry series, for controllers that record them."""
-        return None
 
     def prepare(self, fabric: Fabric) -> None:
         """Inspect or mutate *fabric* before any flow is routed on it."""
@@ -263,7 +257,6 @@ class LoopController(Controller):
         self,
         config: Optional[ControlLoopConfig] = None,
         candidates: Optional[Sequence[PlanCandidate]] = None,
-        telemetry: Optional[TelemetryCollector] = None,
     ) -> None:
         """With no explicit *candidates*, the loop's moves are those the
         candidate registry (:mod:`repro.core.candidates`) holds for the
@@ -273,13 +266,7 @@ class LoopController(Controller):
         super().__init__()
         self._config = config if config is not None else ControlLoopConfig()
         self._candidates = candidates
-        self._telemetry = telemetry
         self.loop: Optional[ControlLoop] = None
-
-    @property
-    def telemetry(self) -> Optional[TelemetryCollector]:
-        """The loop's per-tick telemetry collector."""
-        return self.loop.telemetry if self.loop is not None else self._telemetry
 
     def attach(self, simulator: object) -> None:
         """Build the loop against the loaded simulation and bind it.
@@ -305,7 +292,6 @@ class LoopController(Controller):
             self._fabric,
             candidates=candidates,
             config=self._config,
-            telemetry=self._telemetry,
         )
         self.loop.bind(simulator)
 

@@ -42,7 +42,6 @@ from repro.fabric.fabric import Fabric
 from repro.fabric.routing import NoPathError
 from repro.fabric.topology import merge_directed_values
 from repro.sim.fluid import FluidFlowSimulator
-from repro.sim.trace import NullTrace, TraceRecorder
 from repro.sim.units import microseconds
 
 LinkKey = Tuple[str, str]
@@ -130,11 +129,9 @@ class ClosedRingControl:
         fabric: Fabric,
         config: Optional[CRCConfig] = None,
         policy: Optional[ControlPolicy] = None,
-        trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.fabric = fabric
         self.config = config if config is not None else CRCConfig()
-        self.trace = trace if trace is not None else NullTrace()
         self.executor = PLPExecutor(fabric, delays=self.config.delays)
         self.planner = ReconfigurationPlanner(
             delays=self.config.delays,
@@ -234,14 +231,6 @@ class ClosedRingControl:
         )
         self.iterations.append(record)
         self.fabric.power_budget.record(now, record.power_watts)
-        self.trace.record(
-            now,
-            "control_tick",
-            iteration=record.iteration,
-            max_utilisation=record.max_utilisation,
-            commands=record.commands_issued,
-            reconfigured=reconfigured,
-        )
         return results
 
     # ------------------------------------------------------------------ #

@@ -137,7 +137,7 @@ class GridToTorusPlan:
         one lane alive.
     lanes_per_wraparound:
         Bundle size of every created wrap-around link.  (The control
-        loop's :class:`~repro.core.control.GridToTorusCandidate` sizes
+        loop's :class:`~repro.core.candidates.GridToTorusCandidate` sizes
         this to spend the whole harvested budget.)
     """
 

@@ -4,7 +4,7 @@ Every layer of the repo -- the scenario registry, the parallel sweep
 engine, the static/ECMP/adaptive comparison, the CLI, the benchmarks and
 the examples -- funnels through this module.  An
 :class:`ExperimentSpec` declares *what* to run (fabric, flows, controller
-name + configuration, failure plan, stop time); :func:`run_experiment`
+name + configuration, failure plan); :func:`run_experiment`
 walks the fixed controller lifecycle
 (:meth:`~repro.core.controllers.Controller.prepare` ->
 route flows -> :meth:`~repro.core.controllers.Controller.attach` ->
@@ -21,7 +21,7 @@ scenarios, sweeps, the CLI -- without a bespoke runner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.core.controllers import (
     Controller,
@@ -34,7 +34,6 @@ from repro.fabric.packetsim import ENGINES, PacketBackend
 from repro.sim.flow import Flow, FlowSet
 from repro.sim.fluid import FluidFlowSimulator, FluidResult
 from repro.sim.transport import TransportConfig
-from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.metrics import straggler_ratio
 
 #: JSON-safe scalar types allowed verbatim in provenance dictionaries.
@@ -77,17 +76,8 @@ class ExperimentSpec:
         Keyword arguments for the controller's factory.
     failures:
         Failure plan injected into the run by a
-        :class:`~repro.fabric.failures.FailureInjector`, identically for
-        every controller.
-    failure_period:
-        Failure-injector sampling period (seconds).
-    until:
-        Optional absolute stop time (flows may be left unfinished).
-    flow_rate_limit_bps:
-        Per-flow rate cap; default is the slowest endpoint NIC rate.
-        Fluid backend only: the packet backend's injection is inherently
-        limited by first-link serialization and the transport window, so
-        the cap does not apply there.
+        :class:`~repro.fabric.failures.FailureInjector` at its default
+        sampling period, identically for every controller.
     backend:
         Simulation backend: ``"fluid"`` (flow-level max-min rates, the
         default) or ``"packet"`` (whole scenario packetised through
@@ -135,9 +125,6 @@ class ExperimentSpec:
     controller: str = "none"
     controller_config: Mapping[str, object] = field(default_factory=dict)
     failures: Sequence[FailureEvent] = ()
-    failure_period: float = 1e-4
-    until: Optional[float] = None
-    flow_rate_limit_bps: Optional[float] = None
     backend: str = "fluid"
     transport: Optional[TransportConfig] = None
     allocator: str = "incremental"
@@ -154,9 +141,6 @@ class ExperimentSpec:
             "fabric": repr(self.fabric),
             "num_flows": len(self.flows),
             "num_failure_events": len(self.failures),
-            "failure_period": self.failure_period,
-            "until": self.until,
-            "flow_rate_limit_bps": self.flow_rate_limit_bps,
             "backend": self.backend,
             "transport": _jsonable(self.transport) if self.transport is not None else None,
             "allocator": self.allocator,
@@ -172,8 +156,8 @@ class RunRecord:
     The serialisable triple (``metrics``, ``controller_summary``,
     ``provenance``) shares its schema with sweep rows; the remaining
     fields are in-process handles for callers that want to dig deeper
-    (the fluid result, the flow set, the fabric in its final state, the
-    controller instance and its per-tick telemetry).
+    (the fluid result, the flow set, the fabric in its final state and
+    the controller instance, whose loop keeps one record per tick).
     """
 
     label: str
@@ -185,7 +169,6 @@ class RunRecord:
     flows: FlowSet = field(repr=False)
     fabric: Fabric = field(repr=False)
     controller_instance: Optional[Controller] = field(default=None, repr=False)
-    telemetry: Optional[TelemetryCollector] = field(default=None, repr=False)
 
     @property
     def makespan(self) -> Optional[float]:
@@ -247,17 +230,16 @@ def _default_flow_rate_limit(fabric: Fabric) -> Optional[float]:
 def _build_fluid(
     fabric: Fabric,
     flows: Sequence[Flow],
-    flow_rate_limit_bps: Optional[float],
-    failure_events: Optional[Sequence[FailureEvent]],
-    failure_period: float,
+    failure_events: Sequence[FailureEvent],
     allocator: str = "incremental",
     max_events: int = 10_000_000,
-) -> Tuple[FluidFlowSimulator, Optional[FailureInjector]]:
-    """Fluid simulator preloaded with the fabric's links, flows and failures."""
-    if flow_rate_limit_bps is None:
-        flow_rate_limit_bps = _default_flow_rate_limit(fabric)
+) -> FluidFlowSimulator:
+    """Fluid simulator preloaded with the fabric's links, flows and failures.
+
+    Every flow is capped at the slowest endpoint NIC rate.
+    """
     simulator = FluidFlowSimulator(
-        flow_rate_limit_bps=flow_rate_limit_bps,
+        flow_rate_limit_bps=_default_flow_rate_limit(fabric),
         allocator=allocator,
         max_events=max_events,
     )
@@ -266,11 +248,9 @@ def _build_fluid(
     for flow in flows:
         keys = fabric.route_keys(flow.src, flow.dst, flow_id=flow.flow_id)
         simulator.add_flow(flow, keys)
-    injector: Optional[FailureInjector] = None
     if failure_events:
-        injector = FailureInjector(fabric, failure_events)
-        injector.attach(simulator, period=failure_period)
-    return simulator, injector
+        FailureInjector(fabric, failure_events).attach(simulator)
+    return simulator
 
 
 # --------------------------------------------------------------------------- #
@@ -280,20 +260,21 @@ def _build_packet(
     fabric: Fabric,
     flows: Sequence[Flow],
     transport: Optional[TransportConfig],
-    failure_events: Optional[Sequence[FailureEvent]],
-    failure_period: float,
+    failure_events: Sequence[FailureEvent],
     max_events: int = 10_000_000,
     engine: str = "event",
-) -> Tuple[PacketBackend, Optional[FailureInjector]]:
-    """Packet backend preloaded with routed flows and the failure plan."""
+) -> PacketBackend:
+    """Packet backend preloaded with routed flows and the failure plan.
+
+    The packet backend applies no per-flow rate cap: first-link
+    serialization and the transport window already bound injection.
+    """
     backend = PacketBackend(
         fabric, flows, transport=transport, max_events=max_events, engine=engine
     )
-    injector: Optional[FailureInjector] = None
     if failure_events:
-        injector = FailureInjector(fabric, failure_events)
-        injector.attach(backend, period=failure_period)
-    return backend, injector
+        FailureInjector(fabric, failure_events).attach(backend)
+    return backend
 
 
 # --------------------------------------------------------------------------- #
@@ -335,28 +316,24 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
     controller = create_controller(spec.controller, spec.controller_config)
     controller.prepare(fabric)
     if spec.backend == "packet":
-        simulator: object
-        simulator, _ = _build_packet(
+        simulator: object = _build_packet(
             fabric,
             spec.flows,
             spec.transport,
-            spec.failures or None,
-            spec.failure_period,
+            spec.failures,
             max_events=spec.max_events,
             engine=spec.engine,
         )
     else:
-        simulator, _ = _build_fluid(
+        simulator = _build_fluid(
             fabric,
             spec.flows,
-            spec.flow_rate_limit_bps,
-            spec.failures or None,
-            spec.failure_period,
+            spec.failures,
             allocator=spec.allocator,
             max_events=spec.max_events,
         )
     controller.attach(simulator)  # type: ignore[arg-type]
-    fluid_result = controller.run(until=spec.until)
+    fluid_result = controller.run()
     flow_set = FlowSet(spec.flows)
     summary = controller.summary()
     metrics: Dict[str, object] = {
@@ -385,5 +362,4 @@ def run_experiment(spec: ExperimentSpec) -> RunRecord:
         flows=flow_set,
         fabric=fabric,
         controller_instance=controller,
-        telemetry=controller.telemetry,
     )

@@ -1,11 +1,10 @@
 """Row generators for the paper's figures.
 
-These functions produce the exact rows/series the benchmarks print and
-EXPERIMENTS.md quotes.  Since the scenario registry landed they are thin
-queries over sweep results: each figure expands the configurations it
-compares into :class:`~repro.experiments.sweep.SweepRun` units, executes
-them through the sweep engine, and selects its columns from the returned
-rows.  Keeping them importable (rather than inline in the benchmark files)
+These functions produce the exact rows/series the benchmarks print.
+Since the scenario registry landed they are thin queries over sweep
+results: each figure expands the configurations it compares into
+:class:`~repro.experiments.sweep.SweepRun` units, executes them through
+the sweep engine, and selects its columns from the returned rows.  Keeping them importable (rather than inline in the benchmark files)
 lets the unit tests assert the qualitative claims -- e.g. "switching
 dominates propagation at every rack-scale distance" -- without going
 through pytest-benchmark.

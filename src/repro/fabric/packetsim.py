@@ -56,7 +56,6 @@ from repro.sim.packet import (
     PortState,
 )
 from repro.sim.packet_batch import BatchedPacketCore
-from repro.sim.trace import NullTrace, TraceRecorder
 from repro.sim.transport import PacketTransport, TransportConfig
 
 DirectedKey = Tuple[str, str]
@@ -80,8 +79,6 @@ class PacketLevelNetwork(PortLedger):
         Event engine the forwarding events run on.
     fabric:
         The fabric whose topology, switches and link stats are used.
-    trace:
-        Optional event trace recorder.
     ecn_threshold:
         Backlog fraction of the buffer above which arrivals are marked.
     record_hops:
@@ -98,14 +95,12 @@ class PacketLevelNetwork(PortLedger):
         self,
         simulator: Simulator,
         fabric: Fabric,
-        trace: Optional[TraceRecorder] = None,
         ecn_threshold: float = DEFAULT_ECN_THRESHOLD,
         record_hops: bool = True,
         retain_packets: bool = True,
     ) -> None:
         super().__init__(fabric, ecn_threshold)
         self.simulator = simulator
-        self.trace = trace if trace is not None else NullTrace()
         self.record_hops = record_hops
         self.retain_packets = retain_packets
         self.delivered: List[Packet] = []
@@ -240,6 +235,8 @@ class PacketLevelNetwork(PortLedger):
     def _drop(
         self, packet: Packet, port: PortState, here: str, nxt: str, reason: str
     ) -> None:
+        # ``here``/``nxt`` go unread; the caller, ``_forward``, is pinned by
+        # D003, so its call shape stays.
         packet.mark_dropped(reason)
         port.packets_dropped += 1
         port.bits_dropped += packet.size_bits
@@ -247,16 +244,11 @@ class PacketLevelNetwork(PortLedger):
         self.in_flight -= 1
         if self.retain_packets:
             self.dropped.append(packet)
-        self.trace.record(
-            self.simulator.now,
-            "packet_dropped",
-            packet_id=packet.packet_id,
-            at=f"{here}->{nxt}",
-        )
         if self.on_dropped is not None:
             self.on_dropped(packet)
 
     def _deliver(self, packet: Packet, path: List[str]) -> None:
+        # ``path`` goes unread, for the same reason as ``_drop``'s ports.
         packet.mark_delivered(self.simulator.now)
         self.delivered_count += 1
         self.in_flight -= 1
@@ -264,15 +256,6 @@ class PacketLevelNetwork(PortLedger):
         self.queueing_samples.append(packet.queueing_seconds)
         if self.retain_packets:
             self.delivered.append(packet)
-        self.trace.record(
-            self.simulator.now,
-            "packet_delivered",
-            packet_id=packet.packet_id,
-            src=packet.src,
-            dst=packet.dst,
-            latency=packet.latency,
-            hops=len(path) - 1,
-        )
         if self.on_delivered is not None:
             self.on_delivered(packet)
 
@@ -327,7 +310,7 @@ class PacketBackend:
     faster on the scale-guard workload
     (``benchmarks/bench_packet_scale.py``).  The batched engine is
     lean-only: it materialises no :class:`~repro.sim.packet.Packet`
-    objects, so ``trace``, ``record_hops`` and ``retain_packets`` (the
+    objects, so ``record_hops`` and ``retain_packets`` (the
     per-packet Figure-1 breakdown path) require ``engine="event"``.  The
     only sanctioned metric difference is ``events_processed``: the
     batched engine counts calendar entries, and one entry can carry a
@@ -340,7 +323,6 @@ class PacketBackend:
         fabric: Fabric,
         flows: Sequence[Flow],
         transport: Optional[TransportConfig] = None,
-        trace: Optional[TraceRecorder] = None,
         record_hops: bool = False,
         retain_packets: bool = False,
         max_events: int = 10_000_000,
@@ -352,18 +334,13 @@ class PacketBackend:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        if engine == "batched" and (
-            record_hops
-            or retain_packets
-            or (trace is not None and not isinstance(trace, NullTrace))
-        ):
+        if engine == "batched" and (record_hops or retain_packets):
             raise ValueError(
                 "the batched packet engine keeps no per-packet records; "
-                "use engine='event' for trace, record_hops or retain_packets"
+                "use engine='event' for record_hops or retain_packets"
             )
         self.fabric = fabric
         self.engine = engine
-        self.trace = trace if trace is not None else NullTrace()
         self._flows = list(flows)
         if engine == "batched":
             # One fused core plays all three roles; the facade methods
@@ -379,7 +356,6 @@ class PacketBackend:
             self.network = PacketLevelNetwork(
                 self.simulator,
                 fabric,
-                trace=self.trace,
                 record_hops=record_hops,
                 retain_packets=retain_packets,
             )
@@ -636,7 +612,6 @@ class PacketBackend:
             events_processed=self.simulator.events_executed,
             link_bits_carried=bits_carried,
             link_capacities=dict(self._capacities),
-            trace=self.trace,
             link_capacity_seconds={
                 key: self._capacity_seconds[key]
                 + (

@@ -15,8 +15,7 @@ paper uses in its evaluation section.  It provides:
 * :mod:`repro.sim.transport` -- the packetising flow transport (MTU
   segmentation, windowed injection, drop-triggered retransmission) behind
   the packet simulation backend,
-* :mod:`repro.sim.random` -- reproducible, named random-number streams,
-* :mod:`repro.sim.trace` -- structured event tracing.
+* :mod:`repro.sim.random` -- reproducible, named random-number streams.
 
 All times are expressed in **seconds** (floats), all data quantities in
 **bits**, and all rates in **bits per second**.  The constants in
@@ -30,7 +29,6 @@ from repro.sim.fluid import FluidFlowSimulator, FluidLink, FluidResult
 from repro.sim.packet import HopRecord, Packet, PortState
 from repro.sim.process import PeriodicProcess
 from repro.sim.random import RandomStreams
-from repro.sim.trace import NullTrace, TraceRecord, TraceRecorder
 from repro.sim.transport import FlowTransportState, PacketTransport, TransportConfig
 from repro.sim.units import (
     GBPS,
@@ -65,9 +63,6 @@ __all__ = [
     "PortState",
     "PeriodicProcess",
     "RandomStreams",
-    "NullTrace",
-    "TraceRecord",
-    "TraceRecorder",
     "FlowTransportState",
     "PacketTransport",
     "TransportConfig",

@@ -58,7 +58,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.flow import Flow, FlowSet
-from repro.sim.trace import NullTrace, TraceRecorder
 
 LinkKey = Hashable
 
@@ -113,7 +112,6 @@ class FluidResult:
     events_processed: int
     link_bits_carried: Dict[LinkKey, float]
     link_capacities: Dict[LinkKey, float]
-    trace: TraceRecorder
     #: Per-link integral of effective capacity over [0, end_time] (bits).
     link_capacity_seconds: Dict[LinkKey, float]
     #: True when any ``run()`` call on the producing simulator exhausted its
@@ -144,9 +142,6 @@ class FluidFlowSimulator:
 
     Parameters
     ----------
-    trace:
-        Optional :class:`TraceRecorder`; pass :class:`NullTrace` (the
-        default) for large sweeps.
     flow_rate_limit_bps:
         Optional per-flow cap modelling the sender NIC line rate.
     allocator:
@@ -164,7 +159,6 @@ class FluidFlowSimulator:
 
     def __init__(
         self,
-        trace: Optional[TraceRecorder] = None,
         flow_rate_limit_bps: Optional[float] = None,
         allocator: str = "incremental",
         max_events: int = 10_000_000,
@@ -175,7 +169,6 @@ class FluidFlowSimulator:
             )
         if max_events <= 0:
             raise ValueError(f"max_events must be positive, got {max_events!r}")
-        self.trace = trace if trace is not None else NullTrace()
         self.flow_rate_limit_bps = flow_rate_limit_bps
         self.allocator = allocator
         self.default_max_events = max_events
@@ -888,7 +881,6 @@ class FluidFlowSimulator:
             events_processed=self._events,
             link_bits_carried={key: link.bits_carried for key, link in self._links.items()},
             link_capacities={key: link.capacity_bps for key, link in self._links.items()},
-            trace=self.trace,
             link_capacity_seconds={
                 key: link.capacity_seconds
                 + (link.effective_capacity * idle_gap if idle_gap > 0 else 0.0)
@@ -917,14 +909,6 @@ class FluidFlowSimulator:
         for lid in route_ids:
             self._flows_on_link[lid].add(flow_id)
         self._dirty_flows.add(flow_id)
-        self.trace.record(
-            self._now,
-            "flow_started",
-            flow_id=flow_id,
-            src=flow.src,
-            dst=flow.dst,
-            size_bits=flow.size_bits,
-        )
 
     def _set_route_ids(self, flow_id: int, path: Sequence[LinkKey]) -> Tuple[int, ...]:
         route_ids = self._route_ids[flow_id] = tuple(self._links[key].order for key in path)
@@ -961,13 +945,6 @@ class FluidFlowSimulator:
         self._eta.pop(flow_id, None)
         self._seq.pop(flow_id, None)
         flow.complete(self._now)
-        self.trace.record(
-            self._now,
-            "flow_completed",
-            flow_id=flow.flow_id,
-            fct=flow.fct,
-            size_bits=flow.size_bits,
-        )
 
     def _advance_to(self, time: float) -> None:
         elapsed = time - self._now

@@ -88,9 +88,9 @@ refill, as the entry it stands in for; a continuation the calendar hands
 straight back runs uncounted), not per-packet events, so
 ``max_events`` budgets truncate at different points.  The core is
 lean-only: it materialises no per-packet objects (no
-:class:`~repro.sim.packet.Packet`, no per-hop records), records no trace
-and keeps no drop reasons, so per-packet records, hand-built packet
-``inject`` and traces need the event engine.
+:class:`~repro.sim.packet.Packet`, no per-hop records) and keeps no drop
+reasons, so per-packet records and hand-built packet ``inject`` need the
+event engine.
 """
 
 from __future__ import annotations

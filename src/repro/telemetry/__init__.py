@@ -1,6 +1,5 @@
-"""Telemetry: metric computation, collection and reporting."""
+"""Telemetry: metric computation and reporting."""
 
-from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.metrics import (
     describe,
     jain_fairness_index,
@@ -11,7 +10,6 @@ from repro.telemetry.metrics import (
 from repro.telemetry.report import Report, ReportTable, format_series, format_table
 
 __all__ = [
-    "TelemetryCollector",
     "describe",
     "jain_fairness_index",
     "percentile",

@@ -1,7 +1,7 @@
 """Plain-text report formatting for benchmarks and the CLI.
 
 The benchmark harness prints the same rows/series the paper's figures show;
-these helpers keep that output aligned and consistent so EXPERIMENTS.md can
+these helpers keep that output aligned and consistent so a writeup can
 quote it directly.
 """
 

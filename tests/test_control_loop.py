@@ -9,13 +9,10 @@ adaptive fabric beats the static one on hotspot FCT).
 
 import pytest
 
-from repro.core.control import (
-    ControlLoop,
-    ControlLoopConfig,
-    GridToTorusCandidate,
-)
-from repro.core.plp import ReconfigurationDelays
-from repro.core.reconfiguration import ReconfigurationPlanner
+from repro.core.candidates import GridToTorusCandidate, PlanCandidate, PlanProposal
+from repro.core.control import ControlLoop, ControlLoopConfig
+from repro.core.plp import PLPCommand, PLPCommandType, ReconfigurationDelays
+from repro.core.reconfiguration import ReconfigurationPlan, ReconfigurationPlanner
 from repro.experiments.api import ExperimentSpec, run_experiment
 from repro.experiments.comparison import adaptive_vs_static
 from repro.experiments.harness import build_fabric
@@ -300,6 +297,70 @@ def test_loop_summary_counters_are_consistent():
     # happens between tick records.
     assert summary["flows_rerouted"] >= sum(t.flows_rerouted for t in loop.ticks)
     assert summary["commands_failed"] == 0.0
-    # Telemetry recorded one sample per tick for the headline series.
-    series = loop.telemetry.series("max_utilisation")
-    assert len(series.samples) == len(loop.ticks)
+    assert summary["plans_rejected"] == summary["plans_partial"] == 0.0
+    # One typed record per tick, carrying the raw hottest-link reading the
+    # loop observed, and one power sample per tick in the fabric's budget.
+    assert [tick.index for tick in loop.ticks] == list(range(1, len(loop.ticks) + 1))
+    assert all(tick.raw_max_utilisation >= 0.0 for tick in loop.ticks)
+    assert max(tick.raw_max_utilisation for tick in loop.ticks) > 0.0
+    samples = fabric.power_budget.samples
+    assert [time for time, _ in samples] == [tick.time for tick in loop.ticks]
+    assert summary["peak_power_watts"] == max(watts for _, watts in samples)
+
+
+class _BrokenPlanCandidate(PlanCandidate):
+    """Offers one plan whose batch names a link the fabric does not have,
+    beside *good* commands on links it does; retires once committed."""
+
+    name = "broken"
+
+    def __init__(self, good_links):
+        self.good_links = good_links
+        self.retired = False
+
+    def propose(self, fabric, delays):
+        if self.retired:
+            return None
+        commands = [
+            PLPCommand(PLPCommandType.LINK_ON, endpoints)
+            for endpoints in [*self.good_links, ("n0x0", "nowhere")]
+        ]
+        plan = ReconfigurationPlan(name="broken", commands=commands)
+        # A near-zero current rate makes any pending demand worth the move.
+        return PlanProposal(plan, current_rate_bps=1.0, reconfigured_rate_bps=1e12)
+
+    def committed(self, now):
+        self.retired = True
+
+
+@pytest.mark.parametrize(
+    "good_links", [(), (("n0x0", "n0x1"),)], ids=["wholly-failed", "partly-failed"]
+)
+def test_failed_plans_are_counted(good_links):
+    fabric, flows = _hotspot_flows()
+    config = ControlLoopConfig(utilisation_threshold=0.01, hysteresis=1.0)
+    record = run_experiment(
+        ExperimentSpec(
+            fabric=fabric,
+            flows=flows,
+            controller="loop",
+            controller_config={
+                "config": config,
+                "candidates": [_BrokenPlanCandidate(good_links)],
+            },
+        )
+    )
+    summary = record.controller_instance.loop.summary()
+    assert record.metrics["completion_fraction"] == 1.0
+    assert summary["commands_executed"] == len(good_links) * summary["reconfigurations"]
+    if not good_links:
+        # A batch that changed nothing is no reconfiguration; the candidate
+        # stays live and is offered again on every later congested tick.
+        assert summary["plans_rejected"] >= 1
+        assert summary["commands_failed"] == summary["plans_rejected"]
+        assert summary["plans_partial"] == summary["reconfigurations"] == 0
+    else:
+        # The fabric changed, so the plan commits and retires its candidate.
+        assert summary["plans_partial"] == summary["reconfigurations"] == 1
+        assert summary["commands_failed"] == 1
+        assert summary["plans_rejected"] == 0

@@ -18,7 +18,7 @@ from repro.core.controllers import (
     create_controller,
     register_controller,
 )
-from repro.core.control import ControlLoopConfig
+from repro.core.control import ControlLoopConfig, ControlTick
 from repro.core.crc import CRCConfig
 from repro.experiments.api import ExperimentSpec, run_experiment
 from repro.experiments.harness import build_fabric
@@ -187,9 +187,12 @@ def test_run_experiment_exposes_runtime_handles():
     assert isinstance(record.flows, FlowSet)
     loop = record.controller_instance.loop
     assert loop is not None and len(loop.ticks) >= 1
-    # The per-tick telemetry handle is the loop's collector.
-    assert record.telemetry is loop.telemetry
-    assert len(record.telemetry.series("max_utilisation").samples) == len(loop.ticks)
+    # Per-tick state lives in the loop's typed tick records and in the
+    # fabric's power budget, one entry each per tick.
+    assert all(isinstance(tick, ControlTick) for tick in loop.ticks)
+    assert max(tick.raw_max_utilisation for tick in loop.ticks) > 0.0
+    samples = record.fabric.power_budget.samples
+    assert [time for time, _ in samples] == [tick.time for tick in loop.ticks]
 
 
 def test_controllers_round_trip_through_two_worker_sweep_bit_identically():

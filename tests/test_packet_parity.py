@@ -40,7 +40,6 @@ from repro.fabric.packetsim import ENGINES, PacketBackend
 from repro.fabric.switch import SwitchModel
 from repro.fabric.topology import TopologyBuilder, canonical_key
 from repro.sim.flow import Flow, reset_flow_ids
-from repro.sim.trace import TraceRecorder
 from repro.sim.transport import TransportConfig
 from repro.sim.units import bits_from_bytes
 
@@ -545,7 +544,7 @@ def test_unknown_engine_is_rejected():
 
 @pytest.mark.parametrize(
     "rich",
-    [{"record_hops": True}, {"retain_packets": True}, {"trace": TraceRecorder()}],
+    [{"record_hops": True}, {"retain_packets": True}],
     ids=lambda rich: next(iter(rich)),
 )
 def test_batched_engine_rejects_per_packet_records(rich):

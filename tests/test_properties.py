@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.control import ControlLoop, ControlLoopConfig, GridToTorusCandidate
+from repro.core.candidates import GridToTorusCandidate
+from repro.core.control import ControlLoop, ControlLoopConfig
 from repro.core.cost import LinkPriceTagger
 from repro.core.reconfiguration import break_even_flow_size, reconfiguration_gain
 from repro.fabric.fabric import Fabric, FabricConfig

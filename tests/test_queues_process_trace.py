@@ -1,11 +1,10 @@
-"""Tests for processes, random streams and tracing."""
+"""Tests for processes and random streams."""
 
 import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
 from repro.sim.random import RandomStreams
-from repro.sim.trace import NullTrace, TraceRecorder
 
 
 # --------------------------------------------------------------------------- #
@@ -96,56 +95,3 @@ def test_pareto_positive_and_validates():
     with pytest.raises(ValueError):
         streams.pareto("p", 0, 1)
 
-
-# --------------------------------------------------------------------------- #
-# TraceRecorder
-# --------------------------------------------------------------------------- #
-def test_trace_record_and_query():
-    trace = TraceRecorder()
-    trace.record(1.0, "flow_started", flow_id=1)
-    trace.record(2.0, "flow_completed", flow_id=1, fct=1.0)
-    trace.record(3.0, "flow_started", flow_id=2)
-    assert len(trace) == 3
-    assert trace.count("flow_started") == 2
-    assert trace.first("flow_started").time == 1.0
-    assert trace.last("flow_started").time == 3.0
-    assert trace.categories() == ["flow_completed", "flow_started"]
-    assert len(trace.between(1.5, 2.5)) == 1
-    assert trace.where(lambda r: r.get("flow_id") == 2)[0].time == 3.0
-
-
-def test_trace_capacity_limit():
-    trace = TraceRecorder(capacity=2)
-    for index in range(5):
-        trace.record(float(index), "tick")
-    assert len(trace) == 2
-    assert trace.dropped_records == 3
-
-
-def test_trace_disabled_records_nothing():
-    trace = TraceRecorder(enabled=False)
-    trace.record(1.0, "tick")
-    assert len(trace) == 0
-
-
-def test_null_trace_is_silent():
-    trace = NullTrace()
-    trace.record(1.0, "tick", value=3)
-    assert len(trace) == 0
-
-
-def test_trace_csv_export():
-    trace = TraceRecorder()
-    trace.record(1.0, "a", x=1)
-    trace.record(2.0, "b", y=2)
-    csv_text = trace.to_csv()
-    lines = csv_text.strip().splitlines()
-    assert lines[0] == "time,category,x,y"
-    assert len(lines) == 3
-
-
-def test_trace_clear():
-    trace = TraceRecorder()
-    trace.record(1.0, "a")
-    trace.clear()
-    assert len(trace) == 0

@@ -1,4 +1,4 @@
-"""Tests for telemetry, reporting and the analytical models."""
+"""Tests for telemetry metrics, reporting and the analytical models."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.analysis.validation import (
 )
 from repro.experiments.harness import build_fabric
 from repro.sim.flow import Flow, FlowSet
-from repro.telemetry.collector import TelemetryCollector, TimeSeries
 from repro.telemetry.metrics import (
     describe,
     jain_fairness_index,
@@ -60,52 +59,6 @@ def test_straggler_ratio():
     ])
     assert straggler_ratio(flows) == pytest.approx(3.0)
     assert straggler_ratio(FlowSet()) is None
-
-
-# --------------------------------------------------------------------------- #
-# Collector
-# --------------------------------------------------------------------------- #
-def test_time_series_statistics():
-    series = TimeSeries("power")
-    series.record(0.0, 10.0)
-    series.record(1.0, 20.0)
-    series.record(3.0, 30.0)
-    assert series.last() == 30.0
-    assert series.maximum() == 30.0
-    assert series.mean() == pytest.approx(20.0)
-    # 10 W for 1 s + 20 W for 2 s over 3 s.
-    assert series.time_weighted_mean() == pytest.approx(50.0 / 3.0)
-    with pytest.raises(ValueError):
-        series.record(2.0, 5.0)
-
-
-def test_collector_series_and_flows():
-    collector = TelemetryCollector()
-    collector.record("util", 0.0, 0.5)
-    collector.record("util", 1.0, 0.7)
-    assert collector.series_names() == ["util"]
-    flows = FlowSet([_completed("a", "b", 100, 0, 1.0), _completed("a", "c", 100, 0, 2.0)])
-    collector.register_flows("adaptive", flows)
-    summary = collector.flow_summary("adaptive")
-    assert summary["makespan"] == pytest.approx(2.0)
-    assert summary["aggregate_throughput_bps"] == pytest.approx(100.0)
-    everything = collector.as_dict()
-    assert "series:util" in everything and "flows:adaptive" in everything
-
-
-def test_collector_compare_ratios():
-    collector = TelemetryCollector()
-    collector.register_flows("a", FlowSet([_completed("a", "b", 1, 0, 1.0)]))
-    collector.register_flows("b", FlowSet([_completed("a", "b", 1, 0, 2.0)]))
-    comparison = collector.compare("a", "b")
-    assert comparison["makespan_ratio"] == pytest.approx(0.5)
-
-
-def test_collector_sample_callable():
-    collector = TelemetryCollector()
-    sampler = collector.sample_callable("x", lambda: 42.0)
-    sampler(1.0)
-    assert collector.series("x").last() == 42.0
 
 
 # --------------------------------------------------------------------------- #
