@@ -42,8 +42,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.fabric.fabric import Fabric
 from repro.sim.engine import Simulator
 from repro.sim.flow import Flow, FlowSet
@@ -56,6 +54,7 @@ from repro.sim.packet import (
     PortState,
 )
 from repro.sim.packet_batch import BatchedPacketCore
+from repro.sim.stats import mean, percentile
 from repro.sim.transport import PacketTransport, TransportConfig
 
 DirectedKey = Tuple[str, str]
@@ -643,8 +642,6 @@ class PacketBackend:
             "retransmitted_bits": self.transport.retransmitted_bits,
             "segments_abandoned": float(self.transport.segments_abandoned),
             "ecn_marks": float(sum(port.ecn_marks for port in ports)),
-            "mean_queueing_delay": float(np.mean(samples)) if samples else 0.0,
-            "p99_queueing_delay": (
-                float(np.percentile(samples, 99.0)) if samples else 0.0
-            ),
+            "mean_queueing_delay": mean(samples) if samples else 0.0,
+            "p99_queueing_delay": percentile(samples, 99.0) if samples else 0.0,
         }

@@ -25,8 +25,9 @@ SIM_PATHS = (
     "src/repro/phy/",
 )
 
-#: The one module allowed to construct numpy generators: every stochastic
-#: component draws from a named stream derived from the experiment seed.
+#: The one module that owns the random number generator: every stochastic
+#: component draws from one of its named streams, each derived from the
+#: experiment seed.  It alone is exempt from the draw checks below.
 SEED_HOME = "src/repro/sim/random.py"
 
 
@@ -51,7 +52,9 @@ class UnseededSourceRule(Rule):
     named-stream seed derivation, and wall-clock or environment reads make
     a run a function of when/where it ran.  Any of them silently breaks
     the bit-identical-rows contract the sweep engine and both simulation
-    backends promise.
+    backends promise.  numpy may not be imported at all: the runtime is
+    stdlib-only, and numpy does not promise the same streams across its
+    versions (NEP 19), so rows would depend on what is installed.
     """
 
     code = "D001"
@@ -61,7 +64,7 @@ class UnseededSourceRule(Rule):
         "worker-count bit-determinism everywhere downstream"
     )
     paths = ("src/repro/",)
-    node_types = (ast.Call, ast.Subscript)
+    node_types = (ast.Call, ast.Subscript, ast.Import, ast.ImportFrom)
 
     #: Call prefixes that are nondeterministic wherever they appear.
     _BANNED_CALLS = {
@@ -73,14 +76,26 @@ class UnseededSourceRule(Rule):
     }
     _BANNED_DATETIME = {"now", "utcnow", "today"}
 
-    def applies_to(self, rel: str) -> bool:
-        return super().applies_to(rel) and rel != SEED_HOME
-
     def visit(self, node: ast.AST, stack: Sequence[ast.AST], ctx: FileContext) -> None:
         if isinstance(node, ast.Call):
-            self._check_call(node, ctx)
+            if ctx.source.rel != SEED_HOME:
+                self._check_call(node, ctx)
         elif isinstance(node, ast.Subscript):
             self._check_env_read(node, ctx)
+        else:
+            self._check_import(node, ctx)
+
+    def _check_import(self, node: ast.AST, ctx: FileContext) -> None:
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module] if node.level == 0 else []
+        else:
+            modules = [alias.name for alias in node.names]
+        if any(module.split(".", 1)[0] == "numpy" for module in modules):
+            ctx.report(
+                self, node,
+                "numpy import in the runtime; it is a test-only dependency -- "
+                "draw from repro.sim.random and summarise with repro.sim.stats",
+            )
 
     def _check_call(self, node: ast.Call, ctx: FileContext) -> None:
         dotted = _dotted(node.func)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-import numpy as np
+from repro.sim import stats
 
 _flow_ids = itertools.count()
 
@@ -219,14 +219,14 @@ class FlowSet:
         times = self.completion_times()
         if not times:
             return None
-        return float(np.percentile(times, percentile))
+        return stats.percentile(times, percentile)
 
     def mean_fct(self) -> Optional[float]:
         """Mean FCT over completed flows."""
         times = self.completion_times()
         if not times:
             return None
-        return float(np.mean(times))
+        return stats.mean(times)
 
     def max_fct(self) -> Optional[float]:
         """Maximum FCT (the straggler) over completed flows."""

@@ -4,24 +4,23 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence
 
-import numpy as np
-
+from repro.sim import stats
 from repro.sim.flow import Flow, FlowSet
 
 
 def percentile(values: Sequence[float], q: float) -> Optional[float]:
     """The *q*-th percentile of *values*, or ``None`` when empty."""
-    values = list(values)
+    values = [float(v) for v in values]
     if not values:
         return None
     if not 0 <= q <= 100:
         raise ValueError("q must be in [0, 100]")
-    return float(np.percentile(values, q))
+    return stats.percentile(values, q)
 
 
 def describe(values: Sequence[float]) -> Dict[str, Optional[float]]:
     """Summary statistics (count, mean, p50, p99, min, max) of *values*."""
-    values = list(values)
+    values = [float(v) for v in values]
     if not values:
         return {
             "count": 0.0,
@@ -33,11 +32,11 @@ def describe(values: Sequence[float]) -> Dict[str, Optional[float]]:
         }
     return {
         "count": float(len(values)),
-        "mean": float(np.mean(values)),
+        "mean": stats.mean(values),
         "p50": percentile(values, 50),
         "p99": percentile(values, 99),
-        "min": float(min(values)),
-        "max": float(max(values)),
+        "min": min(values),
+        "max": max(values),
     }
 
 

@@ -101,7 +101,8 @@ def test_targeted_suppression_only_silences_the_named_rule():
     [
         "import random\nx = random.random()\n",
         "import random\nrandom.shuffle(items)\n",
-        "import numpy as np\nrng = np.random.default_rng()\n",
+        # The import alone is its own finding (see the numpy-import cases).
+        "rng = np.random.default_rng()\n",
         "import time\nt = time.time()\n",
         "import os\nx = os.urandom(8)\n",
         "import uuid\nx = uuid.uuid4()\n",
@@ -123,9 +124,39 @@ def test_d001_flags_environment_reads_only_in_simulation_code():
 
 
 def test_d001_exempts_the_seed_home_module():
-    text = "import numpy as np\nrng = np.random.default_rng(seed)\n"
+    # The exemption covers draws only; a numpy import is flagged even here.
+    text = "rng = np.random.default_rng(seed)\n"
     assert lint_source("src/repro/sim/random.py", text, ["D001"]) == []
     assert lint_source("src/repro/sim/other.py", text, ["D001"]) != []
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "import numpy\n",
+        "import numpy.random as npr\n",
+        "import os, numpy as np\n",
+        "from numpy import mean\n",
+        "from numpy.random import default_rng\n",
+    ],
+)
+@pytest.mark.parametrize("rel", ["src/repro/sim/random.py", "src/repro/telemetry/metrics.py"])
+def test_d001_flags_any_numpy_import_in_the_runtime(snippet, rel):
+    assert [f.rule for f in lint_source(rel, snippet, ["D001"])] == ["D001"]
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "import numbers\n",
+        "import numpyro\n",
+        "from numbers import Integral\n",
+        "from .numpy import shim\n",
+        "from repro.sim import stats\n",
+    ],
+)
+def test_d001_leaves_other_imports_alone(snippet):
+    assert lint_source("src/repro/sim/x.py", snippet, ["D001"]) == []
 
 
 # --------------------------------------------------------------------------- #

@@ -95,3 +95,13 @@ def test_pareto_positive_and_validates():
     with pytest.raises(ValueError):
         streams.pareto("p", 0, 1)
 
+
+
+def test_uniform_and_exponential_validate():
+    streams = RandomStreams(11)
+    with pytest.raises(ValueError):
+        streams.uniform("u", 1.0, 0.0)
+    with pytest.raises(OverflowError):
+        streams.uniform("u", 0.0, float("inf"))
+    with pytest.raises(ValueError):
+        streams.exponential("e", 0.0)
