@@ -3,16 +3,18 @@
 The all-pairs hop/latency statistics used to be computed with one
 ``router.path`` call per endpoint pair -- ``O(n^2)`` cached-Dijkstra
 queries that dominated every sweep row on larger racks.  The current
-implementation runs at most one breadth-first search per endpoint --
-an endpoint with a single live link shares its neighbour's search with
-its siblings -- and never touches the router.  This benchmark guards
+implementation runs breadth-first searches over the live links and never
+touches the router.  It searches once per endpoint on grids and tori; an
+endpoint whose one live link goes to a switch or router shares that
+neighbour's search with its siblings, and no search expands such a leaf:
+its hops and latency are read off its neighbour's.  This benchmark guards
 both properties:
 
 * correctness -- the BFS statistics match independent per-pair
   shortest-path computations (and closed-form path latencies on
   unique-path fabrics), on grids, where every endpoint searches on its
   own, and on fat-tree, dragonfly and star fabrics, where hosts share
-  searches, and
+  searches and are folded out of them, and
 * the complexity claim -- the router cache sees zero traffic, and a
   64-endpoint rack completes within a generous wall-clock bound.
 """

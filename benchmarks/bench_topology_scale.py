@@ -3,7 +3,8 @@
 The fat-tree and dragonfly scenario defaults put 1024 hosts on the
 fabric, two orders of magnitude past the paper's rack.  The sweep and
 scenario layers call ``fabric_state_row`` (one BFS per edge switch or
-router: the hosts on it share their neighbour's search) and the router's
+router, over the switches alone: the hosts on it share that search, and
+each host's hops and latency are read off its switch's) and the router's
 shortest-path queries on the live graph on every row, so those paths must
 stay cheap at that size -- this guard pins the declared shapes and holds
 build + state-row + first-route inside a deliberately loose CI budget

@@ -10,6 +10,7 @@ statistics column set shared by every sweep row.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Optional, Tuple
 
 from repro.fabric.fabric import Fabric, FabricConfig
@@ -63,22 +64,43 @@ def fabric_state_row(fabric: Fabric, packet_size_bytes: float = 1500.0) -> Dict[
 
     All-pairs statistics come from breadth-first searches over the live
     links (hops and latency accumulate along the BFS tree), not from
-    per-pair router queries -- ``O(endpoints * links)`` instead of the
-    ``O(n^2)`` shortest-path calls this used to make.  The router and its
-    cache are untouched, which ``benchmarks/bench_fabric_state.py`` guards.
+    per-pair router queries.  The router and its cache are untouched, which
+    ``benchmarks/bench_fabric_state.py`` guards.  Every column equals the
+    one plain BFS per endpoint would give (``tests/test_fabric_state_row.py``
+    holds it to that oracle with exact ``==``), because each shortcut below
+    performs the same float operations in the same order on less structure:
 
-    An endpoint whose only live link goes to neighbour ``n`` shares ``n``'s
-    search: its BFS is the one started at ``n`` with ``hops = 1`` and
-    ``latency = 0.0 + increment + serialization`` of that link, which is
-    exactly the first step of its own BFS.  The tree below ``n`` is the same
-    (the endpoint itself is only reachable through ``n``, so finding it
-    again at depth 2 discovers nothing new), and every latency is the same
-    float additions in the same order.  The hosts of a fat-tree or dragonfly
-    edge switch come one after another in endpoint order, so each reuses the
-    previous endpoint's search when its ``(n, 1, latency)`` seed matches;
-    only that one search is kept.  On the 1,024-host fat-tree and dragonfly, 896
-    endpoints reuse one (128 searches in all); on grids and tori, where every
-    endpoint has several links, none do.
+    * **Dense ids.**  Nodes are list indices and each node's adjacency is a
+      list of ``(id, increment, serialization)`` in link order, so the
+      search visits neighbours in the same order as over the names.
+      ``serialization`` is ``packet_bits / capacity_bps``, the division
+      :meth:`~repro.phy.link.Link.serialization_delay` does.  The BFS level
+      stands in for the node's hop count, which is the same integer.
+    * **Leaf folding.**  An endpoint whose one live link goes to a node
+      ``q`` with several (a fat-tree or dragonfly host) discovers nothing
+      when expanded: its only neighbour is its parent.  So it is never put
+      on a frontier.  Its hops and latency are those ``q``'s expansion would
+      assign, ``hops[q] + 1`` and
+      ``(latency[q] + forwarding) + increment + serialization-or-0.0``, the
+      BFS's own expression, computed once per search for each
+      ``(q, increment, serialization)`` group of leaves and gathered into
+      the endpoint-ordered row.  A degree-1 switch is dropped the same way:
+      nothing reads it.  Two leaves linked only to each other stay ordinary
+      nodes.
+    * **Shared searches.**  A source with one live link to ``q`` starts its
+      search at ``q`` with ``hops = 1`` and ``latency = 0.0 + increment +
+      serialization``, exactly the first step of its own BFS; the tree
+      below ``q`` is the same, since the source is reachable only through
+      ``q``.  Consecutive sources with the same seed (the hosts of one edge
+      switch or router) reuse one search: 128 searches on the 1,024-host
+      fat-tree and dragonfly, one per endpoint on grids and tori.
+    * **Running totals.**  Each source adds the slice of its row past
+      itself, so pairs are taken in per-pair-loop order without being
+      stored: the hop total is an exact int sum, and the latency total is
+      carried through ``sum(slice, total)``, the same left-to-right double
+      additions as one ``sum`` over the concatenated slices (up to
+      Python 3.11; from 3.12 ``sum`` compensates per call, ROADMAP item 2).
+      The maxima are order-free.
 
     The statistics are deliberately *topological*: paths are hop-minimal
     over the fabric's current link set, independent of whatever weight
@@ -88,12 +110,22 @@ def fabric_state_row(fabric: Fabric, packet_size_bytes: float = 1500.0) -> Dict[
     *price-weighted* routes -- an idle-fabric metric contaminated by the
     finished run's congestion state.  Rows produced by ``controller="loop"``
     sweeps differ from that older output accordingly.)
+
+    Raises :class:`ValueError` when the fabric has fewer than two
+    endpoints, or when some pair of endpoints is disconnected.
     """
     from repro.sim.units import bits_from_bytes
 
     topology = fabric.topology
+    names = topology.node_names()
     endpoints = topology.endpoints()
+    if len(endpoints) < 2:
+        raise ValueError(
+            f"fabric_state_row needs at least two endpoints to form a pair, "
+            f"got {len(endpoints)}"
+        )
     packet_bits = bits_from_bytes(packet_size_bytes)
+    ids = {name: index for index, name in enumerate(names)}
 
     # Per-link latency increment (propagation + PHY) and first-hop
     # serialization, plus per-node forwarding latency, precomputed once.
@@ -102,75 +134,110 @@ def fabric_state_row(fabric: Fabric, packet_size_bytes: float = 1500.0) -> Dict[
     # traffic and have no serialization time, so they are no more part of
     # the path statistics than an absent link; paths BFS over the live
     # subgraph only.
-    adjacency: Dict[str, List[Tuple[str, float, float]]] = {
-        name: [] for name in topology.node_names()
-    }
+    adjacency: List[List[Tuple[int, float, float]]] = [[] for _ in names]
     for link in topology.links():
-        if link.capacity_bps <= 0.0:
+        capacity = link.capacity_bps
+        if capacity <= 0.0:
             continue
         increment = link.propagation_delay + link.phy_latency
-        serialization = link.serialization_delay(packet_bits)
-        adjacency[link.a].append((link.b, increment, serialization))
-        adjacency[link.b].append((link.a, increment, serialization))
-    forwarding = {
-        name: fabric.switch(name).forwarding_latency(packet_bits)
-        for name in topology.node_names()
-    }
+        serialization = packet_bits / capacity
+        a, b = ids[link.a], ids[link.b]
+        adjacency[a].append((b, increment, serialization))
+        adjacency[b].append((a, increment, serialization))
+    forwarding = [fabric.switch(name).forwarding_latency(packet_bits) for name in names]
 
-    def search(start: str, start_hops: int, start_latency: float):
+    # Folded leaves leave the searched graph.  A folded endpoint's row entry
+    # is a slot past the node ids, one per (q, increment, serialization)
+    # group, which each search fills from q's values after its BFS.
+    folded = [
+        len(edges) == 1 and len(adjacency[edges[0][0]]) != 1 for edges in adjacency
+    ]
+    expanded = [[edge for edge in edges if not folded[edge[0]]] for edges in adjacency]
+    slots: Dict[Tuple[int, float, float], int] = {}
+    row_ids: List[int] = []
+    for name in endpoints:
+        node = ids[name]
+        if folded[node]:
+            node = slots.setdefault(adjacency[node][0], len(names) + len(slots))
+        row_ids.append(node)
+    groups: Dict[int, List[Tuple[int, float, float]]] = {}
+    for (parent, increment, serialization), slot in slots.items():
+        groups.setdefault(parent, []).append((slot, increment, serialization))
+    size = len(names) + len(slots)
+    row = operator.itemgetter(*row_ids)
+
+    def search(start: int, start_hops: int, start_latency: float):
         # BFS; hops/latency accumulate along the tree as in Fabric.path_latency:
         # serialization on the source's link only (cut-through), propagation +
         # PHY per link, forwarding at every node past hop 0 (the source).
-        hops: Dict[str, int] = {start: start_hops}
-        latency: Dict[str, float] = {start: start_latency}
+        hops: List[Optional[int]] = [None] * size
+        latency = [0.0] * size
+        hops[start] = start_hops
+        latency[start] = start_latency
         frontier = [start]
+        level = start_hops
         while frontier:
-            next_frontier: List[str] = []
+            next_frontier: List[int] = []
+            child = level + 1
             for node in frontier:
-                node_hops = hops[node]
-                node_latency = latency[node] + (forwarding[node] if node_hops else 0.0)
-                for neighbour, increment, serialization in adjacency[node]:
-                    if neighbour in hops:
-                        continue
-                    hops[neighbour] = node_hops + 1
-                    latency[neighbour] = node_latency + increment + (
-                        0.0 if node_hops else serialization
-                    )
-                    next_frontier.append(neighbour)
+                node_latency = latency[node] + (forwarding[node] if level else 0.0)
+                for neighbour, increment, serialization in expanded[node]:
+                    if hops[neighbour] is None:
+                        hops[neighbour] = child
+                        latency[neighbour] = node_latency + increment + (
+                            0.0 if level else serialization
+                        )
+                        next_frontier.append(neighbour)
             frontier = next_frontier
-        return hops, latency
+            level = child
+        for parent, members in groups.items():
+            parent_hops = hops[parent]
+            if parent_hops is None:
+                continue
+            parent_latency = latency[parent] + (forwarding[parent] if parent_hops else 0.0)
+            for slot, increment, serialization in members:
+                hops[slot] = parent_hops + 1
+                latency[slot] = parent_latency + increment + (
+                    0.0 if parent_hops else serialization
+                )
+        return row(hops), row(latency)
 
-    # Each search is read out once as endpoint-ordered rows (None where an
-    # endpoint is unreachable); every source then appends the slice of its
-    # row past itself, so the pairs land in the same order as a per-pair
-    # loop would put them.
-    latencies: List[float] = []
-    hop_counts: List[int] = []
+    # Each source takes the slice of its search's row past itself, so pairs
+    # are visited in per-pair-loop order; the last endpoint has none.
+    # Latencies are sums of non-negative terms, so the 0.0 start of the
+    # running maximum never outranks a pair.
+    hop_total = 0
+    diameter = 0
+    latency_total = 0.0
+    max_latency = 0.0
     searched = None
-    for index, src in enumerate(endpoints):
-        seed = (src, 0, 0.0)
-        if len(adjacency[src]) == 1:
-            neighbour, increment, serialization = adjacency[src][0]
+    for index, src in enumerate(endpoints[:-1]):
+        edges = adjacency[ids[src]]
+        seed = (ids[src], 0, 0.0)
+        if len(edges) == 1:
+            neighbour, increment, serialization = edges[0]
             seed = (neighbour, 1, 0.0 + increment + serialization)
         if seed != searched:
             searched = seed
-            hops, latency = search(*seed)
-            hop_row = [hops.get(dst) for dst in endpoints]
-            latency_row = [latency.get(dst) for dst in endpoints]
+            hop_row, latency_row = search(*seed)
         later_hops = hop_row[index + 1:]
         if None in later_hops:
             dst = endpoints[index + 1 + later_hops.index(None)]
             raise ValueError(f"fabric is disconnected: no path from {src!r} to {dst!r}")
-        hop_counts.extend(later_hops)
-        latencies.extend(latency_row[index + 1:])
+        hop_total += sum(later_hops)
+        diameter = max(diameter, max(later_hops))
+        later_latencies = latency_row[index + 1:]
+        latency_total = sum(later_latencies, latency_total)
+        max_latency = max(max_latency, max(later_latencies))
 
+    pairs = len(endpoints) * (len(endpoints) - 1) // 2
     report = fabric.power_report()
     return {
         "links": float(len(topology.links())),
         "active_lanes": float(topology.total_active_lanes()),
-        "diameter_hops": float(max(hop_counts)),
-        "mean_hops": sum(hop_counts) / len(hop_counts),
-        "mean_latency": sum(latencies) / len(latencies),
-        "max_latency": max(latencies),
+        "diameter_hops": float(diameter),
+        "mean_hops": hop_total / pairs,
+        "mean_latency": latency_total / pairs,
+        "max_latency": max_latency,
         "fabric_power_watts": report.links_watts + report.switches_watts,
     }

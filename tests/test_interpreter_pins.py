@@ -8,6 +8,9 @@ is none.  From 3.12 on, builtin ``sum()`` over floats rounds differently
 (compensated summation), which moves the pins: those interpreters are a
 strict xfail until ROADMAP item 2 routes every float sum through one
 sequential helper, which must then flip them.
+
+The interpreters run two at a time: a module-scoped fixture starts every
+driver on a two-worker pool, and each parametrized test waits for its own.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -54,9 +58,11 @@ def _other_interpreters():
     return found
 
 
+INTERPRETERS = _other_interpreters()
+
+
 def _params():
-    found = _other_interpreters()
-    if not found:
+    if not INTERPRETERS:
         return [pytest.param(None, marks=pytest.mark.skip(reason="no other CPython found"))]
     return [
         pytest.param(
@@ -64,15 +70,26 @@ def _params():
             id=f"{major}.{minor}",
             marks=_SUM_ROUNDING if (major, minor) >= (3, 12) else (),
         )
-        for (major, minor), path in sorted(found.items())
+        for (major, minor), path in sorted(INTERPRETERS.items())
     ]
 
 
-@pytest.mark.parametrize("python", _params())
-def test_perfbench_pins_hold_on_other_interpreters(python):
-    result = subprocess.run(
+def _run_driver(python):
+    return subprocess.run(
         [python, "-I", "-S", DRIVER], capture_output=True, text=True, timeout=120
     )
+
+
+@pytest.fixture(scope="module")
+def driver_runs():
+    """``{path: Future}`` of every interpreter's driver run, two at a time."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        yield {path: pool.submit(_run_driver, path) for path in INTERPRETERS.values()}
+
+
+@pytest.mark.parametrize("python", _params())
+def test_perfbench_pins_hold_on_other_interpreters(python, driver_runs):
+    result = driver_runs[python].result()
     assert result.returncode in (0, 1), result.stderr
     rows = [json.loads(line) for line in result.stdout.splitlines()]
     assert len(rows) == 4
