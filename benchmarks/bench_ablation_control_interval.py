@@ -57,7 +57,7 @@ def _run_with_period(label):
     first_reconfig = crc.reconfiguration_times[0] if crc.reconfiguration_times else None
     return {
         "control_period": period,
-        "iterations": len(crc.iterations),
+        "iterations": len(crc.ticks),
         "first_reconfiguration": first_reconfig,
         "makespan": record.makespan,
     }

@@ -6,6 +6,14 @@ checkout: per side, the median and interquartile range of every gated
 end-to-end metric (``BENCHMARK.json``'s ``end_to_end``) over the pairs,
 how many pairs the child won on each, the host, and both commits.
 
+Each end-to-end metric also carries ``resolved``, and ``layers_resolved``
+holds the same verdict for each per-layer metric: whether the record shows
+a change at all.  It is true only when there are at least 10 pairs, one
+side is better in at least 9 of every 10 of them (ties count for neither)
+and the two medians differ by more than the parent's IQR.  A 2/10 or 8/10
+split, or a median shift inside the parent's own spread, is noise, not a
+change; ``resolved`` says nothing about ``correct``.
+
 Each pair also runs ``--trace 1`` once per side for a single
 untraced/traced sample on the pair's seed, and the record keeps each
 side's median over the pairs of every per-layer metric
@@ -32,7 +40,11 @@ the child differ from ``HEAD``.  A dirty child is identified by
 (trailing newline stripped) followed by the path and bytes of every
 untracked file there, which that diff omits.  The parent is exported with
 ``git archive`` into a temporary directory, so the repository's ``.git``
-is never written.
+is never written.  Each side compiles and caches its bytecode under its
+own fresh ``PYTHONPYCACHEPREFIX``: a side that read caches left in its
+tree by earlier runs, while the other compiled every import, would import
+with a different allocation history and move ``setup_s`` (by where a
+garbage collection lands) and the cold row.
 Pair *i* runs both sides on seed ``--seed + i``, and the side that goes
 first alternates from pair to pair, so host drift during the record
 charges both sides alike::
@@ -92,12 +104,20 @@ def export(rev: str, into: str) -> None:
     subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
 
 
-def run_side(checkout: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+def side_env(cache: str, **extra: str) -> dict:
+    """This process's environment with bytecode cached under *cache* only."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=cache, **extra)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def run_side(checkout: str, cache: str, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     """One perfbench run in *checkout*: its host line and result."""
     child = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-        capture_output=True, text=True, cwd=checkout,
+        capture_output=True, text=True, cwd=checkout, env=side_env(cache),
     )
     if child.returncode != 0:
         sys.stderr.write(child.stderr)
@@ -112,10 +132,10 @@ def run_side(checkout: str, workload: str, seed: int, seconds: float, trace: int
     }
 
 
-def run_cold(checkout: str):
+def run_cold(checkout: str, cache: str):
     """Wall seconds of one cold :data:`COLD_ARGS` process in *checkout*, and
     its row without timing."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    env = side_env(cache, PYTHONPATH=os.path.join(checkout, "src"))
     start = time.perf_counter()
     child = subprocess.run([sys.executable, *COLD_ARGS], capture_output=True, text=True,
                            cwd=checkout, env=env)
@@ -132,6 +152,18 @@ def spread(values) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def compare(parent, child, lower: bool) -> dict:
+    """Both sides' spreads over the pairs, the pairs each side won, and
+    whether the record resolves a change (see the module docstring)."""
+    won = sum((c < p) if lower else (c > p) for p, c in zip(parent, child))
+    lost = sum((c > p) if lower else (c < p) for p, c in zip(parent, child))
+    sides = {"parent": spread(parent), "child": spread(child)}
+    shift = abs(sides["child"]["median"] - sides["parent"]["median"])
+    pairs = len(parent)
+    resolved = pairs >= 10 and 10 * max(won, lost) >= 9 * pairs and shift > sides["parent"]["iqr"]
+    return {**sides, "pairs_won": won, "pairs_lost": lost, "resolved": resolved}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -144,13 +176,15 @@ def main(argv=None) -> int:
         parser.error("--pairs must be >= 1 and --seconds positive")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-        gated = json.load(handle)["end_to_end"]
+        declared = json.load(handle)
+    gated = declared["end_to_end"]
     dirty = bool(git("status", "--porcelain", "--", *PROGRAM))
     child_sha = git("rev-parse", "HEAD")
     parent_sha = git("rev-parse", "HEAD" if dirty else "HEAD~1")
     child_diff = child_program() if dirty else b""
 
     scratch = tempfile.mkdtemp(prefix="ledger-parent-")
+    caches = {side: tempfile.mkdtemp(prefix=f"ledger-pyc-{side}-") for side in ("parent", "child")}
     try:
         export(parent_sha, scratch)
         sides = {"parent": scratch, "child": ROOT}
@@ -161,34 +195,34 @@ def main(argv=None) -> int:
         for index in range(args.pairs):
             order = ("parent", "child") if index % 2 == 0 else ("child", "parent")
             for side in order:
-                run = run_side(sides[side], args.workload, args.seed + index, args.seconds)
+                run = run_side(sides[side], caches[side], args.workload, args.seed + index,
+                               args.seconds)
                 runs[side].append(run)
                 print(f"pair {index} {side}: " + json.dumps(run["metrics"]), file=sys.stderr)
             for side in order:
-                run = run_side(sides[side], args.workload, args.seed + index, TRACED_SECONDS,
+                run = run_side(sides[side], caches[side], args.workload, args.seed + index,
+                               TRACED_SECONDS,
                                trace=1)
                 traced[side].append(run)
                 print(f"pair {index} {side} traced: " + json.dumps(run["metrics"]),
                       file=sys.stderr)
             for side in order:
-                elapsed, row = run_cold(sides[side])
+                elapsed, row = run_cold(sides[side], caches[side])
                 cold[side].append(elapsed)
                 cold_rows[side].append(row)
                 print(f"pair {index} {side} cold: {elapsed:.3f} s", file=sys.stderr)
     finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+        for directory in (scratch, *caches.values()):
+            shutil.rmtree(directory, ignore_errors=True)
 
     metrics = {}
     for metric in gated:
         name = metric["name"]
         parent = [run["metrics"][name] for run in runs["parent"]]
         child = [run["metrics"][name] for run in runs["child"]]
-        lower = metric["better"] == "lower"
-        won = sum((c < p) if lower else (c > p) for p, c in zip(parent, child))
         metrics[name] = {
-            "unit": metric["unit"], "better": metric["better"],
-            "parent": spread(parent), "child": spread(child),
-            "pairs_won": won, "pairs": args.pairs,
+            "unit": metric["unit"], "better": metric["better"], "pairs": args.pairs,
+            **compare(parent, child, metric["better"] == "lower"),
         }
     rows_match = cold_rows["parent"] == cold_rows["child"]
     if not rows_match:
@@ -223,6 +257,15 @@ def main(argv=None) -> int:
         },
         "layers": {side: {name: statistics.median(run["metrics"][name] for run in traced[side])
                           for name in traced[side][0]["metrics"]} for side in traced},
+        "layers_resolved": {
+            layer["name"]: compare(
+                [run["metrics"][layer["name"]] for run in traced["parent"]],
+                [run["metrics"][layer["name"]] for run in traced["child"]],
+                layer["better"] == "lower",
+            )["resolved"]
+            for layer in declared["per_layer"]
+            if layer["name"] in traced["parent"][0]["metrics"]
+        },
     }
     output = os.path.join(ROOT, f"BENCH_{args.workload.replace('-', '_')}.json")
     with open(output, "w") as handle:

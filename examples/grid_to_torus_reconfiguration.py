@@ -99,7 +99,7 @@ def main() -> None:
     )
     print()
     print(f"workload makespan: {record.makespan:.6f} s")
-    print(f"CRC iterations: {len(crc.iterations)}, "
+    print(f"CRC ticks: {len(crc.ticks)}, "
           f"reconfiguration batches: {len(crc.reconfiguration_times)}")
     if crc.reconfiguration_times:
         print(f"first reconfiguration at t = {crc.reconfiguration_times[0] * 1e3:.3f} ms")

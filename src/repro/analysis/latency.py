@@ -21,6 +21,7 @@ from typing import Dict, List, Sequence
 from repro.fabric.switch import SwitchModel
 from repro.phy.fec import FEC_NONE, FecScheme
 from repro.phy.media import FIBER_MMF, Media
+from repro.sim.stats import fsum_seq
 from repro.sim.units import bits_from_bytes, gbps
 
 
@@ -125,7 +126,7 @@ class LatencyModel:
             "switching": hops * per_hop_switch,
             "phy": links * self.phy_per_hop(),
         }
-        breakdown["total"] = sum(breakdown.values())
+        breakdown["total"] = fsum_seq(breakdown.values())
         breakdown["hops"] = float(hops)
         breakdown["links"] = float(links)
         return breakdown

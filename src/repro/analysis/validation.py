@@ -18,6 +18,7 @@ from repro.fabric.packetsim import PacketLevelNetwork
 from repro.fabric.topology import TopologyBuilder
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
+from repro.sim.stats import fsum_seq
 from repro.sim.units import bits_from_bytes
 
 
@@ -99,5 +100,5 @@ def validation_summary(results: Sequence[ValidationResult]) -> Dict[str, float]:
     return {
         "scenarios": float(len(results)),
         "max_relative_error": max(errors),
-        "mean_relative_error": sum(errors) / len(errors),
+        "mean_relative_error": fsum_seq(errors) / len(errors),
     }

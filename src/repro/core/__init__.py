@@ -20,9 +20,11 @@
   feedback loop that observes link statistics, asks the policies for PLP
   commands, executes them and re-routes traffic.
 * :mod:`repro.core.control` -- the closed-loop adaptive control *runtime*:
-  a :class:`~repro.core.control.ControlLoop` process on the event engine
+  a :class:`~repro.core.control.ControlLoop` ticking on its own event engine
   that drives telemetry, pricing, scheduling and reconfiguration inside a
-  running fluid simulation.
+  running simulation, plus what both rings share: the
+  :class:`~repro.core.control.Ring` bookkeeping, the per-tick
+  :class:`~repro.core.control.ControlTick` and the capacity push.
 * :mod:`repro.core.controllers` -- the :class:`Controller` protocol and its
   name registry: every control strategy (``none``, ``static``, ``ecmp``,
   ``crc``, ``loop``, or a third-party registration) becomes interchangeable

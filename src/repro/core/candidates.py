@@ -37,6 +37,7 @@ from repro.core.plp import PLPCommand, PLPCommandType, ReconfigurationDelays
 from repro.core.reconfiguration import GridToTorusPlan, ReconfigurationPlan
 from repro.fabric.fabric import Fabric
 from repro.fabric.topology import Topology, TopologyBuilder
+from repro.sim.stats import fsum_seq
 
 
 @dataclass
@@ -170,7 +171,7 @@ class GridToTorusCandidate(PlanCandidate):
         of average shortest-path hop counts -- the paper's "fewer switch
         traversals" argument in one line.
         """
-        total_capacity = sum(link.capacity_bps for link in topology.links())
+        total_capacity = fsum_seq(link.capacity_bps for link in topology.links())
         current_hops = topology.average_shortest_path_hops()
         target = TopologyBuilder(lanes_per_link=1).torus(
             self.builder.rows, self.builder.columns
@@ -370,7 +371,7 @@ class DragonflyGlobalRehomeCandidate(PlanCandidate):
                     params={"lanes": lanes_per_new},
                 )
             )
-        current_rate = sum(
+        current_rate = fsum_seq(
             topology.link_between(left, right).capacity_bps
             for left, right in TopologyBuilder.dragonfly_global_pairs(self.groups, a)
             if topology.has_link(left, right)

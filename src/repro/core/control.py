@@ -5,10 +5,16 @@ existed for a while -- price tags (:mod:`repro.core.cost`), the flow
 scheduler (:mod:`repro.core.scheduler`), the reconfiguration planner
 (:mod:`repro.core.reconfiguration`) and the PLP executor
 (:mod:`repro.core.plp`) -- but the Figure 2 experiments drove them from a
-pre-scripted plan.  :class:`ControlLoop` instead runs as a periodic process
-on the discrete-event engine (:mod:`repro.sim.engine`), co-simulated in
-lock-step with a *simulation backend*, and reacts to whatever the traffic
-actually does.
+pre-scripted plan.  :class:`ControlLoop` instead ticks on its own
+discrete-event engine (:mod:`repro.sim.engine`), co-simulated in lock-step
+with a *simulation backend*, and reacts to whatever the traffic actually
+does.
+
+The scripted CRC (:class:`repro.core.crc.ClosedRingControl`) walks the same
+ring with a policy stack instead of prices and plans.  Both rings share
+the :class:`Ring` bookkeeping (executor, planner, one :class:`ControlTick`
+per tick, the reconfiguration times and the headline summary) and
+:func:`push_capacities`; only their tick drivers differ.
 
 The loop is backend-agnostic: it binds to anything exposing the fluid
 observation/actuation surface -- the fluid flow simulator
@@ -68,9 +74,8 @@ from repro.fabric.fabric import Fabric
 from repro.fabric.routing import path_directed_keys
 from repro.fabric.topology import canonical_key, merge_directed_values
 from repro.phy.stats import EwmaEstimator
-from repro.sim.engine import Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.sim.fluid import FluidFlowSimulator, FluidResult
-from repro.sim.process import PeriodicProcess
 from repro.sim.units import microseconds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -81,7 +86,7 @@ LinkKey = Tuple[str, str]
 #: Any simulation backend the loop can bind to: the fluid flow simulator or
 #: the packet backend.  Both expose the observation/actuation surface the
 #: loop consumes (``instantaneous_link_utilisation``/``..._load``,
-#: ``active_flows``, ``pending_demand_bits``, ``route_of``, ``links``,
+#: ``active_flows``, ``pending_demand_bits``, ``route_of``,
 #: ``has_link``/``set_capacity``/``add_link``/``set_enabled``, ``reroute``
 #: and a resumable ``run(until)`` returning a truncation-aware result).
 SimulationBackend = Union[FluidFlowSimulator, "PacketBackend"]
@@ -160,9 +165,14 @@ class ControlLoopConfig:
 
 @dataclass
 class ControlTick:
-    """Record of one lap around the ring, kept for analysis and tests."""
+    """Record of one lap around either ring, kept for analysis and tests.
+
+    Both rings fill the fields up to ``power_watts``.  The rest are the
+    priced loop's own; on a CRC tick they keep their defaults.
+    """
 
     time: float
+    #: 1 for a ring's first tick, counting up.
     index: int
     #: Hottest smoothed link utilisation seen this tick.
     max_utilisation: float
@@ -170,10 +180,16 @@ class ControlTick:
     raw_max_utilisation: float
     active_flows: int
     pending_demand_bits: float
-    smoothed_demand_bits: float
-    flows_rerouted: int
-    plans_evaluated: int
     reconfigured: bool
+    #: PLP commands the tick issued, and how many of them failed.
+    commands_issued: int
+    commands_failed: int
+    #: Fabric power recorded into the power budget this tick.
+    power_watts: float
+    smoothed_demand_bits: float = 0.0
+    flows_rerouted: int = 0
+    plans_evaluated: int = 0
+    #: The plan whose batch this tick executed, even one that failed.
     plan_name: str = ""
     #: Absolute time the in-flight transition completes (None when idle).
     transition_until: Optional[float] = None
@@ -183,11 +199,74 @@ __all__ = [
     "ControlLoop",
     "ControlLoopConfig",
     "ControlTick",
+    "Ring",
     "SimulationBackend",
+    "push_capacities",
 ]
 
 
-class ControlLoop:
+def push_capacities(
+    fabric: Fabric, sim: SimulationBackend, disable_new: bool = False
+) -> List[LinkKey]:
+    """Push *fabric*'s per-direction capacities into *sim*, in
+    :meth:`~repro.fabric.fabric.Fabric.directed_capacities` order.
+
+    A link *sim* already has gets its capacity set (unchanged capacities
+    are no-ops on both backends); a link it lacks is added, and with
+    *disable_new* it joins disabled.  Returns the directed keys added.
+    """
+    added: List[LinkKey] = []
+    for key, capacity in fabric.directed_capacities().items():
+        if sim.has_link(key):
+            sim.set_capacity(key, capacity)
+        else:
+            sim.add_link(key, capacity)
+            if disable_new:
+                sim.set_enabled(key, False)
+            added.append(key)
+    return added
+
+
+class Ring:
+    """What both closed rings keep: the fabric they act on, the PLP
+    executor and reconfiguration planner they act through, one
+    :class:`ControlTick` per tick in :attr:`ticks`, and the times of their
+    reconfigurations.
+
+    The tick drivers stay apart.  :class:`ControlLoop` ticks on a private
+    engine between backend ``run(until=t)`` calls; the CRC ticks inside
+    the backend's ``run`` through ``add_controller``, where it shares
+    instants with the failure injector and with packet events.
+    """
+
+    def __init__(
+        self,
+        fabric: Fabric,
+        delays: ReconfigurationDelays,
+        hysteresis: float,
+        min_interval: float,
+    ) -> None:
+        self.fabric = fabric
+        self.executor = PLPExecutor(fabric, delays=delays)
+        self.planner = ReconfigurationPlanner(
+            delays=delays, hysteresis=hysteresis, min_interval=min_interval
+        )
+        self.ticks: List[ControlTick] = []
+        self.reconfiguration_times: List[float] = []
+
+    def summary(self) -> Dict[str, float]:
+        """Headline counters for experiment reports."""
+        return {
+            "iterations": float(len(self.ticks)),
+            "commands_executed": float(self.executor.commands_executed),
+            "commands_failed": float(self.executor.commands_failed),
+            "reconfigurations": float(len(self.reconfiguration_times)),
+            "total_reconfiguration_time": self.executor.total_reconfiguration_time,
+            "peak_power_watts": self.fabric.power_budget.peak_watts(),
+        }
+
+
+class ControlLoop(Ring):
     """The closed-loop controller, bound to an engine and a simulation backend.
 
     Typical use (the fluid backend; a
@@ -217,23 +296,20 @@ class ControlLoop:
         candidates: Sequence[PlanCandidate] = (),
         config: Optional[ControlLoopConfig] = None,
     ) -> None:
-        self.fabric = fabric
         self.config = config if config is not None else ControlLoopConfig()
+        super().__init__(
+            fabric,
+            self.config.delays,
+            self.config.hysteresis,
+            self.config.min_reconfiguration_interval,
+        )
         self.tagger = LinkPriceTagger(weights=self.config.price_weights)
         self.scheduler = FlowScheduler(
             fabric,
             tagger=self.tagger,
             candidate_paths=self.config.candidate_paths,
         )
-        self.executor = PLPExecutor(fabric, delays=self.config.delays)
-        self.planner = ReconfigurationPlanner(
-            delays=self.config.delays,
-            hysteresis=self.config.hysteresis,
-            min_interval=self.config.min_reconfiguration_interval,
-        )
         self.candidates: List[PlanCandidate] = list(candidates)
-        self.ticks: List[ControlTick] = []
-        self.reconfiguration_times: List[float] = []
         self.flows_rerouted_total = 0
         #: Approved plans whose PLP batch failed entirely (nothing changed)
         #: or in part (the fabric changed; the transition still ran).
@@ -244,7 +320,7 @@ class ControlLoop:
         self.demand_ewma = EwmaEstimator(alpha=self.config.telemetry_alpha, initial=0.0)
         self._sim: Optional[SimulationBackend] = None
         self._engine: Optional[Simulator] = None
-        self._process: Optional[PeriodicProcess] = None
+        self._next_tick: Optional[EventHandle] = None
         self._transition_until: Optional[float] = None
         self._training_links: List[LinkKey] = []
 
@@ -267,14 +343,7 @@ class ControlLoop:
             raise RuntimeError("ControlLoop is already bound")
         self._sim = simulator
         self._engine = Simulator()
-        self._process = PeriodicProcess(
-            self._engine,
-            "control-loop",
-            period=self.config.interval,
-            callback=self._on_tick,
-            start_offset=self.config.interval,
-        )
-        self._process.start()
+        self._next_tick = self._engine.schedule(self.config.interval, self._tick)
 
     def run(self, until: Optional[float] = None, max_ticks: int = 100_000) -> FluidResult:
         """Co-simulate engine and simulation backend until the workload drains.
@@ -295,7 +364,7 @@ class ControlLoop:
             traffic has not drained (e.g. flows stalled on a partitioned
             fabric with no repair candidate).
         """
-        if self._sim is None or self._engine is None or self._process is None:
+        if self._sim is None or self._engine is None or self._next_tick is None:
             raise RuntimeError("bind() the loop to a fluid simulator first")
         sim, engine = self._sim, self._engine
         events = 0
@@ -317,7 +386,7 @@ class ControlLoop:
                 break
             if self._drained():
                 break
-        self._process.stop()
+        self._next_tick.cancel()
         if until is not None and sim.now < until:
             sim.run(until=until)
         return sim.run(until=sim.now)
@@ -333,9 +402,11 @@ class ControlLoop:
     # ------------------------------------------------------------------ #
     # One lap around the ring
     # ------------------------------------------------------------------ #
-    def _on_tick(self, now: float) -> None:
-        assert self._sim is not None
+    def _tick(self) -> None:
+        """Walk one lap at the engine's clock, then schedule the next tick."""
+        assert self._sim is not None and self._engine is not None
         sim = self._sim
+        now = self._engine.now
 
         # 1. observe ---------------------------------------------------- #
         raw_utilisation = self._canonical_utilisation(sim)
@@ -363,8 +434,8 @@ class ControlLoop:
 
         # 4. plan + 5. actuate ------------------------------------------ #
         plans_evaluated = 0
-        reconfigured = False
         plan_name = ""
+        results: List[PLPResult] = []
         if smoothed_max >= self.config.utilisation_threshold and self._transition_until is None:
             for candidate in self.candidates:
                 proposal = candidate.propose(self.fabric, self.config.delays)
@@ -381,11 +452,11 @@ class ControlLoop:
                     margin=self.config.break_even_margin,
                 ):
                     continue
-                self._apply_plan(now, candidate, proposal.plan, sim)
-                reconfigured = True
+                results = self._apply_plan(now, candidate, proposal.plan, sim)
                 plan_name = proposal.plan.name
                 break  # at most one reconfiguration per tick
 
+        failed = sum(1 for result in results if result.failed)  # repro: ignore[D004] a count
         record = ControlTick(
             time=now,
             index=len(self.ticks) + 1,
@@ -393,15 +464,20 @@ class ControlLoop:
             raw_max_utilisation=raw_max,
             active_flows=len(active),
             pending_demand_bits=pending_bits,
+            # A batch that failed entirely changed nothing (see _apply_plan).
+            reconfigured=failed < len(results),
+            commands_issued=len(results),
+            commands_failed=failed,
+            power_watts=power,
             smoothed_demand_bits=self.demand_ewma.value_or(0.0),
             flows_rerouted=rerouted,
             plans_evaluated=plans_evaluated,
-            reconfigured=reconfigured,
             plan_name=plan_name,
             transition_until=self._transition_until,
         )
         self.ticks.append(record)
         self.flows_rerouted_total += rerouted
+        self._next_tick = self._engine.schedule(self.config.interval, self._tick)
 
     # ------------------------------------------------------------------ #
     # Observation helpers
@@ -503,23 +579,14 @@ class ControlLoop:
         if failed:
             self.plans_partial += 1
 
-        # Push new capacities into the fluid model.  Links that shrank take
+        # Push new capacities into the backend.  Links that shrank take
         # effect immediately (the lanes are gone); links created by the plan
         # join disabled -- they are training until the batch completes.
         # Every mutation goes through the simulator API, which feeds the
         # incremental allocator's dirty set (unchanged capacities are
-        # no-ops, so the blanket push below re-solves only what moved).
-        before = set(sim.links())
-        for key, capacity in self.fabric.directed_capacities().items():
-            if sim.has_link(key):
-                sim.set_capacity(key, capacity)
-            else:
-                sim.add_link(key, capacity)
-                sim.set_enabled(key, False)
-        canonical_new = sorted(
-            {canonical_key(*key) for key in self.fabric.directed_capacities() if key not in before}
-        )
-        self._training_links = list(canonical_new)
+        # no-ops, so the blanket push re-solves only what moved).
+        added = push_capacities(self.fabric, sim, disable_new=True)
+        self._training_links = sorted({canonical_key(*key) for key in added})
         self._transition_until = max(completion, now)
 
         # Flows whose route lost a link (or all capacity) must move now;
@@ -563,24 +630,16 @@ class ControlLoop:
                     self._sim.set_enabled(key, True)
         self._training_links = []
         self._transition_until = None
-        for key, capacity in self.fabric.directed_capacities().items():
-            if self._sim.has_link(key):
-                self._sim.set_capacity(key, capacity)
+        push_capacities(self.fabric, self._sim)
         self.fabric.invalidate_routes()
 
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
     def summary(self) -> Dict[str, float]:
-        """Headline counters for experiment reports."""
-        return {
-            "iterations": float(len(self.ticks)),
-            "commands_executed": float(self.executor.commands_executed),
-            "commands_failed": float(self.executor.commands_failed),
-            "reconfigurations": float(len(self.reconfiguration_times)),
-            "plans_rejected": float(self.plans_rejected),
-            "plans_partial": float(self.plans_partial),
-            "flows_rerouted": float(self.flows_rerouted_total),
-            "total_reconfiguration_time": self.executor.total_reconfiguration_time,
-            "peak_power_watts": self.fabric.power_budget.peak_watts(),
-        }
+        """The shared headline counters plus the loop's plan and reroute counts."""
+        summary = super().summary()
+        summary["plans_rejected"] = float(self.plans_rejected)
+        summary["plans_partial"] = float(self.plans_partial)
+        summary["flows_rerouted"] = float(self.flows_rerouted_total)
+        return summary

@@ -15,11 +15,12 @@ carries; price-tag routing is the closed loop's job
 (:class:`repro.core.control.ControlLoop`).
 
 The controller can run standalone (``control_step`` driven by a test or a
-benchmark) or attached to a :class:`~repro.sim.fluid.FluidFlowSimulator`,
-where it registers itself as a periodic callback, observes the live link
-utilisation, and pushes capacity/route changes back into the running
-simulation -- this attached mode is what the Figure 2 and MapReduce
-experiments use.
+benchmark) or attached to a simulation backend, where it registers itself
+as a periodic callback, observes the live link utilisation, and pushes
+capacity/route changes back into the running simulation -- this attached
+mode is what the Figure 2 and MapReduce experiments use.  It keeps the
+same bookkeeping as the priced loop (:class:`repro.core.control.Ring`):
+one :class:`~repro.core.control.ControlTick` per tick in ``ticks``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.plp import PLPCommandType, PLPExecutor, PLPResult, ReconfigurationDelays
+from repro.core.control import ControlTick, Ring, push_capacities
+from repro.core.plp import PLPCommandType, PLPResult, ReconfigurationDelays
 from repro.core.policy import (
     AdaptiveFecPolicy,
     BypassPolicy,
@@ -37,17 +39,17 @@ from repro.core.policy import (
     Observation,
     PowerCapPolicy,
 )
-from repro.core.reconfiguration import ReconfigurationPlanner
 from repro.fabric.fabric import Fabric
 from repro.fabric.routing import NoPathError
 from repro.fabric.topology import merge_directed_values
 from repro.sim.fluid import FluidFlowSimulator
+from repro.sim.stats import fsum_seq
 from repro.sim.units import microseconds
 
 LinkKey = Tuple[str, str]
 
 #: Command types that change capacity or connectivity and therefore require
-#: the attached fluid simulation to be re-synchronised.
+#: the attached simulation to be re-synchronised.
 _TOPOLOGY_AFFECTING = {
     PLPCommandType.SPLIT_LINK,
     PLPCommandType.BUNDLE_LANES,
@@ -108,20 +110,7 @@ class CRCConfig:
             )
 
 
-@dataclass
-class ControlIteration:
-    """Record of one pass around the ring, kept for analysis and tests."""
-
-    time: float
-    iteration: int
-    max_utilisation: float
-    commands_issued: int
-    commands_failed: int
-    reconfigured: bool
-    power_watts: float
-
-
-class ClosedRingControl:
+class ClosedRingControl(Ring):
     """The controller that closes the ring around the fabric."""
 
     def __init__(
@@ -130,18 +119,14 @@ class ClosedRingControl:
         config: Optional[CRCConfig] = None,
         policy: Optional[ControlPolicy] = None,
     ) -> None:
-        self.fabric = fabric
         self.config = config if config is not None else CRCConfig()
-        self.executor = PLPExecutor(fabric, delays=self.config.delays)
-        self.planner = ReconfigurationPlanner(
-            delays=self.config.delays,
-            hysteresis=self.config.hysteresis,
-            min_interval=self.config.min_reconfiguration_interval,
+        super().__init__(
+            fabric,
+            self.config.delays,
+            self.config.hysteresis,
+            self.config.min_reconfiguration_interval,
         )
         self.policy = policy if policy is not None else self._default_policy()
-        self.iterations: List[ControlIteration] = []
-        self.reconfiguration_times: List[float] = []
-        self._iteration_counter = 0
 
     # ------------------------------------------------------------------ #
     # Policy assembly
@@ -170,28 +155,6 @@ class ClosedRingControl:
     # ------------------------------------------------------------------ #
     # One pass around the ring
     # ------------------------------------------------------------------ #
-    def observe(
-        self,
-        now: float,
-        link_utilisation: Optional[Dict[LinkKey, float]] = None,
-        pending_demand_bits: float = 0.0,
-        hot_pairs: Sequence[Tuple[str, str, float]] = (),
-        active_flow_count: int = 0,
-    ) -> Observation:
-        """Assemble the observation for this iteration and update link stats."""
-        canonical = merge_directed_values(link_utilisation or {})
-        power_report = self.fabric.power_report()
-        self.fabric.observe_links(canonical)
-        return Observation(
-            time=now,
-            fabric=self.fabric,
-            link_utilisation=canonical,
-            power_report=power_report,
-            active_flow_count=active_flow_count,
-            pending_demand_bits=pending_demand_bits,
-            hot_pairs=list(hot_pairs),
-        )
-
     def control_step(
         self,
         now: float,
@@ -200,13 +163,22 @@ class ClosedRingControl:
         hot_pairs: Sequence[Tuple[str, str, float]] = (),
         active_flow_count: int = 0,
     ) -> List[PLPResult]:
-        """Run one full iteration of the closed loop and return PLP results."""
-        observation = self.observe(
-            now,
-            link_utilisation=link_utilisation,
-            pending_demand_bits=pending_demand_bits,
-            hot_pairs=hot_pairs,
+        """Run one full iteration of the closed loop and return PLP results.
+
+        The policies see the raw utilisation; every link's smoothed stream
+        is updated with it first.
+        """
+        canonical = merge_directed_values(link_utilisation or {})
+        power_report = self.fabric.power_report()
+        smoothed = self.fabric.observe_links(canonical)
+        observation = Observation(
+            time=now,
+            fabric=self.fabric,
+            link_utilisation=canonical,
+            power_report=power_report,
             active_flow_count=active_flow_count,
+            pending_demand_bits=pending_demand_bits,
+            hot_pairs=list(hot_pairs),
         )
         commands = self.policy.decide(observation)
         results = self.executor.execute_batch(commands, now=now) if commands else []
@@ -217,24 +189,25 @@ class ClosedRingControl:
         if reconfigured:
             self.reconfiguration_times.append(now)
             self.fabric.invalidate_routes()
-        self._iteration_counter += 1
-        record = ControlIteration(
+        failed = sum(1 for result in results if result.failed)  # repro: ignore[D004] a count
+        record = ControlTick(
             time=now,
-            iteration=self._iteration_counter,
-            max_utilisation=observation.max_utilisation(),
-            commands_issued=len(commands),
-            commands_failed=sum(1 for result in results if result.failed),
+            index=len(self.ticks) + 1,
+            max_utilisation=max(smoothed.values()) if smoothed else 0.0,
+            raw_max_utilisation=observation.max_utilisation(),
+            active_flows=active_flow_count,
+            pending_demand_bits=pending_demand_bits,
             reconfigured=reconfigured,
-            power_watts=observation.power_report.total_watts
-            if observation.power_report
-            else 0.0,
+            commands_issued=len(commands),
+            commands_failed=failed,
+            power_watts=power_report.total_watts,
         )
-        self.iterations.append(record)
+        self.ticks.append(record)
         self.fabric.power_budget.record(now, record.power_watts)
         return results
 
     # ------------------------------------------------------------------ #
-    # Fluid-simulation attachment
+    # Simulation attachment
     # ------------------------------------------------------------------ #
     def attach(self, simulator: FluidFlowSimulator) -> None:
         """Register the CRC as a periodic controller of *simulator*, ticking
@@ -242,14 +215,15 @@ class ClosedRingControl:
 
         On every tick the controller reads the live utilisation and the
         active flows, runs :meth:`control_step`, and -- when any command
-        changed capacity or connectivity -- synchronises the fluid link set
-        with the fabric topology and re-routes every active flow onto the
-        cheapest path of the updated fabric.
+        changed capacity or connectivity -- pushes the fabric's capacities
+        into the simulation (:func:`~repro.core.control.push_capacities`)
+        and re-routes every active flow onto the cheapest path of the
+        updated fabric.
         """
         def callback(sim: FluidFlowSimulator, now: float) -> None:
             utilisation = merge_directed_values(sim.instantaneous_link_utilisation())
             active = sim.active_flows()
-            pending = sum(flow.bits_remaining for flow in active)
+            pending = fsum_seq(flow.bits_remaining for flow in active)
             by_pair: Dict[Tuple[str, str], float] = {}
             for flow in active:
                 by_pair[(flow.src, flow.dst)] = (
@@ -261,30 +235,19 @@ class ClosedRingControl:
                     by_pair.items(), key=lambda kv: kv[1], reverse=True
                 )
             ]
-            results = self.control_step(
+            self.control_step(
                 now,
                 link_utilisation=utilisation,
                 pending_demand_bits=pending,
                 hot_pairs=hot_pairs,
                 active_flow_count=len(active),
             )
-            if any(
-                result.success and result.command.type in _TOPOLOGY_AFFECTING
-                for result in results
-            ):
-                self.sync_fluid_links(sim)
+            if self.ticks[-1].reconfigured:
+                push_capacities(self.fabric, sim)
                 self.reroute_active_flows(sim)
 
         period = self.config.control_period
         simulator.add_controller(period, callback, start_offset=period)
-
-    def sync_fluid_links(self, simulator: FluidFlowSimulator) -> None:
-        """Push the fabric's current per-direction capacities into the fluid sim."""
-        for key, capacity in self.fabric.directed_capacities().items():
-            if simulator.has_link(key):
-                simulator.set_capacity(key, capacity)
-            else:
-                simulator.add_link(key, capacity)
 
     def reroute_active_flows(self, simulator: FluidFlowSimulator) -> None:
         """Re-route every active flow over the updated fabric."""
@@ -295,17 +258,3 @@ class ClosedRingControl:
                 continue  # pair temporarily disconnected mid-reconfiguration
             if keys and all(simulator.has_link(key) for key in keys):
                 simulator.reroute(flow.flow_id, keys)
-
-    # ------------------------------------------------------------------ #
-    # Reporting
-    # ------------------------------------------------------------------ #
-    def summary(self) -> Dict[str, float]:
-        """Headline counters for experiment reports."""
-        return {
-            "iterations": float(len(self.iterations)),
-            "commands_executed": float(self.executor.commands_executed),
-            "commands_failed": float(self.executor.commands_failed),
-            "reconfigurations": float(len(self.reconfiguration_times)),
-            "total_reconfiguration_time": self.executor.total_reconfiguration_time,
-            "peak_power_watts": self.fabric.power_budget.peak_watts(),
-        }

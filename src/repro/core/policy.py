@@ -22,6 +22,7 @@ from repro.fabric.routing import NoPathError
 from repro.phy.fec import AdaptiveFecController
 from repro.phy.power import PowerReport
 from repro.phy.stats import EwmaEstimator
+from repro.sim.stats import fsum_seq
 from repro.sim.units import milliseconds
 
 LinkKey = Tuple[str, str]
@@ -262,7 +263,7 @@ class BypassPolicy(ControlPolicy):
             capacity = min(link.capacity_bps for link in links)
             if capacity <= 0:
                 continue
-            propagation = sum(link.propagation_delay for link in links)
+            propagation = fsum_seq(link.propagation_delay for link in links)
             commands.append(
                 PLPCommand(
                     type=PLPCommandType.CREATE_BYPASS,

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence
 
+from repro.core.control import push_capacities
 from repro.core.controllers import (
     Controller,
     ControllerSummary,
@@ -243,8 +244,7 @@ def _build_fluid(
         allocator=allocator,
         max_events=max_events,
     )
-    for key, capacity in fabric.directed_capacities().items():
-        simulator.add_link(key, capacity)
+    push_capacities(fabric, simulator)
     for flow in flows:
         keys = fabric.route_keys(flow.src, flow.dst, flow_id=flow.flow_id)
         simulator.add_flow(flow, keys)

@@ -14,6 +14,7 @@ import operator
 from typing import Dict, List, Optional, Tuple
 
 from repro.fabric.fabric import Fabric, FabricConfig
+from repro.sim.stats import fsum_seq
 from repro.sim.units import GBPS
 
 
@@ -97,9 +98,8 @@ def fabric_state_row(fabric: Fabric, packet_size_bytes: float = 1500.0) -> Dict[
     * **Running totals.**  Each source adds the slice of its row past
       itself, so pairs are taken in per-pair-loop order without being
       stored: the hop total is an exact int sum, and the latency total is
-      carried through ``sum(slice, total)``, the same left-to-right double
-      additions as one ``sum`` over the concatenated slices (up to
-      Python 3.11; from 3.12 ``sum`` compensates per call, ROADMAP item 2).
+      carried through ``fsum_seq(slice, total)``, the same left-to-right
+      double additions as one sequential sum over the concatenated slices.
       The maxima are order-free.
 
     The statistics are deliberately *topological*: paths are hop-minimal
@@ -224,10 +224,10 @@ def fabric_state_row(fabric: Fabric, packet_size_bytes: float = 1500.0) -> Dict[
         if None in later_hops:
             dst = endpoints[index + 1 + later_hops.index(None)]
             raise ValueError(f"fabric is disconnected: no path from {src!r} to {dst!r}")
-        hop_total += sum(later_hops)
+        hop_total += sum(later_hops)  # repro: ignore[D004] int hop counts, exact in any order
         diameter = max(diameter, max(later_hops))
         later_latencies = latency_row[index + 1:]
-        latency_total = sum(later_latencies, latency_total)
+        latency_total = fsum_seq(later_latencies, latency_total)
         max_latency = max(max_latency, max(later_latencies))
 
     pairs = len(endpoints) * (len(endpoints) - 1) // 2

@@ -27,6 +27,7 @@ from repro.fabric.topology import Topology, canonical_key
 from repro.phy.bypass import BypassManager
 from repro.phy.power import PowerBudget, PowerModel, PowerReport
 from repro.phy.stats import EwmaEstimator
+from repro.sim.stats import fsum_seq
 
 #: Smoothing weight of the per-link utilisation stream a control tick folds.
 UTILISATION_ALPHA = 0.25
@@ -153,8 +154,8 @@ class Fabric:
         serialization = 0.0
         if include_source_serialization:
             serialization = links[0].serialization_delay(packet_size_bits)
-        propagation = sum(link.propagation_delay for link in links)
-        phy = sum(link.phy_latency for link in links)
+        propagation = fsum_seq(link.propagation_delay for link in links)
+        phy = fsum_seq(link.phy_latency for link in links)
         switching = 0.0
         for intermediate in path[1:-1]:
             switching += self._switches[intermediate].forwarding_latency(packet_size_bits)
@@ -191,7 +192,7 @@ class Fabric:
                 # charged per active lane on every attached fabric port so
                 # that gating lanes off actually recovers power.
                 report.nics_watts += model.nic_base_watts
-                attached_active_lanes = sum(
+                attached_active_lanes = sum(  # repro: ignore[D004] int lane counts
                     self.topology.link_between(node.name, neighbour).num_active_lanes
                     for neighbour in self.topology.neighbors(node.name)
                 )

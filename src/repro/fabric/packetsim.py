@@ -411,12 +411,8 @@ class PacketBackend:
         return key in self._capacities
 
     def links(self) -> Dict[DirectedKey, float]:
-        """Known directed links and their recorded capacities.
-
-        The fluid API's ``links()`` analogue; the control loop keys on
-        membership to tell pre-existing links from ones a reconfiguration
-        batch just created.
-        """
+        """Known directed links and their recorded capacities (the fluid
+        API's ``links()`` analogue)."""
         return dict(self._capacities)
 
     def set_capacity(self, key: DirectedKey, capacity_bps: float) -> None:
@@ -641,7 +637,7 @@ class PacketBackend:
             "retransmissions": float(self.transport.retransmissions),
             "retransmitted_bits": self.transport.retransmitted_bits,
             "segments_abandoned": float(self.transport.segments_abandoned),
-            "ecn_marks": float(sum(port.ecn_marks for port in ports)),
+            "ecn_marks": float(sum(port.ecn_marks for port in ports)),  # repro: ignore[D004] ints
             "mean_queueing_delay": mean(samples) if samples else 0.0,
             "p99_queueing_delay": percentile(samples, 99.0) if samples else 0.0,
         }

@@ -26,6 +26,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.fabric.topology import Topology
 from repro.phy.link import Link
+from repro.sim.stats import fsum_seq
 
 PathType = List[str]
 WeightFn = Callable[[Link], float]
@@ -195,8 +196,8 @@ def _bidirectional_bfs(adjacency, src, dst):
 
 
 def _path_cost(topology: Topology, path: Sequence[str], weight_fn: WeightFn) -> float:
-    """*path*'s weight summed link by link from its first node, with builtin ``sum``."""
-    return sum(weight_fn(link) for link in path_links(topology, path))
+    """*path*'s weight summed link by link from its first node, left to right."""
+    return fsum_seq(weight_fn(link) for link in path_links(topology, path))
 
 
 def _cut(adjacency, node: str, neighbour: str) -> None:
@@ -213,8 +214,8 @@ def _simple_paths(
     path's spur searches run when the next path is asked for, on a copy of
     the adjacency with the root's other nodes and each accepted path's edge
     out of ``root[-1]`` cut out, so the searches carry no filter.  A
-    candidate costs its root's ``sum()`` plus the spur's search length and
-    waits once on a ``(cost, counter, path)`` heap.
+    candidate costs its root's :func:`_path_cost` plus the spur's search
+    length and waits once on a ``(cost, counter, path)`` heap.
     """
     adjacency = topology.adjacency
     length, path = _search(topology, adjacency, src, dst, weight_fn, frozen=True)
@@ -274,7 +275,7 @@ def ecmp_paths(
 ) -> List[PathType]:
     """All equal-minimum-cost paths between *src* and *dst*.
 
-    Yen's paths in order, for as long as each one's ``sum()`` cost stays
+    Yen's paths in order, for as long as each one's :func:`_path_cost` stays
     within a relative ``1e-12`` of the first one's, so the tolerance holds
     whatever the scale of the weights (``1 / capacity`` costs are ~1e-11 per
     link, hop counts are exact integers).  Raises :class:`NoPathError` like

@@ -23,6 +23,7 @@ from repro.fabric.node import Node, NodeType
 from repro.phy.fec import FEC_RS528, FecScheme
 from repro.phy.link import Link
 from repro.phy.media import COPPER_DAC, Media
+from repro.sim.stats import fsum_seq
 from repro.sim.units import GBPS
 
 #: Default spacing between adjacent switching elements, from the paper's
@@ -215,21 +216,21 @@ class Topology:
 
     def average_shortest_path_hops(self) -> float:
         """Mean shortest-path length in hops over all ordered node pairs."""
-        total = sum(sum(hops.values()) for hops in self._all_pairs_hops())
+        total = sum(sum(hops.values()) for hops in self._all_pairs_hops())  # repro: ignore[D004] ints
         count = len(self._adjacency)
         return total / (count * (count - 1)) if count > 1 else 0.0
 
     def total_lanes(self) -> int:
         """Total physical lanes across all links (the paper's lane budget)."""
-        return sum(link.num_lanes for link in self._links.values())
+        return sum(link.num_lanes for link in self._links.values())  # repro: ignore[D004] ints
 
     def total_active_lanes(self) -> int:
         """Total lanes currently carrying traffic."""
-        return sum(link.num_active_lanes for link in self._links.values())
+        return sum(link.num_active_lanes for link in self._links.values())  # repro: ignore[D004] ints
 
     def total_link_power_watts(self) -> float:
         """Total power of all lane bundles."""
-        return sum(link.power_watts for link in self._links.values())
+        return fsum_seq(link.power_watts for link in self._links.values())
 
     def bisection_bandwidth_bps(self) -> float:
         """Capacity crossing a balanced bisection of the endpoints.

@@ -1,18 +1,21 @@
-"""Rules D001/D002: no unseeded randomness, no order-unstable iteration.
+"""Rules D001/D002/D004: no unseeded randomness, no order-unstable
+iteration, no interpreter-dependent float sums.
 
 The reproduction's headline guarantees -- same seed, bit-identical rows,
-for any sweep worker count, on either backend -- only hold while every
-stochastic draw flows through :mod:`repro.sim.random` and no float
-accumulation or event scheduling depends on the iteration order of a
-``set``.  These rules enforce both properties at the source level.
+for any sweep worker count, on either backend, on any interpreter -- only
+hold while every stochastic draw flows through :mod:`repro.sim.random`, no
+float accumulation or event scheduling depends on the iteration order of
+a ``set``, and every float sum rounds the same way on every CPython.
+These rules enforce all three at the source level.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.lint.framework import FileContext, Rule, register_rule
+from repro.lint.framework import FileContext, Finding, Rule, register_rule
 
 #: Directories considered "simulation code": everything whose determinism
 #: the parity suites rely on.  The CLI and analysis/report layers may read
@@ -412,3 +415,54 @@ class UnstableIterationRule(Rule):
             cached = _build_env(func, attrs)
             self._env_cache[id(func)] = cached
         return cached
+
+
+# --------------------------------------------------------------------------- #
+# D004: builtin sum() rounds floats differently from Python 3.12 on
+# --------------------------------------------------------------------------- #
+#: A ``D004`` suppression and the text that follows it on the line.
+_D004_SUPPRESSION = re.compile(r"#\s*repro:\s*ignore\[[^\]]*\bD004\b[^\]]*\](.*)$")
+
+
+@register_rule
+class BuiltinSumRule(Rule):
+    """D004: float sums go through :func:`repro.sim.stats.fsum_seq`.
+
+    From Python 3.12 on, builtin ``sum`` adds floats with compensated
+    (Neumaier) summation, where 3.11 and earlier add left to right, so one
+    ``sum`` call can round differently per interpreter and move a pinned
+    row.  ``fsum_seq`` is the plain left-to-right loop on every
+    interpreter.  A ``sum`` over ints is exact in any order and may stay,
+    with a ``# repro: ignore[D004]`` that says why; a suppression without a
+    reason is itself a finding.
+    """
+
+    code = "D004"
+    name = "builtin-float-sum"
+    rationale = (
+        "builtin sum() over floats rounds one way up to 3.11 and another "
+        "from 3.12 on, so the same row hashes differently per interpreter"
+    )
+    paths = ("src/repro/",)
+    node_types = (ast.Call,)
+
+    def visit(self, node: ast.AST, stack: Sequence[ast.AST], ctx: FileContext) -> None:
+        assert isinstance(node, ast.Call)
+        if not (isinstance(node.func, ast.Name) and node.func.id == "sum"):
+            return
+        ctx.report(
+            self, node,
+            "builtin sum() rounds floats differently from Python 3.12 on; "
+            "use repro.sim.stats.fsum_seq, or suppress with the reason the "
+            "terms are ints",
+        )
+        line = ctx.source.text.splitlines()[node.lineno - 1]
+        match = _D004_SUPPRESSION.search(line)
+        if match is not None and not match.group(1).strip():
+            # File-level (line 0), so the bare suppression cannot silence it.
+            ctx.findings.append(Finding(
+                rule=self.code,
+                path=ctx.source.rel,
+                line=0,
+                message=f"line {node.lineno}: a D004 suppression must say why the sum is exact",
+            ))

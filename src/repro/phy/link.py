@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.phy.fec import FEC_NONE, FEC_RS528, FecScheme
 from repro.phy.lane import Lane, LaneState
 from repro.phy.media import COPPER_DAC, Media
+from repro.sim.stats import fsum_seq
 from repro.sim.units import GBPS
 
 _link_ids = itertools.count()
@@ -199,7 +200,7 @@ class Link:
     @property
     def raw_capacity_bps(self) -> float:
         """Sum of active lane rates before FEC overhead."""
-        return sum(lane.effective_rate_bps for lane in self._lanes)
+        return fsum_seq(lane.effective_rate_bps for lane in self._lanes)
 
     @property
     def capacity_bps(self) -> float:
@@ -235,7 +236,7 @@ class Link:
     @property
     def power_watts(self) -> float:
         """Power drawn by the bundle: lanes plus the FEC logic per active lane."""
-        lane_power = sum(lane.power_watts for lane in self._lanes)
+        lane_power = fsum_seq(lane.power_watts for lane in self._lanes)
         fec_power = self.fec.power_watts * self.num_active_lanes
         return lane_power + fec_power
 

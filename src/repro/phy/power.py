@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.phy.link import Link
+from repro.sim.stats import fsum_seq
 
 
 @dataclass(frozen=True)
@@ -156,4 +157,4 @@ class PowerBudget:
 
 def fabric_link_power(links: Iterable[Link]) -> float:
     """Total power of a collection of links."""
-    return sum(link.power_watts for link in links)
+    return fsum_seq(link.power_watts for link in links)

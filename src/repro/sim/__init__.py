@@ -4,8 +4,6 @@ This package is the reproduction's substitute for the OMNeT++ framework the
 paper uses in its evaluation section.  It provides:
 
 * :mod:`repro.sim.engine` -- the event calendar and simulation clock,
-* :mod:`repro.sim.process` -- the periodic process the control loop ticks
-  on,
 * :mod:`repro.sim.packet` / :mod:`repro.sim.flow` -- the units of traffic,
   plus the per-port FIFO transmitter state (:class:`PortState`) and the
   port ledger both packet engines keep their output buffers in,
@@ -27,7 +25,6 @@ from repro.sim.engine import Event, EventHandle, Simulator, SimulationError
 from repro.sim.flow import Flow, FlowSet, FlowState
 from repro.sim.fluid import FluidFlowSimulator, FluidLink, FluidResult
 from repro.sim.packet import HopRecord, Packet, PortState
-from repro.sim.process import PeriodicProcess
 from repro.sim.random import RandomStreams
 from repro.sim.transport import FlowTransportState, PacketTransport, TransportConfig
 from repro.sim.units import (
@@ -61,7 +58,6 @@ __all__ = [
     "HopRecord",
     "Packet",
     "PortState",
-    "PeriodicProcess",
     "RandomStreams",
     "FlowTransportState",
     "PacketTransport",

@@ -199,7 +199,7 @@ class FlowSet:
 
     def total_bits(self) -> float:
         """Sum of flow sizes in the set."""
-        return sum(flow.size_bits for flow in self._flows)
+        return stats.fsum_seq(flow.size_bits for flow in self._flows)
 
     def makespan(self) -> Optional[float]:
         """Time between the earliest start and the latest completion.

@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.flow import Flow, FlowSet
+from repro.sim.stats import fsum_seq
 
 LinkKey = Hashable
 
@@ -399,7 +400,7 @@ class FluidFlowSimulator:
 
     def pending_demand_bits(self) -> float:
         """Total remaining volume of the active flows, at the current time."""
-        return sum(self._remaining_now(flow_id) for flow_id in self._active)
+        return fsum_seq(self._remaining_now(flow_id) for flow_id in self._active)
 
     def _remaining_now(self, flow_id: int) -> float:
         """A flow's exact remaining volume at the current clock.
@@ -561,7 +562,7 @@ class FluidFlowSimulator:
         for d in sorted(dirty):
             rem = link_by_id[d].effective_capacity
             rounds = [(round_of.get(fid, k_star), fid) for fid in flows_on_link[d]]
-            cnt = sum(1 for r, _ in rounds if r >= 0)
+            cnt = sum(1 for r, _ in rounds if r >= 0)  # repro: ignore[D004] a count
             events = sorted(event for event in rounds if 0 <= event[0] < k_star)
             timeline = []
             j = 0

@@ -11,6 +11,14 @@ those results in pure Python:
   the two order statistics it interpolates between, not a full sort.
 
 Both take a non-empty sequence of floats.
+
+:func:`fsum_seq` is the runtime's one float sum: left to right, one
+addition at a time, on every interpreter.  Builtin ``sum`` adds floats
+that way up to Python 3.11, in C, so there it *is* ``fsum_seq``; from 3.12
+on it compensates (Neumaier) and rounds differently, so a plain loop takes
+its place.  The loop costs about 4x builtin ``sum`` per term on long
+inputs (~12 ms of ``fabric_state_row`` on the 1,024-host fat-tree), which
+is why 3.11 and earlier keep the builtin.
 """
 
 from __future__ import annotations
@@ -19,7 +27,8 @@ import functools
 import heapq
 import math
 import operator
-from typing import Sequence
+import sys
+from typing import Iterable, Sequence
 
 #: numpy's ``PW_BLOCKSIZE``: blocks up to this size are summed in 8 lanes.
 _BLOCK = 128
@@ -45,6 +54,17 @@ def _pairwise_sum(values: Sequence[float], lo: int, n: int) -> float:
     half = n // 2
     half -= half % 8
     return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
+
+
+def _fsum_loop(values: Iterable[float], start: float = 0) -> float:
+    """``start`` plus *values*, added left to right one at a time."""
+    total = start
+    for value in values:
+        total += value
+    return total
+
+
+fsum_seq = sum if sys.version_info < (3, 12) else _fsum_loop
 
 
 def mean(values: Sequence[float]) -> float:

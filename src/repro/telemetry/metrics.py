@@ -58,8 +58,8 @@ def jain_fairness_index(values: Sequence[float]) -> float:
     values = [v for v in values if v >= 0]
     if not values:
         return 1.0
-    total = sum(values)
-    squares = sum(v * v for v in values)
+    total = stats.fsum_seq(values)
+    squares = stats.fsum_seq(v * v for v in values)
     if squares == 0:
         return 1.0
     return (total * total) / (len(values) * squares)

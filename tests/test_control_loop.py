@@ -10,7 +10,8 @@ adaptive fabric beats the static one on hotspot FCT).
 import pytest
 
 from repro.core.candidates import GridToTorusCandidate, PlanCandidate, PlanProposal
-from repro.core.control import ControlLoop, ControlLoopConfig
+from repro.core.control import ControlLoop, ControlLoopConfig, ControlTick
+from repro.core.crc import CRCConfig
 from repro.core.plp import PLPCommand, PLPCommandType, ReconfigurationDelays
 from repro.core.reconfiguration import ReconfigurationPlan, ReconfigurationPlanner
 from repro.experiments.api import ExperimentSpec, run_experiment
@@ -20,7 +21,6 @@ from repro.fabric.topology import TopologyBuilder
 from repro.sim.engine import Simulator
 from repro.sim.flow import Flow, FlowSet, reset_flow_ids
 from repro.sim.fluid import FluidFlowSimulator
-from repro.sim.process import PeriodicProcess
 from repro.sim.units import megabytes, microseconds
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.hotspot import HotspotWorkload
@@ -90,13 +90,52 @@ def test_ticks_land_on_engine_grid_and_runs_are_reproducible():
 def test_engine_orders_same_time_events_by_schedule_order():
     simulator = Simulator()
     order = []
-    first = PeriodicProcess(simulator, "first", period=1.0, callback=lambda now: order.append("first"))
-    second = PeriodicProcess(simulator, "second", period=1.0, callback=lambda now: order.append("second"))
-    first.start()
-    second.start()
+
+    def tick(name):
+        order.append(name)
+        simulator.schedule(1.0, tick, name)
+
+    simulator.schedule(0.0, tick, "first")
+    simulator.schedule(0.0, tick, "second")
     simulator.run(until=3.0)
     # Fires at t = 0, 1, 2, 3; same-time events run in schedule order.
     assert order == ["first", "second"] * 4
+
+
+@pytest.mark.parametrize("controller", ["crc", "loop"])
+def test_both_rings_record_one_control_tick_per_tick(controller):
+    """The CRC and the priced loop keep the same per-tick record, indexed
+    from 1, one per counted iteration."""
+    fabric, flows = _hotspot_flows()
+    config = (
+        {"config": CRCConfig(enable_topology_reconfiguration=True, grid_rows=3, grid_columns=3)}
+        if controller == "crc"
+        else {}
+    )
+    record = run_experiment(
+        ExperimentSpec(
+            fabric=fabric, flows=flows, controller=controller, controller_config=config
+        )
+    )
+    ring = getattr(record.controller_instance, controller)
+    assert ring.ticks and all(isinstance(tick, ControlTick) for tick in ring.ticks)
+    assert [tick.index for tick in ring.ticks] == list(range(1, len(ring.ticks) + 1))
+    assert len(ring.ticks) == ring.summary()["iterations"]
+    assert any(tick.power_watts > 0 for tick in ring.ticks)
+    summary = ring.summary()
+    issued = sum(tick.commands_issued for tick in ring.ticks)
+    assert issued == summary["commands_executed"] + summary["commands_failed"]
+    assert sum(tick.reconfigured for tick in ring.ticks) == summary["reconfigurations"]
+    if controller == "crc":
+        assert list(summary) == [
+            "iterations",
+            "commands_executed",
+            "commands_failed",
+            "reconfigurations",
+            "total_reconfiguration_time",
+            "peak_power_watts",
+        ]
+        assert all(tick.plans_evaluated == 0 for tick in ring.ticks)
 
 
 def test_control_loop_requires_binding():
@@ -350,9 +389,13 @@ def test_failed_plans_are_counted(good_links):
             },
         )
     )
-    summary = record.controller_instance.loop.summary()
+    loop = record.controller_instance.loop
+    summary = loop.summary()
     assert record.metrics["completion_fraction"] == 1.0
     assert summary["commands_executed"] == len(good_links) * summary["reconfigurations"]
+    # A tick records a reconfiguration only when its batch changed the fabric.
+    assert sum(tick.reconfigured for tick in loop.ticks) == summary["reconfigurations"]
+    assert sum(tick.commands_failed for tick in loop.ticks) == summary["commands_failed"]
     if not good_links:
         # A batch that changed nothing is no reconfiguration; the candidate
         # stays live and is offered again on every later congested tick.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.control import push_capacities
 from repro.core.crc import ClosedRingControl, CRCConfig
 from repro.core.plp import PLPCommandType
 from repro.core.policy import (
@@ -240,8 +241,8 @@ def test_crc_control_step_records_iteration():
     fabric = make_fabric()
     crc = ClosedRingControl(fabric, CRCConfig(enable_bypass=False))
     results = crc.control_step(0.0, {("n0x0", "n0x1"): 0.3})
-    assert crc.iterations[0].iteration == 1
-    assert crc.iterations[0].max_utilisation == pytest.approx(0.3)
+    assert crc.ticks[0].index == 1
+    assert crc.ticks[0].raw_max_utilisation == pytest.approx(0.3)
     assert crc.summary()["iterations"] == 1.0
     assert all(result.success for result in results)
 
@@ -293,25 +294,25 @@ def test_crc_attach_drives_fluid_simulation():
     crc.attach(simulator)
     simulator.run()
     assert all(flow.completed for flow in flows)
-    assert len(crc.iterations) >= 1
+    assert len(crc.ticks) >= 1
     # After the reconfiguration the fluid sim knows about the wrap-around links.
     if crc.reconfiguration_times:
         assert simulator.has_link(("n0x0", "n0x2")) or simulator.has_link(("n0x0", "n2x0"))
 
 
-def test_crc_sync_fluid_links_adds_new_capacity():
+def test_push_capacities_adds_new_capacity():
     fabric = make_fabric(3, 3)
     crc = ClosedRingControl(fabric, CRCConfig(enable_bypass=False))
     simulator = FluidFlowSimulator()
-    for key, capacity in fabric.directed_capacities().items():
-        simulator.add_link(key, capacity)
-    # Manually mutate the topology, then sync.
+    assert len(push_capacities(fabric, simulator)) == len(fabric.directed_capacities())
+    # Manually mutate the topology, then push.
     from repro.core.plp import PLPCommand
 
     crc.executor.execute(PLPCommand(PLPCommandType.SPLIT_LINK, ("n0x0", "n0x1"), {"lanes": 1}))
     crc.executor.execute(PLPCommand(PLPCommandType.CREATE_LINK, ("n0x0", "n2x2"), {"lanes": 1}))
-    crc.sync_fluid_links(simulator)
-    assert simulator.has_link(("n0x0", "n2x2"))
+    added = push_capacities(fabric, simulator, disable_new=True)
+    assert added == [("n0x0", "n2x2"), ("n2x2", "n0x0")]
+    assert not simulator.link(("n0x0", "n2x2")).enabled
     assert simulator.link(("n0x0", "n0x1")).capacity_bps == pytest.approx(
         fabric.topology.link_between("n0x0", "n0x1").capacity_bps
     )

@@ -5,9 +5,8 @@ run it.  Each other ``python3.N`` (N >= 9) found on ``PATH`` or under
 ``~/.pyenv/versions`` runs ``tests/pin_digests.py`` in isolated mode
 (``-I -S``: no environment, no site-packages); the test skips when there
 is none.  From 3.12 on, builtin ``sum()`` over floats rounds differently
-(compensated summation), which moves the pins: those interpreters are a
-strict xfail until ROADMAP item 2 routes every float sum through one
-sequential helper, which must then flip them.
+(compensated summation); the runtime sums floats with
+:func:`repro.sim.stats.fsum_seq` instead, so the pins hold there too.
 
 The interpreters run two at a time: a module-scoped fixture starts every
 driver on a two-worker pool, and each parametrized test waits for its own.
@@ -25,14 +24,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.sim import stats
+
 DRIVER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pin_digests.py")
-
-_SUM_ROUNDING = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: from 3.12 builtin sum() over floats is compensated, "
-    "which moves the pins",
-)
-
 
 def _other_interpreters():
     """``{(3, N): path}``, one interpreter per minor version other than this one."""
@@ -65,11 +59,7 @@ def _params():
     if not INTERPRETERS:
         return [pytest.param(None, marks=pytest.mark.skip(reason="no other CPython found"))]
     return [
-        pytest.param(
-            path,
-            id=f"{major}.{minor}",
-            marks=_SUM_ROUNDING if (major, minor) >= (3, 12) else (),
-        )
+        pytest.param(path, id=f"{major}.{minor}")
         for (major, minor), path in sorted(INTERPRETERS.items())
     ]
 
@@ -95,3 +85,17 @@ def test_perfbench_pins_hold_on_other_interpreters(python, driver_runs):
     assert len(rows) == 4
     moved = [row["workload"] for row in rows if row["digest"] != row["pinned"]]
     assert moved == []
+
+
+@pytest.mark.parametrize("add", [stats.fsum_seq, stats._fsum_loop], ids=["fsum_seq", "loop"])
+def test_float_sums_add_left_to_right(add):
+    """Sequential rounding: 1e16 + 1.0 rounds back to 1e16, so the 1.0 is
+    lost; compensated summation (builtin ``sum`` from 3.12) would keep it."""
+    assert add([1e16, 1.0, -1e16]) == 0.0
+    assert add((x for x in [1.0, -1e16]), 1e16) == 0.0
+    assert add([]) == 0 and add([], 2.5) == 2.5
+    values = [0.1 * k for k in range(1, 200)]
+    expected = 0.0
+    for value in values:
+        expected += value
+    assert add(values) == expected

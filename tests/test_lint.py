@@ -58,7 +58,7 @@ def lint_source(rel: str, text: str, codes):
 # --------------------------------------------------------------------------- #
 def test_rule_catalog_contains_the_documented_families():
     codes = {rule.code for rule in rule_catalog()}
-    assert {"D001", "D002", "D003", "U101", "R201"} <= codes
+    assert {"D001", "D002", "D003", "D004", "U101", "R201"} <= codes
 
 
 def test_duplicate_rule_code_is_a_registration_error():
@@ -334,6 +334,27 @@ def test_d003_editing_one_side_of_a_real_pair_fails_lint():
     findings = check_pairs([pair], run)
     assert [f.rule for f in findings] == ["D003"]
     assert "oracle side is untouched" in findings[0].message
+
+
+# --------------------------------------------------------------------------- #
+# D004: builtin sum()
+# --------------------------------------------------------------------------- #
+def test_d004_flags_builtin_sum_unless_suppressed_with_a_reason():
+    text = (
+        "def f(rates, hops):\n"
+        "    total = sum(rates)\n"
+        "    count = sum(hops)  # repro: ignore[D004] int hop counts\n"
+        "    return fsum_seq(rates, total) + count\n"
+    )
+    findings = lint_source("src/repro/sim/x.py", text, ["D004"])
+    assert [(f.rule, f.line) for f in findings] == [("D004", 2)]
+
+
+def test_d004_suppression_without_a_reason_is_a_finding():
+    text = "count = sum(hops)  # repro: ignore[D004]\n"
+    findings = lint_source("src/repro/sim/x.py", text, ["D004"])
+    assert [(f.rule, f.line) for f in findings] == [("D004", 0)]
+    assert "line 1" in findings[0].message
 
 
 # --------------------------------------------------------------------------- #

@@ -85,7 +85,7 @@ def test_crc_on_packet_observes_instantaneous_rates():
     crc.attach(backend)
     backend.run()
     assert all(flow.completed for flow in flows)
-    observed = [iteration.max_utilisation for iteration in crc.iterations]
+    observed = [tick.raw_max_utilisation for tick in crc.ticks]
     assert observed, "the CRC never ticked"
     assert all(value in (0.0, 1.0) for value in observed)
     assert any(value == 1.0 for value in observed)

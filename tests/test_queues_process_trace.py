@@ -1,40 +1,8 @@
-"""Tests for processes and random streams."""
+"""Tests for random streams."""
 
 import pytest
 
-from repro.sim.engine import Simulator
-from repro.sim.process import PeriodicProcess
 from repro.sim.random import RandomStreams
-
-
-# --------------------------------------------------------------------------- #
-# Processes
-# --------------------------------------------------------------------------- #
-def test_periodic_process_fires_at_period():
-    sim = Simulator()
-    ticks = []
-    proc = PeriodicProcess(sim, "tick", period=1.0, callback=ticks.append, max_iterations=3)
-    proc.start()
-    sim.run()
-    assert ticks == [0.0, 1.0, 2.0]
-    assert proc.iterations == 3
-
-
-def test_periodic_process_stop():
-    sim = Simulator()
-    ticks = []
-    proc = PeriodicProcess(sim, "tick", period=1.0, callback=ticks.append)
-    proc.start()
-    sim.run(until=2.5)
-    proc.stop()
-    sim.run(until=10.0)
-    assert len(ticks) == 3  # t=0, 1, 2
-
-
-def test_periodic_process_rejects_bad_period():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        PeriodicProcess(sim, "x", period=0.0, callback=lambda t: None)
 
 
 # --------------------------------------------------------------------------- #
