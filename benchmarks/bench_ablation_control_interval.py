@@ -43,8 +43,6 @@ def _run_with_period(label):
             controller_config={
                 "config": CRCConfig(
                     enable_topology_reconfiguration=True,
-                    grid_rows=3,
-                    grid_columns=3,
                     utilisation_threshold=0.5,
                     control_period=period,
                     enable_bypass=False,

@@ -16,7 +16,7 @@ Run with::
 from repro import (
     CRCConfig,
     ExperimentSpec,
-    GridToTorusPlan,
+    GridToTorusCandidate,
     HotspotWorkload,
     WorkloadSpec,
     build_fabric,
@@ -50,8 +50,9 @@ def main() -> None:
     fabric = build_fabric("grid", ROWS, COLUMNS, lanes_per_link=2)
     rows = [describe_fabric(fabric, "grid (before)")]
 
-    # Show the reconfiguration plan the CRC will consider.
-    plan = GridToTorusPlan(ROWS, COLUMNS).build(fabric.topology)
+    # Show the reconfiguration plan the CRC will consider (it creates
+    # one-lane wrap-around links).
+    plan = GridToTorusCandidate(ROWS, COLUMNS, lanes_per_wraparound=1).build(fabric.topology)
     print(f"reconfiguration plan: {plan.name}")
     print(f"  {plan.rationale}")
     print(f"  {plan.command_count} PLP commands, expected duration "
@@ -79,8 +80,6 @@ def main() -> None:
             controller_config={
                 "config": CRCConfig(
                     enable_topology_reconfiguration=True,
-                    grid_rows=ROWS,
-                    grid_columns=COLUMNS,
                     utilisation_threshold=0.5,
                 ),
             },

@@ -47,8 +47,6 @@ def main() -> None:
             controller_config={
                 "config": CRCConfig(
                     enable_topology_reconfiguration=True,
-                    grid_rows=ROWS,
-                    grid_columns=COLUMNS,
                     utilisation_threshold=0.5,
                 ),
             },

@@ -5,9 +5,10 @@
 * :mod:`repro.core.cost` -- per-link price tags over latency, congestion,
   health and power, the currency of the control loop.
 * :mod:`repro.core.reconfiguration` -- the break-even optimisation ("what is
-  the minimum flow size for which reconfiguration is worth the cost?") and
-  concrete reconfiguration plans such as the Figure 2 grid-to-torus plan.
-* :mod:`repro.core.candidates` -- reconfiguration candidates and the
+  the minimum flow size for which reconfiguration is worth the cost?"), the
+  plan record and the go/no-go planner.
+* :mod:`repro.core.candidates` -- reconfiguration candidates, each building
+  its own plan (the Figure 2 grid-to-torus move among them), and the
   per-topology-family candidate registry: each registered topology family
   (grid, fat-tree, dragonfly, ...) declares its legal moves, and the loop
   controller resolves them by family name instead of hard-coding the
@@ -73,7 +74,6 @@ from repro.core.policy import (
     PowerCapPolicy,
 )
 from repro.core.reconfiguration import (
-    GridToTorusPlan,
     ReconfigurationPlan,
     ReconfigurationPlanner,
     break_even_flow_size,
@@ -115,7 +115,6 @@ __all__ = [
     "LatencyMinimizationPolicy",
     "Observation",
     "PowerCapPolicy",
-    "GridToTorusPlan",
     "ReconfigurationPlan",
     "ReconfigurationPlanner",
     "break_even_flow_size",

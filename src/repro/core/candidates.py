@@ -3,8 +3,8 @@
 A :class:`PlanCandidate` is a standing offer the control loop re-evaluates
 every congested tick: *given the fabric's current state, here is a concrete
 PLP batch and the service rates before/after it*.  This module owns the
-candidate interface, the built-in moves, and the registry that maps a
-topology family name to its **legal** moves:
+candidate interface, the built-in moves (each builds its own batch), and
+the registry that maps a topology family name to its **legal** moves:
 
 * ``grid`` -> :class:`GridToTorusCandidate` (the paper's Figure 2 move,
   unchanged and numerically bit-identical to the pre-registry code path),
@@ -31,13 +31,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.plp import PLPCommand, PLPCommandType, ReconfigurationDelays
-from repro.core.reconfiguration import GridToTorusPlan, ReconfigurationPlan
+from repro.core.reconfiguration import ReconfigurationPlan
 from repro.fabric.fabric import Fabric
 from repro.fabric.topology import Topology, TopologyBuilder
 from repro.sim.stats import fsum_seq
+
+#: Lanes every move harvests from each link it thins.
+HARVEST_PER_LINK = 1
 
 
 @dataclass
@@ -85,18 +89,19 @@ def _require_family(
 
 
 class GridToTorusCandidate(PlanCandidate):
-    """The paper's Figure 2 move, offered as a standing candidate.
+    """The paper's Figure 2 move: grid @ N lanes/link -> torus.
 
     Harvest one lane from every grid link and redeploy the freed lanes as
-    torus wrap-around links.  The candidate retires itself once applied (or
-    once the wrap-around links already exist).
+    the torus wrap-around links, ``lanes_per_wraparound`` each.  The plan
+    refuses to run if the harvest cannot cover the wrap-around links --
+    conservation of the lane budget is exactly the paper's "even up within
+    a heavily populated system" constraint.  The candidate retires itself
+    once applied (or once the wrap-around links already exist).
 
     Parameters
     ----------
     rows, columns:
-        Grid dimensions of the fabric the candidate watches.
-    harvest_per_link:
-        Lanes taken from every grid link.
+        Grid dimensions of the fabric the candidate watches (both >= 2).
     lanes_per_wraparound:
         Bundle size of each created wrap-around link.  ``None`` (the
         default) sizes the bundles to spend the whole harvested budget --
@@ -110,24 +115,104 @@ class GridToTorusCandidate(PlanCandidate):
     name = "grid-to-torus"
 
     def __init__(
-        self,
-        rows: int,
-        columns: int,
-        harvest_per_link: int = 1,
-        lanes_per_wraparound: Optional[int] = None,
+        self, rows: int, columns: int, lanes_per_wraparound: Optional[int] = None
     ) -> None:
+        if rows < 2 or columns < 2:
+            raise ValueError("grid dimensions must be at least 2x2")
+        self.rows = rows
+        self.columns = columns
+        self.grid_links: List[Tuple[str, str]] = []
+        for row in range(rows):
+            for column in range(columns):
+                here = TopologyBuilder.grid_node_name(row, column)
+                if column + 1 < columns:
+                    self.grid_links.append(
+                        (here, TopologyBuilder.grid_node_name(row, column + 1))
+                    )
+                if row + 1 < rows:
+                    self.grid_links.append(
+                        (here, TopologyBuilder.grid_node_name(row + 1, column))
+                    )
+        self.wraparound_pairs = TopologyBuilder.torus_wraparound_pairs(rows, columns)
         if lanes_per_wraparound is None:
-            grid_links = rows * (columns - 1) + columns * (rows - 1)
-            harvested = grid_links * harvest_per_link
-            wraparounds = len(TopologyBuilder.torus_wraparound_pairs(rows, columns))
-            lanes_per_wraparound = max(1, harvested // max(wraparounds, 1))
-        self.builder = GridToTorusPlan(
-            rows=rows,
-            columns=columns,
-            harvest_per_link=harvest_per_link,
-            lanes_per_wraparound=lanes_per_wraparound,
-        )
+            harvested = len(self.grid_links) * HARVEST_PER_LINK
+            lanes_per_wraparound = max(1, harvested // max(len(self.wraparound_pairs), 1))
+        if lanes_per_wraparound <= 0:
+            raise ValueError("lane counts must be positive")
+        self.lanes_per_wraparound = lanes_per_wraparound
         self.applied = False
+
+    @cached_property
+    def target_hops(self) -> float:
+        """Mean shortest-path hop count of the target torus.
+
+        It depends on the dimensions alone, so it is worked out once, on
+        the first proposal rather than at construction: a candidate built
+        when a controller attaches would otherwise charge the all-pairs
+        search to the run's set-up.
+        """
+        return (
+            TopologyBuilder(lanes_per_link=1)
+            .torus(self.rows, self.columns)
+            .average_shortest_path_hops()
+        )
+
+    def build(
+        self, topology: Topology, delays: Optional[ReconfigurationDelays] = None
+    ) -> ReconfigurationPlan:
+        """Create the command batch for *topology* (which must be the grid).
+
+        Raises :class:`ValueError` if the topology does not look like the
+        expected grid (missing links), if a link is too thin to give up a
+        lane, or if the lane budget does not cover the wrap-around links.
+        """
+        delays = delays if delays is not None else ReconfigurationDelays()
+        commands: List[PLPCommand] = []
+        for a, b in self.grid_links:
+            if not topology.has_link(a, b):
+                raise ValueError(f"topology is missing expected grid link {a}<->{b}")
+            link = topology.link_between(a, b)
+            if link.num_lanes <= HARVEST_PER_LINK:
+                raise ValueError(
+                    f"link {a}<->{b} has only {link.num_lanes} lanes; cannot harvest "
+                    f"{HARVEST_PER_LINK} and keep it alive"
+                )
+            commands.append(
+                PLPCommand(
+                    type=PLPCommandType.SPLIT_LINK,
+                    endpoints=(a, b),
+                    params={"lanes": HARVEST_PER_LINK},
+                )
+            )
+        harvested = len(self.grid_links) * HARVEST_PER_LINK
+        missing_pairs = [
+            (a, b) for a, b in self.wraparound_pairs if not topology.has_link(a, b)
+        ]
+        required = len(missing_pairs) * self.lanes_per_wraparound
+        if required > harvested:
+            raise ValueError(
+                f"plan needs {required} lanes for wrap-around links but only "
+                f"{harvested} can be harvested"
+            )
+        for a, b in missing_pairs:
+            commands.append(
+                PLPCommand(
+                    type=PLPCommandType.CREATE_LINK,
+                    endpoints=(a, b),
+                    params={"lanes": self.lanes_per_wraparound},
+                )
+            )
+        plan = ReconfigurationPlan(
+            name=f"grid-to-torus-{self.rows}x{self.columns}",
+            commands=commands,
+            rationale=(
+                f"harvest {HARVEST_PER_LINK} lane(s) from {len(self.grid_links)} grid links, "
+                f"create {len(missing_pairs)} wrap-around links of "
+                f"{self.lanes_per_wraparound} lane(s)"
+            ),
+        )
+        plan.expected_duration = plan.duration_with(delays)
+        return plan
 
     def propose(self, fabric: Fabric, delays: ReconfigurationDelays) -> Optional[PlanProposal]:
         """Build the grid-to-torus plan if it is still feasible and useful."""
@@ -137,73 +222,54 @@ class GridToTorusCandidate(PlanCandidate):
         _require_family(topology, self.name, ("grid", "torus"))
         dims = getattr(topology, "dimensions", {})
         if dims and (
-            dims.get("rows") != self.builder.rows
-            or dims.get("columns") != self.builder.columns
+            dims.get("rows") != self.rows or dims.get("columns") != self.columns
         ):
             raise ValueError(
                 f"candidate {self.name!r} was built for a "
-                f"{self.builder.rows}x{self.builder.columns} grid but fabric "
+                f"{self.rows}x{self.columns} grid but fabric "
                 f"{topology.name!r} is {dims.get('rows')}x{dims.get('columns')}"
             )
         try:
-            plan = self.builder.build(topology, delays)
+            plan = self.build(topology, delays)
         except ValueError:
             return None  # not a (thick enough) grid any more
-        if not any(cmd.type.value == "create-link" for cmd in plan.commands):
+        if not any(cmd.type is PLPCommandType.CREATE_LINK for cmd in plan.commands):
             self.applied = True  # the wrap-around links already exist
             return None
-        current_rate, reconfigured_rate = self._estimate_rates(topology)
+        # The plan conserves the lane budget, so aggregate capacity is
+        # unchanged and the sustainable-throughput ratio reduces to the
+        # ratio of average shortest-path hop counts -- the paper's "fewer
+        # switch traversals" argument in one line.
+        total_capacity = fsum_seq(link.capacity_bps for link in topology.links())
+        current_hops = topology.average_shortest_path_hops()
         return PlanProposal(
             plan=plan,
-            current_rate_bps=current_rate,
-            reconfigured_rate_bps=reconfigured_rate,
+            current_rate_bps=total_capacity / max(current_hops, 1e-9),
+            reconfigured_rate_bps=total_capacity / max(self.target_hops, 1e-9),
         )
 
     def committed(self, now: float) -> None:
         """Retire the candidate once its plan has been applied."""
         self.applied = True
 
-    def _estimate_rates(self, topology) -> Tuple[float, float]:
-        """Aggregate service rates before/after, from the hop-count bound.
-
-        The plan conserves the lane budget, so aggregate capacity is
-        unchanged and the sustainable-throughput ratio reduces to the ratio
-        of average shortest-path hop counts -- the paper's "fewer switch
-        traversals" argument in one line.
-        """
-        total_capacity = fsum_seq(link.capacity_bps for link in topology.links())
-        current_hops = topology.average_shortest_path_hops()
-        target = TopologyBuilder(lanes_per_link=1).torus(
-            self.builder.rows, self.builder.columns
-        )
-        target_hops = target.average_shortest_path_hops()
-        return (
-            total_capacity / max(current_hops, 1e-9),
-            total_capacity / max(target_hops, 1e-9),
-        )
-
 
 class FatTreeUplinkRebalanceCandidate(PlanCandidate):
     """Shift one lane per pod downlink onto the aggregation->core uplinks.
 
     In a k-pod fat-tree the edge->aggregation and aggregation->core tiers
-    have the *same* link count (``pods * (pods/2)^2``), so harvesting
-    ``harvest_per_link`` lanes from every edge->aggregation bundle and
-    rebundling the same count onto every aggregation->core uplink conserves
-    the lane budget exactly while thickening the tier that carries all
-    inter-pod traffic -- the move a loaded permutation or uniform workload
-    wants.  Applied at most once per attach.
+    have the *same* link count (``pods * (pods/2)^2``), so harvesting one
+    lane from every edge->aggregation bundle and rebundling the same count
+    onto every aggregation->core uplink conserves the lane budget exactly
+    while thickening the tier that carries all inter-pod traffic -- the
+    move a loaded permutation or uniform workload wants.  Applied at most once per attach.
     """
 
     name = "pod-uplink-rebalance"
 
-    def __init__(self, pods: int, harvest_per_link: int = 1) -> None:
+    def __init__(self, pods: int) -> None:
         if pods < 2 or pods % 2 != 0:
             raise ValueError("pods must be an even number >= 2")
-        if harvest_per_link <= 0:
-            raise ValueError("harvest_per_link must be positive")
         self.pods = pods
-        self.harvest_per_link = harvest_per_link
         self.applied = False
 
     def _tier_pairs(self) -> Tuple[List[Tuple[str, str]], List[Tuple[str, str]]]:
@@ -235,16 +301,16 @@ class FatTreeUplinkRebalanceCandidate(PlanCandidate):
             if not topology.has_link(a, b):
                 return None  # tree already mutated away from the template
             link = topology.link_between(a, b)
-            if link.num_lanes <= self.harvest_per_link:
+            if link.num_lanes <= HARVEST_PER_LINK:
                 return None  # would kill a downlink; nothing to offer
-            harvested_bps += self.harvest_per_link * (
+            harvested_bps += HARVEST_PER_LINK * (
                 link.capacity_bps / max(link.num_lanes, 1)
             )
             commands.append(
                 PLPCommand(
                     type=PLPCommandType.SPLIT_LINK,
                     endpoints=(a, b),
-                    params={"lanes": self.harvest_per_link},
+                    params={"lanes": HARVEST_PER_LINK},
                 )
             )
         current_rate = 0.0
@@ -256,14 +322,14 @@ class FatTreeUplinkRebalanceCandidate(PlanCandidate):
                 PLPCommand(
                     type=PLPCommandType.BUNDLE_LANES,
                     endpoints=(a, b),
-                    params={"lanes": self.harvest_per_link},
+                    params={"lanes": HARVEST_PER_LINK},
                 )
             )
         plan = ReconfigurationPlan(
             name=f"pod-uplink-rebalance-{self.pods}",
             commands=commands,
             rationale=(
-                f"move {self.harvest_per_link} lane(s) from each of "
+                f"move {HARVEST_PER_LINK} lane(s) from each of "
                 f"{len(downlinks)} edge->aggregation links onto "
                 f"{len(uplinks)} aggregation->core uplinks"
             ),
@@ -283,12 +349,12 @@ class FatTreeUplinkRebalanceCandidate(PlanCandidate):
 class DragonflyGlobalRehomeCandidate(PlanCandidate):
     """Double the global plane by re-homing local lanes as new global links.
 
-    Harvests ``harvest_per_link`` lanes from every intra-group local link
-    (the all-to-all mesh inside each group) and creates **one additional
-    global link per group pair** at attachment points rotated away from the
-    originals -- groups ``i < j`` gain a link between router ``j % a`` in
-    group *i* and router ``(i + 1) % a`` in group *j*, which with ``a >= 2``
-    never collides with the builder's original ``(j - 1) % a`` / ``i % a``
+    Harvests one lane from every intra-group local link (the all-to-all
+    mesh inside each group) and creates **one additional global link per
+    group pair** at attachment points rotated away from the originals --
+    groups ``i < j`` gain a link between router ``j % a`` in group *i* and
+    router ``(i + 1) % a`` in group *j*, which with ``a >= 2`` never
+    collides with the builder's original ``(j - 1) % a`` / ``i % a``
     attachment.  Every new link gets ``harvested // pairs`` lanes (the whole
     budget, remainder pooled); the move is infeasible -- the candidate
     returns ``None`` -- when that quotient is zero, i.e. unless
@@ -297,18 +363,13 @@ class DragonflyGlobalRehomeCandidate(PlanCandidate):
 
     name = "global-link-rehome"
 
-    def __init__(
-        self, groups: int, routers_per_group: int, harvest_per_link: int = 1
-    ) -> None:
+    def __init__(self, groups: int, routers_per_group: int) -> None:
         if groups < 2:
             raise ValueError("a dragonfly needs at least 2 groups")
         if routers_per_group < 1:
             raise ValueError("routers_per_group must be >= 1")
-        if harvest_per_link <= 0:
-            raise ValueError("harvest_per_link must be positive")
         self.groups = groups
         self.routers_per_group = routers_per_group
-        self.harvest_per_link = harvest_per_link
         self.applied = False
 
     def rehomed_global_pairs(self) -> List[Tuple[str, str]]:
@@ -336,7 +397,7 @@ class DragonflyGlobalRehomeCandidate(PlanCandidate):
             for left, right in itertools.combinations(range(a), 2)
         ]
         pair_count = self.groups * (self.groups - 1) // 2
-        lanes_per_new = (len(local_pairs) * self.harvest_per_link) // pair_count
+        lanes_per_new = (len(local_pairs) * HARVEST_PER_LINK) // pair_count
         if lanes_per_new == 0:
             return None  # a * (a - 1) < groups - 1: harvest cannot fund the plane
         new_pairs = [
@@ -353,14 +414,14 @@ class DragonflyGlobalRehomeCandidate(PlanCandidate):
             if not topology.has_link(left, right):
                 return None  # group mesh already mutated; nothing safe to offer
             link = topology.link_between(left, right)
-            if link.num_lanes <= self.harvest_per_link:
+            if link.num_lanes <= HARVEST_PER_LINK:
                 return None
             lane_rate_bps = link.capacity_bps / max(link.num_lanes, 1)
             commands.append(
                 PLPCommand(
                     type=PLPCommandType.SPLIT_LINK,
                     endpoints=(left, right),
-                    params={"lanes": self.harvest_per_link},
+                    params={"lanes": HARVEST_PER_LINK},
                 )
             )
         for left, right in new_pairs:
@@ -380,7 +441,7 @@ class DragonflyGlobalRehomeCandidate(PlanCandidate):
             name=f"global-link-rehome-{self.groups}x{a}",
             commands=commands,
             rationale=(
-                f"harvest {self.harvest_per_link} lane(s) from {len(local_pairs)} "
+                f"harvest {HARVEST_PER_LINK} lane(s) from {len(local_pairs)} "
                 f"local links, create {len(new_pairs)} rotated global links of "
                 f"{lanes_per_new} lane(s)"
             ),

@@ -213,7 +213,8 @@ def push_capacities(
 
     A link *sim* already has gets its capacity set (unchanged capacities
     are no-ops on both backends); a link it lacks is added, and with
-    *disable_new* it joins disabled.  Returns the directed keys added.
+    *disable_new* it joins disabled.  Returns the keys added disabled
+    (empty unless *disable_new*).
     """
     added: List[LinkKey] = []
     for key, capacity in fabric.directed_capacities().items():
@@ -223,7 +224,7 @@ def push_capacities(
             sim.add_link(key, capacity)
             if disable_new:
                 sim.set_enabled(key, False)
-            added.append(key)
+                added.append(key)
     return added
 
 

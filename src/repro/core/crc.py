@@ -25,7 +25,7 @@ one :class:`~repro.core.control.ControlTick` per tick in ``ticks``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.control import ControlTick, Ring, push_capacities
@@ -70,22 +70,15 @@ class CRCConfig:
     control_period: float = microseconds(100.0)
     #: Utilisation above which the latency policy considers reconfiguring.
     utilisation_threshold: float = 0.7
-    #: Reconfiguration delay model.
-    delays: ReconfigurationDelays = field(default_factory=ReconfigurationDelays)
-    #: Hysteresis factor for the reconfiguration planner.
-    hysteresis: float = 1.5
-    #: Minimum time between committed topology reconfigurations.
-    min_reconfiguration_interval: float = microseconds(500.0)
     #: Rack power cap in watts (None disables the power policy).
     power_cap_watts: Optional[float] = None
     #: Enable the adaptive-FEC policy.
     enable_adaptive_fec: bool = True
     #: Enable the bypass policy.
     enable_bypass: bool = True
-    #: Enable grid-to-torus topology reconfiguration; requires grid dims.
+    #: Enable grid-to-torus topology reconfiguration.  The grid is read off
+    #: the fabric, which must have been built as a grid or a torus.
     enable_topology_reconfiguration: bool = False
-    grid_rows: Optional[int] = None
-    grid_columns: Optional[int] = None
     #: Minimum pending bits for a pair to be considered bypass-worthy.
     bypass_min_demand_bits: float = 8e6
 
@@ -102,44 +95,35 @@ class CRCConfig:
                 "CRCConfig enables no policy; use controller='none' for an "
                 "uncontrolled run"
             )
-        if self.enable_topology_reconfiguration and (
-            self.grid_rows is None or self.grid_columns is None
-        ):
-            raise ValueError(
-                "topology reconfiguration requires grid_rows and grid_columns"
-            )
 
 
 class ClosedRingControl(Ring):
-    """The controller that closes the ring around the fabric."""
+    """The controller that closes the ring around the fabric.
 
-    def __init__(
-        self,
-        fabric: Fabric,
-        config: Optional[CRCConfig] = None,
-        policy: Optional[ControlPolicy] = None,
-    ) -> None:
+    Its planner charges the default :class:`ReconfigurationDelays`, asks a
+    plan's benefit to beat its cost by a factor of 1.5, and leaves at least
+    500 us between committed reconfigurations.  With
+    :attr:`CRCConfig.enable_topology_reconfiguration` the fabric must have
+    been built as a grid or a torus; any other family raises
+    :class:`ValueError`.
+    """
+
+    def __init__(self, fabric: Fabric, config: Optional[CRCConfig] = None) -> None:
         self.config = config if config is not None else CRCConfig()
-        super().__init__(
-            fabric,
-            self.config.delays,
-            self.config.hysteresis,
-            self.config.min_reconfiguration_interval,
-        )
-        self.policy = policy if policy is not None else self._default_policy()
+        super().__init__(fabric, ReconfigurationDelays(), 1.5, microseconds(500.0))
+        self.policy = self._assemble_policy()
 
     # ------------------------------------------------------------------ #
     # Policy assembly
     # ------------------------------------------------------------------ #
-    def _default_policy(self) -> ControlPolicy:
+    def _assemble_policy(self) -> ControlPolicy:
         policies: List[ControlPolicy] = []
         if self.config.power_cap_watts is not None:
             policies.append(PowerCapPolicy(cap_watts=self.config.power_cap_watts))
         if self.config.enable_topology_reconfiguration:
             policies.append(
                 LatencyMinimizationPolicy(
-                    rows=self.config.grid_rows,  # type: ignore[arg-type]
-                    columns=self.config.grid_columns,  # type: ignore[arg-type]
+                    self.fabric,
                     utilisation_threshold=self.config.utilisation_threshold,
                     planner=self.planner,
                 )

@@ -27,6 +27,9 @@ from repro.sim.units import milliseconds
 
 LinkKey = Tuple[str, str]
 
+#: Bypass circuits the bypass policy establishes per control iteration.
+_MAX_NEW_BYPASSES_PER_STEP = 2
+
 
 @dataclass
 class Observation:
@@ -115,45 +118,46 @@ class LatencyMinimizationPolicy(ControlPolicy):
 
     def __init__(
         self,
-        rows: int,
-        columns: int,
+        fabric: Fabric,
         utilisation_threshold: float = 0.7,
         planner: Optional[ReconfigurationPlanner] = None,
-        harvest_per_link: int = 1,
-        lanes_per_wraparound: int = 1,
-        demand_alpha: float = 0.25,
     ) -> None:
         """Create the policy.
 
         Parameters
         ----------
-        rows, columns:
-            Grid dimensions the move reconfigures from.
+        fabric:
+            The fabric the policy controls.  Its topology must have been
+            built as a grid or a torus; the move's dimensions are read off
+            it.
         utilisation_threshold:
             Hottest-link utilisation at which the move is considered.
         planner:
             Shared go/no-go planner (the CRC passes its own so hysteresis
             state is global); a private one is created when omitted.
-        harvest_per_link, lanes_per_wraparound:
-            Lane budget of the grid-to-torus move.
-        demand_alpha:
-            EWMA coefficient for smoothing the observed pending demand; the
-            smoothed estimate is threaded into the planner so a one-tick
-            demand spike cannot trigger a reconfiguration.
+
+        The move creates one-lane wrap-around links, and the pending demand
+        is smoothed by an EWMA (``alpha = 0.25``) threaded into the planner
+        so a one-tick demand spike cannot trigger a reconfiguration.
         """
         if not 0 < utilisation_threshold <= 1:
             raise ValueError("utilisation_threshold must be in (0, 1]")
+        topology = fabric.topology
+        if topology.kind not in ("grid", "torus"):
+            raise ValueError(
+                "topology reconfiguration moves a grid to a torus; fabric "
+                f"{topology.name!r} is of topology family {topology.kind!r}"
+            )
         self.utilisation_threshold = utilisation_threshold
         self.planner = planner if planner is not None else ReconfigurationPlanner()
         self.candidate = GridToTorusCandidate(
-            rows,
-            columns,
-            harvest_per_link=harvest_per_link,
-            lanes_per_wraparound=lanes_per_wraparound,
+            topology.dimensions["rows"],
+            topology.dimensions["columns"],
+            lanes_per_wraparound=1,
         )
         # Seeded at zero so a spike on the very first iteration is damped
         # like any other one-tick transient.
-        self.demand_ewma = EwmaEstimator(alpha=demand_alpha, initial=0.0)
+        self.demand_ewma = EwmaEstimator(alpha=0.25, initial=0.0)
 
     @property
     def applied(self) -> bool:
@@ -168,10 +172,7 @@ class LatencyMinimizationPolicy(ControlPolicy):
         self.demand_ewma.update(observation.pending_demand_bits)
         if observation.max_utilisation() < self.utilisation_threshold:
             return []
-        try:
-            proposal = self.candidate.propose(observation.fabric, self.planner.delays)
-        except ValueError:
-            return []  # a different topology family or grid size
+        proposal = self.candidate.propose(observation.fabric, self.planner.delays)
         if proposal is None:
             return []  # not a (thick enough) grid any more, or already a torus
 
@@ -207,19 +208,17 @@ class BypassPolicy(ControlPolicy):
 
     For every hot pair whose pending demand exceeds ``min_demand_bits`` and
     whose routed path crosses at least one intermediate element, establish a
-    physical-layer bypass (if the crosspoint budget allows), and release
-    circuits whose pair has gone cold.
+    physical-layer bypass (at most two new circuits per iteration, and only
+    while the crosspoint budget allows), and release circuits whose pair has
+    gone cold.
     """
 
     name = "bypass"
 
-    def __init__(self, min_demand_bits: float = 8e6, max_new_per_step: int = 2) -> None:
+    def __init__(self, min_demand_bits: float = 8e6) -> None:
         if min_demand_bits < 0:
             raise ValueError("min_demand_bits must be >= 0")
-        if max_new_per_step <= 0:
-            raise ValueError("max_new_per_step must be positive")
         self.min_demand_bits = min_demand_bits
-        self.max_new_per_step = max_new_per_step
 
     def decide(self, observation: Observation) -> List[PLPCommand]:  # noqa: D102
         fabric = observation.fabric
@@ -244,7 +243,7 @@ class BypassPolicy(ControlPolicy):
 
         created = 0
         for (src, dst), _bits in sorted(hot.items(), key=lambda kv: kv[1], reverse=True):
-            if created >= self.max_new_per_step:
+            if created >= _MAX_NEW_BYPASSES_PER_STEP:
                 break
             if not fabric.bypasses.has_capacity():
                 break
@@ -368,8 +367,8 @@ class AdaptiveFecPolicy(ControlPolicy):
 
     name = "adaptive-fec"
 
-    def __init__(self, controller: Optional[AdaptiveFecController] = None) -> None:
-        self.controller = controller if controller is not None else AdaptiveFecController()
+    def __init__(self) -> None:
+        self.controller = AdaptiveFecController()
 
     def decide(self, observation: Observation) -> List[PLPCommand]:  # noqa: D102
         commands: List[PLPCommand] = []

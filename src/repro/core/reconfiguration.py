@@ -9,21 +9,20 @@ This module provides
 
 * the closed-form break-even analysis for a single flow
   (:func:`break_even_flow_size`, :func:`reconfiguration_gain`),
+* :class:`ReconfigurationPlan` -- a named PLP batch and its duration,
 * :class:`ReconfigurationPlanner` -- the go/no-go decision for a plan given
-  the demand it would serve, with hysteresis to prevent flapping,
-* :class:`GridToTorusPlan` -- the concrete plan behind the paper's Figure 2:
-  harvest one lane from every grid link and redeploy the freed lanes as
-  torus wrap-around links, keeping the total lane budget constant.
+  the demand it would serve, with hysteresis to prevent flapping.
+
+The concrete moves that build plans live in :mod:`repro.core.candidates`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.core.plp import PLPCommand, PLPCommandType, ReconfigurationDelays
-from repro.fabric.topology import Topology, TopologyBuilder
+from repro.core.plp import PLPCommand, ReconfigurationDelays
 
 
 # --------------------------------------------------------------------------- #
@@ -116,117 +115,6 @@ class ReconfigurationPlan:
         if not self.commands:
             return 0.0
         return max(delays.for_command(command.type) for command in self.commands)
-
-
-class GridToTorusPlan:
-    """Builds the Figure 2 reconfiguration: grid @ N lanes/link -> torus.
-
-    The plan harvests ``harvest_per_link`` lanes from every existing grid
-    link (default: half of a 2-lane bundle) and creates each missing
-    wrap-around link with ``lanes_per_wraparound`` lanes taken from the
-    harvested pool.  The plan refuses to run if the harvest cannot cover the
-    wrap-around links -- conservation of the lane budget is exactly the
-    paper's "even up within a heavily populated system" constraint.
-
-    Parameters
-    ----------
-    rows, columns:
-        Dimensions of the grid the plan starts from (both >= 2).
-    harvest_per_link:
-        Lanes removed from every grid link; each link must keep at least
-        one lane alive.
-    lanes_per_wraparound:
-        Bundle size of every created wrap-around link.  (The control
-        loop's :class:`~repro.core.candidates.GridToTorusCandidate` sizes
-        this to spend the whole harvested budget.)
-    """
-
-    def __init__(
-        self,
-        rows: int,
-        columns: int,
-        harvest_per_link: int = 1,
-        lanes_per_wraparound: int = 1,
-    ) -> None:
-        if rows < 2 or columns < 2:
-            raise ValueError("grid dimensions must be at least 2x2")
-        if harvest_per_link <= 0 or lanes_per_wraparound <= 0:
-            raise ValueError("lane counts must be positive")
-        self.rows = rows
-        self.columns = columns
-        self.harvest_per_link = harvest_per_link
-        self.lanes_per_wraparound = lanes_per_wraparound
-
-    def wraparound_pairs(self) -> List[Tuple[str, str]]:
-        """The wrap-around links a torus adds over the grid."""
-        return TopologyBuilder.torus_wraparound_pairs(self.rows, self.columns)
-
-    def build(self, topology: Topology, delays: Optional[ReconfigurationDelays] = None) -> ReconfigurationPlan:
-        """Create the command batch for *topology* (which must be the grid).
-
-        Raises :class:`ValueError` if the topology does not look like the
-        expected grid (missing links) or if the lane budget does not cover
-        the wrap-around links.
-        """
-        delays = delays if delays is not None else ReconfigurationDelays()
-        commands: List[PLPCommand] = []
-        harvested = 0
-        grid_links: List[Tuple[str, str]] = []
-        for row in range(self.rows):
-            for column in range(self.columns):
-                here = TopologyBuilder.grid_node_name(row, column)
-                if column + 1 < self.columns:
-                    grid_links.append((here, TopologyBuilder.grid_node_name(row, column + 1)))
-                if row + 1 < self.rows:
-                    grid_links.append((here, TopologyBuilder.grid_node_name(row + 1, column)))
-
-        for a, b in grid_links:
-            if not topology.has_link(a, b):
-                raise ValueError(f"topology is missing expected grid link {a}<->{b}")
-            link = topology.link_between(a, b)
-            if link.num_lanes <= self.harvest_per_link:
-                raise ValueError(
-                    f"link {a}<->{b} has only {link.num_lanes} lanes; cannot harvest "
-                    f"{self.harvest_per_link} and keep it alive"
-                )
-            commands.append(
-                PLPCommand(
-                    type=PLPCommandType.SPLIT_LINK,
-                    endpoints=(a, b),
-                    params={"lanes": self.harvest_per_link},
-                )
-            )
-            harvested += self.harvest_per_link
-
-        missing_pairs = [
-            (a, b) for a, b in self.wraparound_pairs() if not topology.has_link(a, b)
-        ]
-        required = len(missing_pairs) * self.lanes_per_wraparound
-        if required > harvested:
-            raise ValueError(
-                f"plan needs {required} lanes for wrap-around links but only "
-                f"{harvested} can be harvested"
-            )
-        for a, b in missing_pairs:
-            commands.append(
-                PLPCommand(
-                    type=PLPCommandType.CREATE_LINK,
-                    endpoints=(a, b),
-                    params={"lanes": self.lanes_per_wraparound},
-                )
-            )
-
-        plan = ReconfigurationPlan(
-            name=f"grid-to-torus-{self.rows}x{self.columns}",
-            commands=commands,
-            rationale=(
-                f"harvest {self.harvest_per_link} lane(s) from {len(grid_links)} grid links, "
-                f"create {len(missing_pairs)} wrap-around links of "
-                f"{self.lanes_per_wraparound} lane(s)"
-            ),
-        )
-        plan.expected_duration = plan.duration_with(delays)
-        return plan
 
 
 class ReconfigurationPlanner:

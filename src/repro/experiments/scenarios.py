@@ -407,8 +407,6 @@ def controller_config_from_params(
         return {
             "config": CRCConfig(
                 enable_topology_reconfiguration=True,
-                grid_rows=int(params["rows"]),
-                grid_columns=int(params["columns"]),
                 utilisation_threshold=float(params["utilisation_threshold"]),
                 control_period=microseconds(float(params["control_period_us"])),
             )

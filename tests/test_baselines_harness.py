@@ -53,9 +53,7 @@ def test_run_experiment_with_crc_controller_reconfigures():
             label="adaptive",
             controller="crc",
             controller_config={
-                "config": CRCConfig(
-                    enable_topology_reconfiguration=True, grid_rows=3, grid_columns=3
-                )
+                "config": CRCConfig(enable_topology_reconfiguration=True)
             },
         )
     )

@@ -210,8 +210,6 @@ def test_full_adaptive_run_conserves_lane_budget_and_completes():
             controller_config={
                 "config": CRCConfig(
                     enable_topology_reconfiguration=True,
-                    grid_rows=rows,
-                    grid_columns=columns,
                     utilisation_threshold=0.4,
                     control_period=microseconds(200),
                     enable_adaptive_fec=True,

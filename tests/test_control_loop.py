@@ -108,7 +108,7 @@ def test_both_rings_record_one_control_tick_per_tick(controller):
     from 1, one per counted iteration."""
     fabric, flows = _hotspot_flows()
     config = (
-        {"config": CRCConfig(enable_topology_reconfiguration=True, grid_rows=3, grid_columns=3)}
+        {"config": CRCConfig(enable_topology_reconfiguration=True)}
         if controller == "crc"
         else {}
     )

@@ -14,6 +14,7 @@ from repro.core.policy import (
     PowerCapPolicy,
 )
 from repro.core.reconfiguration import ReconfigurationPlanner
+from repro.experiments.harness import build_fabric
 from repro.fabric.fabric import Fabric, FabricConfig
 from repro.fabric.topology import TopologyBuilder, canonical_key
 from repro.sim.flow import Flow
@@ -54,14 +55,14 @@ def test_observation_hottest_and_coldest():
 # --------------------------------------------------------------------------- #
 def test_latency_policy_idle_fabric_no_commands():
     fabric = make_fabric()
-    policy = LatencyMinimizationPolicy(3, 3, utilisation_threshold=0.7)
+    policy = LatencyMinimizationPolicy(fabric, utilisation_threshold=0.7)
     assert policy.decide(observation_for(fabric, {("n0x0", "n0x1"): 0.2})) == []
 
 
 def test_latency_policy_emits_torus_plan_under_congestion():
     fabric = make_fabric()
     policy = LatencyMinimizationPolicy(
-        3, 3, utilisation_threshold=0.5, planner=ReconfigurationPlanner(hysteresis=1.0)
+        fabric, utilisation_threshold=0.5, planner=ReconfigurationPlanner(hysteresis=1.0)
     )
     observation = observation_for(
         fabric, {("n0x0", "n0x1"): 0.95}, pending_demand_bits=1e12
@@ -76,7 +77,7 @@ def test_latency_policy_emits_torus_plan_under_congestion():
 
 def test_latency_policy_skips_when_already_torus():
     fabric = Fabric(TopologyBuilder(lanes_per_link=2).torus(3, 3), FabricConfig())
-    policy = LatencyMinimizationPolicy(3, 3, utilisation_threshold=0.5)
+    policy = LatencyMinimizationPolicy(fabric, utilisation_threshold=0.5)
     commands = policy.decide(
         observation_for(fabric, {("n0x0", "n0x1"): 0.99}, pending_demand_bits=1e12)
     )
@@ -85,7 +86,7 @@ def test_latency_policy_skips_when_already_torus():
 
 def test_latency_policy_threshold_validation():
     with pytest.raises(ValueError):
-        LatencyMinimizationPolicy(3, 3, utilisation_threshold=0.0)
+        LatencyMinimizationPolicy(make_fabric(), utilisation_threshold=0.0)
 
 
 
@@ -226,8 +227,6 @@ def test_composite_policy_concatenates_and_dedups():
 def test_crc_config_validation():
     with pytest.raises(ValueError):
         CRCConfig(control_period=0)
-    with pytest.raises(ValueError):
-        CRCConfig(enable_topology_reconfiguration=True)
 
 
 def test_crc_config_rejects_enabling_no_policy():
@@ -235,6 +234,42 @@ def test_crc_config_rejects_enabling_no_policy():
     config says so instead of quietly running adaptive FEC."""
     with pytest.raises(ValueError, match="controller='none'"):
         CRCConfig(enable_bypass=False, enable_adaptive_fec=False)
+
+
+def test_crc_reads_its_grid_off_the_fabric():
+    """The CRC is told nothing about the grid: it moves a 3x3 grid fabric
+    into a 3x3 torus under full congestion (12 splits + 6 creates)."""
+    fabric = build_fabric("grid", 3, 3)
+    crc = ClosedRingControl(
+        fabric,
+        CRCConfig(
+            enable_topology_reconfiguration=True,
+            utilisation_threshold=0.5,
+            enable_bypass=False,
+            enable_adaptive_fec=False,
+        ),
+    )
+    utilisation = {key: 1.0 for key in fabric.topology.link_keys()}
+    results = crc.control_step(0.0, utilisation, pending_demand_bits=1e12)
+    assert len(results) == 18
+    assert all(result.success for result in results)
+    assert crc.reconfiguration_times == [0.0]
+    reference = TopologyBuilder(lanes_per_link=1).torus(3, 3)
+    assert sorted(fabric.topology.link_keys()) == sorted(reference.link_keys())
+
+
+@pytest.mark.parametrize(
+    "family, dims",
+    [
+        ("fat-tree", {"pods": 4}),
+        ("dragonfly", {"groups": 3, "routers_per_group": 3, "hosts_per_router": 2}),
+    ],
+)
+def test_crc_topology_reconfiguration_rejects_other_families(family, dims):
+    fabric = build_fabric(family, **dims)
+    config = CRCConfig(enable_topology_reconfiguration=True)
+    with pytest.raises(ValueError, match=f"topology family '{family}'"):
+        ClosedRingControl(fabric, config)
 
 
 def test_crc_control_step_records_iteration():
@@ -253,8 +288,6 @@ def test_crc_reconfigures_grid_to_torus_under_congestion():
         fabric,
         CRCConfig(
             enable_topology_reconfiguration=True,
-            grid_rows=4,
-            grid_columns=4,
             utilisation_threshold=0.5,
             enable_bypass=False,
             enable_adaptive_fec=False,
@@ -273,8 +306,6 @@ def test_crc_attach_drives_fluid_simulation():
         fabric,
         CRCConfig(
             enable_topology_reconfiguration=True,
-            grid_rows=3,
-            grid_columns=3,
             utilisation_threshold=0.3,
             control_period=microseconds(100),
             enable_bypass=False,
@@ -304,7 +335,8 @@ def test_push_capacities_adds_new_capacity():
     fabric = make_fabric(3, 3)
     crc = ClosedRingControl(fabric, CRCConfig(enable_bypass=False))
     simulator = FluidFlowSimulator()
-    assert len(push_capacities(fabric, simulator)) == len(fabric.directed_capacities())
+    assert push_capacities(fabric, simulator) == []
+    assert all(simulator.has_link(key) for key in fabric.directed_capacities())
     # Manually mutate the topology, then push.
     from repro.core.plp import PLPCommand
 

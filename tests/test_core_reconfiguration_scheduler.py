@@ -4,9 +4,9 @@ import math
 
 import pytest
 
+from repro.core.candidates import GridToTorusCandidate
 from repro.core.plp import PLPCommandType, PLPExecutor, ReconfigurationDelays
 from repro.core.reconfiguration import (
-    GridToTorusPlan,
     ReconfigurationPlan,
     ReconfigurationPlanner,
     break_even_flow_size,
@@ -73,7 +73,7 @@ def test_worthwhile_margin():
 # --------------------------------------------------------------------------- #
 def test_grid_to_torus_plan_structure():
     topology = TopologyBuilder(lanes_per_link=2).grid(4, 4)
-    plan = GridToTorusPlan(4, 4).build(topology)
+    plan = GridToTorusCandidate(4, 4, lanes_per_wraparound=1).build(topology)
     splits = [c for c in plan.commands if c.type is PLPCommandType.SPLIT_LINK]
     creates = [c for c in plan.commands if c.type is PLPCommandType.CREATE_LINK]
     assert len(splits) == 24
@@ -86,7 +86,7 @@ def test_grid_to_torus_plan_executes_into_torus():
     topology = TopologyBuilder(lanes_per_link=2).grid(4, 4)
     fabric = Fabric(topology, FabricConfig())
     executor = PLPExecutor(fabric)
-    plan = GridToTorusPlan(4, 4).build(topology)
+    plan = GridToTorusCandidate(4, 4, lanes_per_wraparound=1).build(topology)
     lanes_before = topology.total_lanes()
     results = executor.execute_batch(plan.commands)
     assert all(result.success for result in results)
@@ -100,26 +100,26 @@ def test_grid_to_torus_plan_executes_into_torus():
 def test_grid_to_torus_plan_rejects_thin_links():
     topology = TopologyBuilder(lanes_per_link=1).grid(3, 3)
     with pytest.raises(ValueError):
-        GridToTorusPlan(3, 3).build(topology)
+        GridToTorusCandidate(3, 3, lanes_per_wraparound=1).build(topology)
 
 
 def test_grid_to_torus_plan_rejects_wrong_topology():
     topology = TopologyBuilder(lanes_per_link=2).ring(9)
     with pytest.raises(ValueError):
-        GridToTorusPlan(3, 3).build(topology)
+        GridToTorusCandidate(3, 3, lanes_per_wraparound=1).build(topology)
 
 
 def test_grid_to_torus_plan_infeasible_lane_budget():
     # Harvesting 1 lane per link but asking 10 lanes per wraparound cannot fit.
     topology = TopologyBuilder(lanes_per_link=2).grid(3, 3)
     with pytest.raises(ValueError):
-        GridToTorusPlan(3, 3, lanes_per_wraparound=10).build(topology)
+        GridToTorusCandidate(3, 3, lanes_per_wraparound=10).build(topology)
 
 
 def test_plan_duration_uses_parallel_application():
     topology = TopologyBuilder(lanes_per_link=2).grid(3, 3)
     delays = ReconfigurationDelays()
-    plan = GridToTorusPlan(3, 3).build(topology, delays)
+    plan = GridToTorusCandidate(3, 3, lanes_per_wraparound=1).build(topology, delays)
     assert plan.duration_with(delays) == pytest.approx(delays.link_create)
     empty = ReconfigurationPlan(name="noop")
     assert empty.duration_with(delays) == 0.0
@@ -130,7 +130,7 @@ def test_plan_duration_uses_parallel_application():
 # --------------------------------------------------------------------------- #
 def _simple_plan():
     topology = TopologyBuilder(lanes_per_link=2).grid(3, 3)
-    return GridToTorusPlan(3, 3).build(topology)
+    return GridToTorusCandidate(3, 3, lanes_per_wraparound=1).build(topology)
 
 
 def test_planner_accepts_large_demand():

@@ -79,9 +79,7 @@ def test_crc_on_packet_observes_instantaneous_rates():
         Flow("n1x0", "n0x1", size_bits=400 * MTU_BITS),
     ]
     backend = PacketBackend(fabric, flows)
-    crc = ClosedRingControl(
-        fabric, CRCConfig(grid_rows=2, grid_columns=2, control_period=1e-5)
-    )
+    crc = ClosedRingControl(fabric, CRCConfig(control_period=1e-5))
     crc.attach(backend)
     backend.run()
     assert all(flow.completed for flow in flows)

@@ -245,7 +245,7 @@ def test_candidates_for_topology_builds_fresh_instances_from_dims():
     second = candidates_for_topology("grid", {"rows": 3, "columns": 4})
     assert [type(c) for c in first] == [GridToTorusCandidate]
     assert first[0] is not second[0]
-    assert first[0].builder.rows == 3 and first[0].builder.columns == 4
+    assert first[0].rows == 3 and first[0].columns == 4
 
     (fat,) = candidates_for_topology("fat-tree", {"pods": 6})
     assert isinstance(fat, FatTreeUplinkRebalanceCandidate)
