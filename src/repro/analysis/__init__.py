@@ -12,11 +12,7 @@ These models serve two roles in the reproduction:
 """
 
 from repro.analysis.breakeven import break_even_curve, reconfiguration_crossover_table
-from repro.analysis.latency import (
-    LatencyModel,
-    hop_latency_table,
-    media_vs_switching_series,
-)
+from repro.analysis.latency import LatencyModel, media_vs_switching_series
 from repro.analysis.power import lane_power_sweep, rack_power_estimate
 from repro.analysis.validation import ValidationResult, validate_against_analytical
 
@@ -24,7 +20,6 @@ __all__ = [
     "break_even_curve",
     "reconfiguration_crossover_table",
     "LatencyModel",
-    "hop_latency_table",
     "media_vs_switching_series",
     "lane_power_sweep",
     "rack_power_estimate",

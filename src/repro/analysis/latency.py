@@ -9,8 +9,8 @@ magnitude, which is the motivation for pushing reconfiguration down to the
 physical layer.
 
 :class:`LatencyModel` reproduces both curves in closed form and adds the
-related series used elsewhere in the evaluation (per-hop breakdown,
-store-and-forward comparison, serialization).
+per-path breakdown used elsewhere in the evaluation (store-and-forward
+comparison, serialization, PHY).
 """
 
 from __future__ import annotations
@@ -54,29 +54,11 @@ class LatencyModel:
     # ------------------------------------------------------------------ #
     # Per-hop terms
     # ------------------------------------------------------------------ #
-    def propagation_per_hop(self) -> float:
-        """Media propagation delay over one hop's cable run."""
-        return self.media.propagation_delay(self.hop_spacing_meters)
-
     def switching_per_hop(self, packet_size_bytes: float) -> float:
         """Cut-through forwarding latency of one switching element."""
         packet_bits = bits_from_bytes(packet_size_bytes)
         decision_bits = min(self.switch.header_bits, packet_bits)
         return decision_bits / self.switch.port_rate_bps + self.switch.pipeline_latency
-
-    def store_and_forward_per_hop(self, packet_size_bytes: float) -> float:
-        """Store-and-forward forwarding latency of one element (baseline)."""
-        packet_bits = bits_from_bytes(packet_size_bytes)
-        return packet_bits / self.switch.port_rate_bps + self.switch.pipeline_latency
-
-    def serialization(self, packet_size_bytes: float) -> float:
-        """Time to clock the packet onto the first link (paid once, cut-through)."""
-        packet_bits = bits_from_bytes(packet_size_bytes)
-        return packet_bits / self.fec.effective_rate(self.link_rate_bps)
-
-    def phy_per_hop(self) -> float:
-        """SerDes plus FEC latency per link."""
-        return self.serdes_latency + self.fec.latency
 
     # ------------------------------------------------------------------ #
     # Path-level quantities
@@ -113,36 +95,24 @@ class LatencyModel:
         """Full latency breakdown for a path of the given physical length."""
         links = max(1, round(distance_meters / self.hop_spacing_meters))
         hops = max(0, links - 1)
+        packet_bits = bits_from_bytes(packet_size_bytes)
         per_hop_switch = (
-            self.store_and_forward_per_hop(packet_size_bytes)
+            packet_bits / self.switch.port_rate_bps + self.switch.pipeline_latency
             if store_and_forward
             else self.switching_per_hop(packet_size_bytes)
         )
         breakdown = {
-            "serialization": self.serialization(packet_size_bytes)
+            "serialization": packet_bits / self.fec.effective_rate(self.link_rate_bps)
             if include_serialization
             else 0.0,
             "propagation": self.media_latency(distance_meters),
             "switching": hops * per_hop_switch,
-            "phy": links * self.phy_per_hop(),
+            "phy": links * (self.serdes_latency + self.fec.latency),
         }
         breakdown["total"] = fsum_seq(breakdown.values())
         breakdown["hops"] = float(hops)
         breakdown["links"] = float(links)
         return breakdown
-
-    def switching_dominance_ratio(
-        self, distance_meters: float, packet_size_bytes: float
-    ) -> float:
-        """Switching latency divided by media latency (the Figure 1 headline).
-
-        Values far above 1 are the paper's point: at rack scale, packet
-        switching, not the media, is the bottleneck.
-        """
-        media = self.media_latency(distance_meters)
-        if media <= 0:
-            return float("inf")
-        return self.switching_latency(distance_meters, packet_size_bytes) / media
 
 
 def media_vs_switching_series(
@@ -171,21 +141,3 @@ def media_vs_switching_series(
         )
         series.append(row)
     return series
-
-
-def hop_latency_table(
-    hop_counts: Sequence[int],
-    packet_size_bytes: float = 1500.0,
-    model: LatencyModel = None,
-) -> List[Dict[str, float]]:
-    """Latency breakdown as a function of hop count (the same data keyed by hops)."""
-    model = model if model is not None else LatencyModel()
-    rows: List[Dict[str, float]] = []
-    for hops in hop_counts:
-        if hops < 0:
-            raise ValueError("hop counts must be >= 0")
-        distance = (hops + 1) * model.hop_spacing_meters
-        breakdown = model.end_to_end(distance, packet_size_bytes)
-        breakdown["requested_hops"] = float(hops)
-        rows.append(breakdown)
-    return rows

@@ -265,12 +265,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import main as lint_main
-
-    return lint_main([])
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -366,12 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     # intercepted in main() because argparse.REMAINDER cannot hand leading
     # option tokens (e.g. `lint --rules D001`) through a subparser.  The stub
     # here keeps the subcommand in --help.
-    lint = sub.add_parser(
+    sub.add_parser(
         "lint",
         add_help=False,
         help="static determinism/parity/units checks (see python -m repro.lint)",
     )
-    lint.set_defaults(func=_cmd_lint)
 
     return parser
 

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.fabric.fabric import Fabric
 from repro.phy.link import Link
 from repro.sim.units import microseconds
 
@@ -180,32 +179,6 @@ class LinkPriceTagger:
             + weights.health * self.health_term(ber)
             + weights.power * self.power_term(power)
         )
-
-    def price_map(
-        self,
-        fabric: Fabric,
-        utilisation: Optional[Dict[Tuple[str, str], float]] = None,
-    ) -> Dict[Tuple[str, str], float]:
-        """Price every link of *fabric*, optionally with live utilisation.
-
-        *utilisation* may be keyed by directed or canonical link keys; for a
-        full-duplex link the worse direction sets the price.
-        """
-        prices: Dict[Tuple[str, str], float] = {}
-        for key in fabric.topology.link_keys():
-            link = fabric.topology.link_between(*key)
-            observed = 0.0
-            if utilisation is not None:
-                a, b = key
-                observed = max(
-                    utilisation.get((a, b), 0.0),
-                    utilisation.get((b, a), 0.0),
-                    utilisation.get(key, 0.0),
-                )
-            else:
-                observed = fabric.utilisation_for(*key).value_or(0.0)
-            prices[key] = self.price(link, utilisation=observed)
-        return prices
 
     def weight_fn(
         self, utilisation: Optional[Dict[Tuple[str, str], float]] = None

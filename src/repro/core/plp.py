@@ -76,10 +76,6 @@ class PLPCommand:
         if len(self.endpoints) != 2 or self.endpoints[0] == self.endpoints[1]:
             raise ValueError(f"endpoints must be two distinct names, got {self.endpoints!r}")
 
-    def describe(self) -> str:
-        """Short human-readable description for traces."""
-        return f"{self.type.value} {self.endpoints[0]}<->{self.endpoints[1]} {self.params}"
-
 
 @dataclass(frozen=True)
 class ReconfigurationDelays:

@@ -168,13 +168,6 @@ class Fabric:
             "total": total,
         }
 
-    def end_to_end_latency(
-        self, src: str, dst: str, packet_size_bits: float
-    ) -> Dict[str, float]:
-        """Closed-form latency breakdown along the routed path for the pair."""
-        path = self.router.path(src, dst)
-        return self.path_latency(path, packet_size_bits)
-
     # ------------------------------------------------------------------ #
     # Power accounting
     # ------------------------------------------------------------------ #
@@ -202,12 +195,6 @@ class Fabric:
         report.bypass_watts = (
             len(self.bypasses.active_circuits()) * model.bypass_circuit_watts
         )
-        return report
-
-    def record_power(self, time: float) -> PowerReport:
-        """Sample the power report into the budget tracker."""
-        report = self.power_report()
-        self.power_budget.record(time, report.total_watts)
         return report
 
     # ------------------------------------------------------------------ #

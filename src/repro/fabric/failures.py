@@ -74,11 +74,6 @@ class FailureInjector:
     # ------------------------------------------------------------------ #
     # Application
     # ------------------------------------------------------------------ #
-    @property
-    def pending(self) -> int:
-        """Events not yet applied."""
-        return len(self.events) - self._next_index
-
     def apply_due(self, now: float) -> List[FailureEvent]:
         """Apply every event whose time has arrived; returns those applied."""
         applied_now: List[FailureEvent] = []

@@ -388,7 +388,3 @@ class Router:
     def all_paths(self, src: str, dst: str) -> List[PathType]:
         """All candidate paths the router would consider for the pair."""
         return list(self._candidates(src, dst))
-
-    def path_cost(self, path: Sequence[str]) -> float:
-        """Total weight of *path* under the current weight function."""
-        return _path_cost(self.topology, path, self.weight_fn)

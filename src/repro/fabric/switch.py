@@ -99,12 +99,6 @@ class CutThroughSwitch:
         header_time = decision_bits / self.model.port_rate_bps
         return header_time + self.model.pipeline_latency
 
-    def queueing_delay(self, backlog_bits: float) -> float:
-        """Time for *backlog_bits* already queued ahead to drain at line rate."""
-        if backlog_bits < 0:
-            raise ValueError("backlog_bits must be >= 0")
-        return backlog_bits / self.model.port_rate_bps
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CutThroughSwitch({self.name!r})"
 

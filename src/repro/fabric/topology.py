@@ -91,10 +91,6 @@ class Topology:
         """Return the node object for *name* (KeyError if absent)."""
         return self._nodes[name]
 
-    def has_node(self, name: str) -> bool:
-        """Whether a node with *name* exists."""
-        return name in self._nodes
-
     def nodes(self) -> List[Node]:
         """All node objects."""
         return list(self._nodes.values())

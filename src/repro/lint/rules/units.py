@@ -69,7 +69,8 @@ class UnitSuffixRule(Rule):
     the mistake *visible* in the source -- this rule makes it fatal.  The
     companion check flags bare ``1e9``-style scale factors multiplied or
     divided into a suffixed quantity: ``rate_bps / 1e9`` silently encodes
-    "gigabits" where :func:`repro.sim.units.to_gbps` says it.
+    "gigabits" where ``rate_bps / GBPS`` (:data:`repro.sim.units.GBPS`)
+    says it.
     """
 
     code = "U101"

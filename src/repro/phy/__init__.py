@@ -32,7 +32,7 @@ from repro.phy.media import (
     propagation_delay,
 )
 from repro.phy.power import PowerBudget, PowerModel, PowerReport
-from repro.phy.stats import EwmaEstimator, LaneStatistics
+from repro.phy.stats import EwmaEstimator
 
 __all__ = [
     "BypassCircuit",
@@ -61,5 +61,4 @@ __all__ = [
     "PowerModel",
     "PowerReport",
     "EwmaEstimator",
-    "LaneStatistics",
 ]

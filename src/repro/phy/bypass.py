@@ -79,22 +79,17 @@ class BypassCircuit:
         """Whether the circuit is currently established."""
         return self.released_at is None
 
-    @property
-    def one_way_latency(self) -> float:
-        """End-to-end latency of the circuit excluding serialization.
+    def transfer_latency(self, size_bits: float) -> float:
+        """Total time to move *size_bits* across the circuit (store-and-forward free).
 
         Each bypassed element contributes only its pass-through latency; no
         switching or queueing delay is incurred anywhere on the path.
         """
-        return self.propagation_delay + self.passthrough_latency * len(self.through)
-
-    def serialization_delay(self, size_bits: float) -> float:
-        """Time to clock *size_bits* onto the circuit."""
-        return size_bits / self.capacity_bps
-
-    def transfer_latency(self, size_bits: float) -> float:
-        """Total time to move *size_bits* across the circuit (store-and-forward free)."""
-        return self.one_way_latency + self.serialization_delay(size_bits)
+        return (
+            self.propagation_delay
+            + self.passthrough_latency * len(self.through)
+            + size_bits / self.capacity_bps
+        )
 
 
 class BypassManager:

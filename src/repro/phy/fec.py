@@ -265,10 +265,6 @@ class AdaptiveFecController:
             return current
         return best
 
-    def schemes_meeting_target(self, raw_ber: float) -> List[FecScheme]:
-        """All schemes that would meet the target for *raw_ber*."""
-        return [s for s in self.schemes if s.meets_target(raw_ber, self.target_ber)]
-
 
 def scheme_by_name(name: str, schemes: Iterable[FecScheme] = STANDARD_FEC_SCHEMES) -> FecScheme:
     """Look up a scheme by its name (raises KeyError if unknown)."""

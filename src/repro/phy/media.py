@@ -76,10 +76,6 @@ class Media:
             raise ValueError(f"length must be >= 0, got {length_meters!r}")
         return self.loss_db_per_meter * length_meters
 
-    def within_reach(self, length_meters: float) -> bool:
-        """Whether a run of *length_meters* is within the medium's reach."""
-        return 0 <= length_meters <= self.max_reach_meters
-
 
 #: Passive direct-attach copper cable (twinax), the common intra-rack medium.
 COPPER_DAC = Media(

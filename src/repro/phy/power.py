@@ -16,10 +16,7 @@ wattage of a particular part.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
-
-from repro.phy.link import Link
-from repro.sim.stats import fsum_seq
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -73,23 +70,13 @@ class PowerReport:
         """Total fabric power."""
         return self.links_watts + self.switches_watts + self.nics_watts + self.bypass_watts
 
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dictionary for reports and CSV output."""
-        return {
-            "links_watts": self.links_watts,
-            "switches_watts": self.switches_watts,
-            "nics_watts": self.nics_watts,
-            "bypass_watts": self.bypass_watts,
-            "total_watts": self.total_watts,
-        }
-
 
 class PowerBudget:
     """Tracks fabric power against a rack envelope.
 
     The budget integrates power over time (energy) as the simulation
-    advances and answers the two questions the CRC power policy asks:
-    *are we over budget now?* and *how much headroom is left?*
+    advances, accumulates the time spent above the cap, and keeps the
+    samples the control loop reports its peak power from.
     """
 
     def __init__(self, cap_watts: Optional[float] = None) -> None:
@@ -124,37 +111,6 @@ class PowerBudget:
         """Recorded ``(time, watts)`` samples."""
         return list(self._samples)
 
-    @property
-    def current_watts(self) -> float:
-        """Most recently recorded power (zero before any sample)."""
-        return self._samples[-1][1] if self._samples else 0.0
-
-    def headroom_watts(self) -> Optional[float]:
-        """Cap minus current power (``None`` when no cap is set)."""
-        if self.cap_watts is None:
-            return None
-        return self.cap_watts - self.current_watts
-
-    def over_budget(self) -> bool:
-        """Whether the latest sample exceeds the cap."""
-        if self.cap_watts is None:
-            return False
-        return self.current_watts > self.cap_watts
-
     def peak_watts(self) -> float:
         """Largest recorded power."""
         return max((power for _, power in self._samples), default=0.0)
-
-    def mean_watts(self) -> float:
-        """Time-weighted mean power over the recorded horizon."""
-        if len(self._samples) < 2:
-            return self.current_watts
-        duration = self._samples[-1][0] - self._samples[0][0]
-        if duration <= 0:
-            return self.current_watts
-        return self.energy_joules / duration
-
-
-def fabric_link_power(links: Iterable[Link]) -> float:
-    """Total power of a collection of links."""
-    return fsum_seq(link.power_watts for link in links)

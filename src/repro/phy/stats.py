@@ -3,15 +3,14 @@
 The Closed Ring Control is a feedback controller; the feedback is the
 per-lane statistics the physical layer exposes -- bit error rate, latency
 and effective bandwidth -- plus the per-link utilisation the control loop
-observes each tick.  The estimators here smooth raw samples with
-exponentially weighted moving averages so the control loop is not
+observes each tick.  The estimator here smooths raw samples with an
+exponentially weighted moving average so the control loop is not
 whipsawed by measurement noise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 
 class EwmaEstimator:
@@ -39,38 +38,3 @@ class EwmaEstimator:
     def value_or(self, default: float) -> float:
         """Current value, or *default* before the first sample."""
         return self._value if self._value is not None else default
-
-
-@dataclass
-class LaneStatistics:
-    """Statistics stream for a single lane."""
-
-    lane_id: int
-    ber: EwmaEstimator = field(default_factory=lambda: EwmaEstimator(alpha=0.3))
-    latency: EwmaEstimator = field(default_factory=lambda: EwmaEstimator(alpha=0.3))
-    effective_bandwidth_bps: EwmaEstimator = field(
-        default_factory=lambda: EwmaEstimator(alpha=0.3)
-    )
-
-    def observe(
-        self,
-        ber: Optional[float] = None,
-        latency: Optional[float] = None,
-        effective_bandwidth_bps: Optional[float] = None,
-    ) -> None:
-        """Record one sample of any subset of the lane metrics."""
-        if ber is not None:
-            self.ber.update(ber)
-        if latency is not None:
-            self.latency.update(latency)
-        if effective_bandwidth_bps is not None:
-            self.effective_bandwidth_bps.update(effective_bandwidth_bps)
-
-    def snapshot(self) -> Dict[str, Optional[float]]:
-        """Current smoothed values as a plain dictionary."""
-        return {
-            "lane_id": float(self.lane_id),
-            "ber": self.ber.value,
-            "latency": self.latency.value,
-            "effective_bandwidth_bps": self.effective_bandwidth_bps.value,
-        }

@@ -37,7 +37,6 @@ from repro.sim.units import (
     NANOSECONDS,
     SECONDS,
     bits_from_bytes,
-    bytes_from_bits,
     gbps,
     microseconds,
     milliseconds,
@@ -71,7 +70,6 @@ __all__ = [
     "NANOSECONDS",
     "SECONDS",
     "bits_from_bytes",
-    "bytes_from_bits",
     "gbps",
     "microseconds",
     "milliseconds",

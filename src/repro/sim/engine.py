@@ -63,11 +63,6 @@ class EventHandle:
         """Absolute simulation time the event is scheduled for."""
         return self._event.time
 
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._event.cancelled
-
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
         self._event.cancelled = True
@@ -95,8 +90,6 @@ class Simulator:
         self._running = False
         self._stop_requested = False
         self._events_executed = 0
-        self._events_scheduled = 0
-        self._events_cancelled_skipped = 0
 
     # ------------------------------------------------------------------ #
     # Clock and introspection
@@ -110,16 +103,6 @@ class Simulator:
     def events_executed(self) -> int:
         """Number of events that have fired so far."""
         return self._events_executed
-
-    @property
-    def events_scheduled(self) -> int:
-        """Number of events ever scheduled (including cancelled ones)."""
-        return self._events_scheduled
-
-    @property
-    def pending(self) -> int:
-        """Number of events currently in the calendar (including cancelled)."""
-        return len(self._heap)
 
     def peek(self) -> Optional[float]:
         """Time of the next non-cancelled event, or ``None`` if the calendar is empty."""
@@ -173,7 +156,6 @@ class Simulator:
             kwargs=kwargs,
         )
         self._seq += 1
-        self._events_scheduled += 1
         heapq.heappush(self._heap, event)
         return EventHandle(event)
 
@@ -254,14 +236,3 @@ class Simulator:
     def _drop_cancelled_head(self) -> None:
         while self._heap and self._heap[0].cancelled:
             heapq.heappop(self._heap)
-            self._events_cancelled_skipped += 1
-
-    def snapshot(self) -> dict:
-        """Return a dictionary of counters, useful for test assertions."""
-        return {
-            "now": self._now,
-            "pending": self.pending,
-            "events_executed": self._events_executed,
-            "events_scheduled": self._events_scheduled,
-            "events_cancelled_skipped": self._events_cancelled_skipped,
-        }

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
@@ -118,28 +117,6 @@ class Flow:
         if self.completion_time is None:
             return None
         return self.completion_time - self.start_time
-
-    @property
-    def met_deadline(self) -> Optional[bool]:
-        """Whether the flow met its deadline (``None`` when no deadline set)."""
-        if self.deadline is None or self.fct is None:
-            return None
-        return self.fct <= self.deadline
-
-    def ideal_fct(self, rate_bps: float) -> float:
-        """Completion time if the flow had the full *rate_bps* to itself."""
-        if rate_bps <= 0:
-            raise ValueError(f"rate_bps must be positive, got {rate_bps!r}")
-        return self.size_bits / rate_bps
-
-    def slowdown(self, rate_bps: float) -> Optional[float]:
-        """FCT normalised by the ideal FCT at *rate_bps* (>= 1 in a sane sim)."""
-        if self.fct is None:
-            return None
-        ideal = self.ideal_fct(rate_bps)
-        if ideal == 0:
-            return math.inf
-        return self.fct / ideal
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

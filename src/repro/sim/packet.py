@@ -134,11 +134,6 @@ class Packet:
             return None
         return self.delivered_at - self.created_at
 
-    @property
-    def hop_count(self) -> int:
-        """Number of elements traversed so far."""
-        return len(self.hops)
-
     def delay_breakdown(self) -> Dict[str, float]:
         """Aggregate the per-hop records into delay components.
 
@@ -283,10 +278,3 @@ class PortLedger:
         call time; live simulation state is never handed out.
         """
         return {key: replace(port) for key, port in self._ports.items()}
-
-    def delivery_fraction(self) -> float:
-        """Delivered packets over delivered plus dropped."""
-        total = self.delivered_count + self.dropped_count
-        if total == 0:
-            return 0.0
-        return self.delivered_count / total

@@ -56,19 +56,9 @@ def seconds(value: float) -> float:
     return value * SECONDS
 
 
-def to_nanoseconds(value_seconds: float) -> float:
-    """Convert *value_seconds* (seconds) to nanoseconds."""
-    return value_seconds / NANOSECONDS
-
-
 def to_microseconds(value_seconds: float) -> float:
     """Convert *value_seconds* (seconds) to microseconds."""
     return value_seconds / MICROSECONDS
-
-
-def to_milliseconds(value_seconds: float) -> float:
-    """Convert *value_seconds* (seconds) to milliseconds."""
-    return value_seconds / MILLISECONDS
 
 
 def gbps(value: float) -> float:
@@ -76,19 +66,9 @@ def gbps(value: float) -> float:
     return value * GBPS
 
 
-def to_gbps(value_bps: float) -> float:
-    """Convert *value_bps* (bits per second) to gigabits per second."""
-    return value_bps / GBPS
-
-
 def bits_from_bytes(num_bytes: float) -> float:
     """Convert a byte count to bits."""
     return num_bytes * BITS_PER_BYTE
-
-
-def bytes_from_bits(num_bits: float) -> float:
-    """Convert a bit count to bytes."""
-    return num_bits / BITS_PER_BYTE
 
 
 def kilobytes(value: float) -> float:
@@ -104,16 +84,3 @@ def megabytes(value: float) -> float:
 def gigabytes(value: float) -> float:
     """Convert *value* gigabytes (10^9 bytes) to bits."""
     return bits_from_bytes(value * GIGA)
-
-
-def serialization_delay(size_bits: float, rate_bps: float) -> float:
-    """Time to clock *size_bits* onto a link running at *rate_bps*.
-
-    Raises :class:`ValueError` for non-positive rates because a zero rate
-    silently producing ``inf`` hides configuration mistakes.
-    """
-    if rate_bps <= 0:
-        raise ValueError(f"rate_bps must be positive, got {rate_bps!r}")
-    if size_bits < 0:
-        raise ValueError(f"size_bits must be non-negative, got {size_bits!r}")
-    return size_bits / rate_bps

@@ -41,19 +41,6 @@ class PoissonArrivals:
             times.append(current)
         return times
 
-    def times_until(self, horizon: float, start_time: float = 0.0, max_count: int = 1_000_000) -> List[float]:
-        """All arrival times in ``(start_time, horizon]`` (bounded by *max_count*)."""
-        if horizon < start_time:
-            raise ValueError("horizon must be >= start_time")
-        times: List[float] = []
-        current = start_time
-        while len(times) < max_count:
-            current += self.streams.exponential(self.stream_name, 1.0 / self.rate_per_second)
-            if current > horizon:
-                break
-            times.append(current)
-        return times
-
 
 def constant_arrivals(count: int, interval: float, start_time: float = 0.0) -> List[float]:
     """Evenly spaced arrival times: ``start + i * interval`` for i in 0..count-1."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.sim.flow import Flow
 from repro.sim.random import RandomStreams
@@ -91,11 +91,3 @@ class TrafficGenerator(abc.ABC):
     @staticmethod
     def _sorted(flows: List[Flow]) -> List[Flow]:
         return sorted(flows, key=lambda flow: (flow.start_time, flow.flow_id))
-
-    def demand_matrix(self, flows: Sequence[Flow]) -> Dict[tuple, float]:
-        """Aggregate bits per (src, dst) pair -- useful for tests and reports."""
-        matrix: Dict[tuple, float] = {}
-        for flow in flows:
-            key = (flow.src, flow.dst)
-            matrix[key] = matrix.get(key, 0.0) + flow.size_bits
-        return matrix

@@ -69,7 +69,3 @@ class IncastWorkload(TrafficGenerator):
                 )
             )
         return self._sorted(flows)
-
-    def fan_in(self) -> int:
-        """Number of simultaneous senders."""
-        return len(self.senders)

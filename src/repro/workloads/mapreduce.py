@@ -85,10 +85,3 @@ class MapReduceShuffleWorkload(TrafficGenerator):
                     )
                 )
         return self._sorted(flows)
-
-    def total_shuffle_bits(self) -> float:
-        """Expected total bits moved by the shuffle (ignoring jitter)."""
-        per_reducer = len(self.mappers) * self.spec.mean_flow_size_bits
-        regular = per_reducer * (len(self.reducers) - 1)
-        skewed = per_reducer * self.skew_factor
-        return regular + skewed

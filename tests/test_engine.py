@@ -82,7 +82,7 @@ def test_run_until_does_not_execute_later_events():
     sim.schedule(5.0, lambda: fired.append("late"))
     sim.run(until=1.0)
     assert fired == []
-    assert sim.pending == 1
+    assert sim.peek() == 5.0
     sim.run(until=10.0)
     assert fired == ["late"]
 
@@ -100,7 +100,6 @@ def test_cancelled_event_does_not_fire():
     fired = []
     handle = sim.schedule(1.0, lambda: fired.append("x"))
     handle.cancel()
-    assert handle.cancelled
     sim.run()
     assert fired == []
 
@@ -110,7 +109,7 @@ def test_cancel_is_idempotent():
     handle = sim.schedule(1.0, lambda: None)
     handle.cancel()
     handle.cancel()
-    assert handle.cancelled
+    assert sim.run() == 0
 
 
 def test_events_can_schedule_more_events():
@@ -134,7 +133,7 @@ def test_stop_interrupts_run():
     sim.schedule(2.0, lambda: fired.append(2))
     sim.run()
     assert fired == [1]
-    assert sim.pending == 1
+    assert sim.peek() == 2.0
 
 
 def test_max_events_bound():
@@ -143,7 +142,7 @@ def test_max_events_bound():
         sim.schedule(index + 1.0, lambda: None)
     executed = sim.run(max_events=4)
     assert executed == 4
-    assert sim.pending == 6
+    assert sim.run() == 6
 
 
 def test_step_executes_one_event():
@@ -179,10 +178,8 @@ def test_counters_and_snapshot():
     handle = sim.schedule(2.0, lambda: None)
     handle.cancel()
     sim.run()
-    snap = sim.snapshot()
-    assert snap["events_scheduled"] == 2
-    assert snap["events_executed"] == 1
-    assert snap["pending"] == 0
+    assert sim.events_executed == 1
+    assert sim.peek() is None
 
 
 def test_run_is_not_reentrant():

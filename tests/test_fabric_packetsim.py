@@ -56,8 +56,12 @@ def test_path_latency_requires_two_nodes(line_fabric):
         line_fabric.path_latency(["n0"], 100)
 
 
+def _routed_latency(fabric, src, dst, size):
+    return fabric.path_latency(fabric.router.path(src, dst), size)
+
+
 def test_end_to_end_latency_uses_router(grid_fabric):
-    breakdown = grid_fabric.end_to_end_latency("n0x0", "n2x2", bits_from_bytes(64))
+    breakdown = _routed_latency(grid_fabric, "n0x0", "n2x2", bits_from_bytes(64))
     assert breakdown["total"] > 0
     # 4 hops -> 3 intermediate switches.
     per_hop = grid_fabric.switch("n0x1").forwarding_latency(bits_from_bytes(64))
@@ -66,8 +70,8 @@ def test_end_to_end_latency_uses_router(grid_fabric):
 
 def test_more_hops_means_more_switching_latency(grid_fabric):
     size = bits_from_bytes(1500)
-    near = grid_fabric.end_to_end_latency("n0x0", "n0x1", size)
-    far = grid_fabric.end_to_end_latency("n0x0", "n2x2", size)
+    near = _routed_latency(grid_fabric, "n0x0", "n0x1", size)
+    far = _routed_latency(grid_fabric, "n0x0", "n2x2", size)
     assert far["switching"] > near["switching"]
     assert far["total"] > near["total"]
 
@@ -78,8 +82,8 @@ def test_store_and_forward_fabric_is_slower(grid_fabric):
         FabricConfig(store_and_forward=True),
     )
     size = bits_from_bytes(1500)
-    cut = grid_fabric.end_to_end_latency("n0x0", "n2x2", size)["total"]
-    snf = snf_fabric.end_to_end_latency("n0x0", "n2x2", size)["total"]
+    cut = _routed_latency(grid_fabric, "n0x0", "n2x2", size)["total"]
+    snf = _routed_latency(snf_fabric, "n0x0", "n2x2", size)["total"]
     assert snf > cut
 
 
@@ -100,13 +104,6 @@ def test_power_report_drops_when_lanes_gated(grid_fabric):
         link.set_active_lane_count(1)
     after = grid_fabric.power_report().total_watts
     assert after < before
-
-
-def test_record_power_feeds_budget(grid_fabric):
-    grid_fabric.record_power(0.0)
-    grid_fabric.record_power(1.0)
-    assert grid_fabric.power_budget.current_watts > 0
-    assert grid_fabric.power_budget.energy_joules > 0
 
 
 def test_directed_capacities_and_route_keys(grid_fabric):
@@ -136,7 +133,7 @@ def test_single_packet_matches_analytical_latency(line_fabric):
     simulator.drain()
     expected = line_fabric.path_latency(["n0", "n1", "n2", "n3"], packet.size_bits)["total"]
     assert packet.latency == pytest.approx(expected, rel=1e-9)
-    assert packet.hop_count == 3
+    assert len(packet.hops) == 3
 
 
 def test_packet_breakdown_matches_latency(line_fabric):
@@ -188,7 +185,7 @@ def test_packet_dropped_on_dead_link(grid_fabric):
     network.inject(packet, path=["n0x0", "n0x1"])
     simulator.drain()
     assert packet.dropped
-    assert network.delivery_fraction() == 0.0
+    assert network.delivered_count == 0
 
 
 def test_dead_link_drop_is_counted(grid_fabric):
@@ -217,7 +214,6 @@ def test_buffer_overflow_drops_packets():
     simulator.drain()
     assert len(network.dropped) > 0
     assert len(network.delivered) > 0
-    assert network.delivery_fraction() < 1.0
 
 
 def test_port_stats_accumulate(line_fabric):
@@ -345,4 +341,4 @@ def test_retain_packets_false_keeps_counters_only(line_fabric):
     simulator.drain()
     assert network.delivered == [] and network.dropped == []
     assert network.delivered_count == 1
-    assert network.delivery_fraction() == 1.0
+    assert network.dropped_count == 0

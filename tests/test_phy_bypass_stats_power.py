@@ -5,9 +5,8 @@ import pytest
 from repro.fabric.fabric import Fabric
 from repro.fabric.topology import TopologyBuilder
 from repro.phy.bypass import BypassCircuit, BypassManager
-from repro.phy.link import Link
-from repro.phy.power import PowerBudget, PowerModel, PowerReport, fabric_link_power
-from repro.phy.stats import EwmaEstimator, LaneStatistics
+from repro.phy.power import PowerBudget, PowerModel, PowerReport
+from repro.phy.stats import EwmaEstimator
 
 
 # --------------------------------------------------------------------------- #
@@ -18,9 +17,8 @@ def test_bypass_circuit_latency_excludes_switching():
         src="a", dst="d", through=("b", "c"), capacity_bps=100e9,
         established_at=0.0, passthrough_latency=5e-9, propagation_delay=20e-9,
     )
-    assert circuit.one_way_latency == pytest.approx(20e-9 + 2 * 5e-9)
-    assert circuit.serialization_delay(100e9) == pytest.approx(1.0)
-    assert circuit.transfer_latency(1e9) == pytest.approx(circuit.one_way_latency + 0.01)
+    assert circuit.transfer_latency(0.0) == pytest.approx(20e-9 + 2 * 5e-9)
+    assert circuit.transfer_latency(1e9) == pytest.approx(20e-9 + 2 * 5e-9 + 0.01)
 
 
 def test_bypass_circuit_validation():
@@ -110,14 +108,6 @@ def test_ewma_alpha_validation():
         EwmaEstimator(alpha=1.5)
 
 
-def test_lane_statistics_snapshot():
-    stats = LaneStatistics(lane_id=3)
-    stats.observe(ber=1e-9, latency=1e-7, effective_bandwidth_bps=20e9)
-    snapshot = stats.snapshot()
-    assert snapshot["lane_id"] == 3.0
-    assert snapshot["ber"] == pytest.approx(1e-9)
-
-
 def test_link_statistics_smooths_utilisation():
     # A fabric's per-link stream is a bare EWMA at weight 0.25.
     fabric = Fabric(TopologyBuilder().line(2))
@@ -146,7 +136,6 @@ def test_power_model_switch_power():
 def test_power_report_totals():
     report = PowerReport(links_watts=10, switches_watts=20, nics_watts=5, bypass_watts=1)
     assert report.total_watts == 36
-    assert report.as_dict()["total_watts"] == 36
 
 
 def test_power_budget_energy_integration():
@@ -158,10 +147,6 @@ def test_power_budget_energy_integration():
     assert budget.energy_joules == pytest.approx(2000.0)
     assert budget.time_over_budget == pytest.approx(10.0)
     assert budget.peak_watts() == 150.0
-    assert budget.current_watts == 150.0
-    assert budget.over_budget()
-    assert budget.headroom_watts() == pytest.approx(-50.0)
-    assert budget.mean_watts() == pytest.approx(100.0)
 
 
 def test_power_budget_ordering_enforced():
@@ -176,15 +161,11 @@ def test_power_budget_ordering_enforced():
 def test_power_budget_without_cap():
     budget = PowerBudget()
     budget.record(0.0, 10.0)
-    assert budget.headroom_watts() is None
-    assert not budget.over_budget()
+    budget.record(1.0, 1e9)
+    budget.record(2.0, 10.0)
+    assert budget.time_over_budget == 0.0
 
 
 def test_power_budget_cap_validation():
     with pytest.raises(ValueError):
         PowerBudget(cap_watts=0)
-
-
-def test_fabric_link_power_sums_links():
-    links = [Link("a", "b", num_lanes=2), Link("b", "c", num_lanes=2)]
-    assert fabric_link_power(links) == pytest.approx(sum(l.power_watts for l in links))

@@ -52,8 +52,6 @@ def test_media_velocity_fraction_bounds():
 
 def test_media_loss_and_reach():
     assert COPPER_DAC.loss_db(2.0) == pytest.approx(4.0)
-    assert COPPER_DAC.within_reach(3.0)
-    assert not COPPER_DAC.within_reach(10.0)
 
 
 def test_media_registry_contains_standard_media():
@@ -173,13 +171,6 @@ def test_adaptive_fec_hysteresis_keeps_current_scheme():
     # margin, it is retained.
     kept = controller.select(1e-15, current=FEC_NONE)
     assert kept.name == "none"
-
-
-def test_adaptive_fec_schemes_meeting_target():
-    controller = AdaptiveFecController(target_ber=1e-12)
-    names = {scheme.name for scheme in controller.schemes_meeting_target(1e-6)}
-    assert "rs-528" in names
-    assert "none" not in names
 
 
 def test_adaptive_fec_validates_parameters():

@@ -53,7 +53,7 @@ def test_canonical_key_is_order_independent():
 
 def test_topology_add_and_query():
     topo = make_triangle()
-    assert topo.has_node("a")
+    assert topo.node("a").name == "a"
     assert topo.has_link("c", "a")
     assert topo.link_between("c", "a").connects("a", "c")
     assert set(topo.neighbors("a")) == {"b", "c"}

